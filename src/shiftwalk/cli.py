@@ -62,8 +62,11 @@ def _parse_t_range(value: str) -> list[int]:
         lo, hi = int(lo_text), int(hi_text)
         if hi < lo:
             raise ValueError(f"empty time range {value!r}")
-        return list(range(lo, hi + 1))
-    return [int(value)]
+    else:
+        lo = hi = int(value)
+    if lo < 0:
+        raise ValueError(f"times must be >= 0, got {value!r}")
+    return list(range(lo, hi + 1))
 
 
 # ---------------------------------------------------------------- verify
@@ -321,7 +324,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
+        # Bad input or an unwritable --out: a usage error, not a failed check.
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -1,13 +1,16 @@
 """Exact evolution of the full state distribution.
 
 Brute-force oracle for small n: the distribution over all 2**n states is a
-dense float64 vector indexed by packed state words, and one step applies
-the exact kernel by scattering each state's mass to its successors.  The
-kernel probabilities are dyadic (1/2 and 1/(2n)), so accumulation error
-stays far below the 1e-12 tolerances used by callers.
+dense float64 vector indexed by packed state words.  One step applies the
+exact kernel in pull form: each state gathers the mass of the states that
+shift onto it, with each possible pre-shift bit flip.  The kernel
+probabilities are dyadic (1/2 and 1/(2n)), so accumulation error stays far
+below the 1e-12 tolerances used by callers.
 """
 from __future__ import annotations
 
+import itertools
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,8 +30,9 @@ __all__ = [
     "exact_tv_curve",
 ]
 
-# 2**24 float64 entries are ~134 MB per buffer; beyond that the dense
-# oracle stops being a desk-scale tool.
+# Evolving the oracle holds four 2**n-word arrays (the distribution, two
+# step buffers and the inverse shift index), about 512 MiB at n = 24;
+# beyond that the dense oracle stops being a desk-scale tool.
 MAX_EXACT_N = 24
 
 
@@ -79,27 +83,74 @@ def uniform(n: int) -> DistributionVector:
 
 
 def _inverse_shift_index(n: int) -> np.ndarray:
-    """Index array P with P[y] = the state whose shift-register image is y."""
-    idx = np.arange(1 << n, dtype=np.int64)
-    par = (np.bitwise_count(idx.astype(np.uint64)).astype(np.int64)) & 1
-    forward = (idx >> 1) | (par << (n - 1))
-    inverse = np.empty_like(forward)
-    inverse[forward] = idx
-    return inverse
+    """Index array P with P[y] = the state whose shift-register image is y.
+
+    The shift sends x to (x >> 1) | (parity(x) << (n - 1)), so its inverse
+    restores the low bit of x as the parity of y: P[y] = (y << 1) mod 2**n
+    | parity(y).
+    """
+    inv = np.arange(1 << n, dtype=np.intp)
+    parity = np.bitwise_count(inv) & 1
+    np.left_shift(inv, 1, out=inv)
+    np.bitwise_and(inv, (1 << n) - 1, out=inv)
+    np.bitwise_or(inv, parity, out=inv)
+    return inv
 
 
-def _step(chain: ChainKind, probs: np.ndarray, inv: np.ndarray) -> np.ndarray:
-    # Pull form of the kernel: the mass at y gathers from the states that
-    # map there, i.e. from inv[y] with each possible pre-shift bit flip.
-    n = chain.n
+def _split(a: np.ndarray, bit: int) -> np.ndarray:
+    """View of ``a`` with axes (higher bits, ``bit``, lower bits).
+
+    Reversing the middle axis, ``_split(a, bit)[:, ::-1]``, gives the view
+    whose entry x is a[x ^ 2**bit], with no copy.
+    """
+    return a.reshape(-1, 2, 1 << bit)
+
+
+def _step(
+    chain: ChainKind,
+    probs: np.ndarray,
+    acc: np.ndarray,
+    tmp: np.ndarray,
+    inv: np.ndarray,
+) -> None:
+    """One step of the kernel, in place in ``probs``; ``acc`` and ``tmp``
+    are scratch buffers of the same size.
+
+    The new mass at y is 0.5 p[inv[y]] + sum_i p[inv[y] ^ 2**i] / (2n) on q1
+    and 0.5 (p[inv[y]] + p[inv[y] ^ 2**(m-1)]) on q2.  The bit-flip average
+    is formed at every x first and then gathered once through ``inv``;
+    since the gather is a permutation, each entry sees the same float
+    operations in the same order as the direct sum.
+    """
     if chain.kind == "q1":
-        out = 0.5 * probs[inv]
-        w = 1.0 / (2 * n)
-        for i in range(n):
-            out += w * probs[inv ^ (1 << i)]
-        return out
-    m = chain.middle
-    return 0.5 * (probs[inv] + probs[inv ^ (1 << (m - 1))])
+        w = 1.0 / (2 * chain.n)
+        np.multiply(probs, 0.5, out=acc)
+        for i in range(chain.n):
+            np.multiply(_split(probs, i)[:, ::-1], w, out=_split(tmp, i))
+            np.add(acc, tmp, out=acc)
+    else:
+        b = chain.middle - 1
+        np.add(_split(probs, b), _split(probs, b)[:, ::-1], out=_split(acc, b))
+        np.multiply(acc, 0.5, out=acc)
+    # mode="clip" writes straight into ``out``; "raise" would buffer a copy.
+    np.take(acc, inv, out=probs, mode="clip")
+
+
+def _evolution(
+    chain: ChainKind, probs: np.ndarray
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Yield (distribution, scratch) after 0, 1, 2, ... steps.
+
+    Evolves ``probs`` in place, so the caller hands over an array it owns.
+    The index and both step buffers are built once; the scratch buffer is
+    free for the caller's use until it advances the iterator.
+    """
+    inv = _inverse_shift_index(chain.n)
+    acc = np.empty_like(probs)
+    tmp = np.empty_like(probs)
+    while True:
+        yield probs, tmp
+        _step(chain, probs, acc, tmp, inv)
 
 
 def evolve_exact(
@@ -112,16 +163,21 @@ def evolve_exact(
         raise ValueError(f"steps must be >= 0, got {steps}")
     if steps == 0:
         return d
-    inv = _inverse_shift_index(chain.n)
-    probs = d.probs
-    for _ in range(steps):
-        probs = _step(chain, probs, inv)
+    states = _evolution(chain, np.array(d.probs, dtype=np.float64))
+    probs, _ = next(itertools.islice(states, steps, None))
     return DistributionVector(chain.n, probs)
+
+
+def _tv(probs: np.ndarray, out: np.ndarray) -> float:
+    """TV distance of ``probs`` to uniform, using ``out`` as scratch."""
+    np.subtract(probs, 1.0 / probs.size, out=out)
+    np.abs(out, out=out)
+    return 0.5 * float(out.sum())
 
 
 def tv_to_uniform(d: DistributionVector) -> float:
     """Total variation distance to the uniform distribution."""
-    return 0.5 * float(np.abs(d.probs - 1.0 / (1 << d.n)).sum())
+    return _tv(d.probs, np.empty(d.probs.shape))
 
 
 def _weights(n: int) -> np.ndarray:
@@ -152,11 +208,5 @@ def exact_tv_curve(
     """(t, TV to uniform) for t = 0..t_max from a point mass at ``x0``."""
     if t_max < 0:
         raise ValueError(f"t_max must be >= 0, got {t_max}")
-    d = point_mass(chain.n, x0)
-    inv = _inverse_shift_index(chain.n)
-    curve = [(0, tv_to_uniform(d))]
-    probs = d.probs
-    for t in range(1, t_max + 1):
-        probs = _step(chain, probs, inv)
-        curve.append((t, 0.5 * float(np.abs(probs - 1.0 / (1 << chain.n)).sum())))
-    return curve
+    states = _evolution(chain, point_mass(chain.n, x0).probs)
+    return [(t, _tv(probs, tmp)) for t, (probs, tmp) in zip(range(t_max + 1), states)]

@@ -187,14 +187,16 @@ def suite_moments(n_max: int = 10, **_: object) -> list[CheckResult]:
         )
     )
 
-    n_max = min(n_max, 16)  # exact-oracle sweep, one evolution per (n, t)
+    n_max = min(n_max, 16)  # exact-oracle sweep, one evolution per n
     worst_mean = 0.0
     worst_marginal = 0.0
     worst_terminal = 0.0
     for n in range(2, n_max + 1):
-        chain = q1(n)
-        d = distribution.point_mass(n, BitVector.zeros(n))
-        for t in range(n + 1):
+        states = distribution._evolution(
+            q1(n), distribution.point_mass(n, BitVector.zeros(n)).probs
+        )
+        for t, (probs, _) in zip(range(n + 1), states):
+            d = distribution.DistributionVector(n, probs)
             mean, _ = distribution.weight_moments(d)
             worst_mean = max(
                 worst_mean, abs(mean - weight_stats.mean_weight_closed_form(n, t))
@@ -209,8 +211,6 @@ def suite_moments(n_max: int = 10, **_: object) -> list[CheckResult]:
                 # The traced bit at t = n is the appended parity of step 1,
                 # which is exactly uniform.
                 worst_terminal = max(worst_terminal, abs(marginal - 0.5))
-            if t < n:
-                d = distribution.evolve_exact(chain, d, 1)
     results.append(
         CheckResult(
             name=f"exact mean matches closed form (n <= {n_max}, t <= n)",
@@ -316,13 +316,13 @@ def suite_variance(
     worst = -np.inf
     n_max = min(n_max, 16)
     for n in range(2, n_max + 1):
-        chain = q1(n)
-        d = distribution.point_mass(n, BitVector.zeros(n))
-        for t in range(n + 1):
+        states = distribution._evolution(
+            q1(n), distribution.point_mass(n, BitVector.zeros(n)).probs
+        )
+        for t, (probs, _) in zip(range(n + 1), states):
+            d = distribution.DistributionVector(n, probs)
             _, var = distribution.weight_moments(d)
             worst = max(worst, var - 4.0 * t)
-            if t < n:
-                d = distribution.evolve_exact(chain, d, 1)
     results = [
         CheckResult(
             name=f"exact variance <= 4t (n <= {n_max}, t <= n)",

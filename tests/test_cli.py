@@ -111,10 +111,19 @@ class TestProfile:
         assert out1 == out2
 
     def test_bad_range_is_usage_error(self, capsys):
-        code, _, err = run_cli(capsys, "profile", "--chain", "q1", "--n", "8",
-                               "--t", "9..3", "--seed", "1")
+        for t in ("9..3", "-2..3", "-2"):
+            code, _, err = run_cli(capsys, "profile", "--chain", "q1", "--n", "8",
+                                   f"--t={t}", "--seed", "1")
+            assert code == 2
+            assert err.startswith("error:")
+
+    def test_unwritable_output_is_usage_error(self, capsys, tmp_path):
+        code, out, err = run_cli(capsys, "profile", "--chain", "q1", "--n", "4",
+                                 "--t", "0..2", "--seed", "1",
+                                 "--out", str(tmp_path / "missing" / "x.csv"))
         assert code == 2
-        assert "error" in err
+        assert out == ""
+        assert err.startswith("error:") and "missing" in err
 
     def test_chebyshev_column_appears_when_window_is_positive(self, capsys):
         # n = 10^6, alpha = 0.9, c = 5: window delta ~ 41, t = 748811

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from shiftwalk import (
     MAX_EXACT_N,
@@ -17,7 +20,37 @@ from shiftwalk import (
 )
 from shiftwalk import step_q1
 from shiftwalk.chains import _step_word
-from shiftwalk.distribution import DistributionVector
+from shiftwalk.distribution import DistributionVector, _inverse_shift_index
+
+
+def reference_inverse_shift_index(n):
+    """Scatter construction: invert the forward shift map entry by entry."""
+    idx = np.arange(1 << n, dtype=np.int64)
+    par = (np.bitwise_count(idx.astype(np.uint64)).astype(np.int64)) & 1
+    forward = (idx >> 1) | (par << (n - 1))
+    inverse = np.empty_like(forward)
+    inverse[forward] = idx
+    return inverse
+
+
+def reference_step(chain, probs, inv):
+    """Pull form of the kernel, one fancy-index gather per pre-shift flip."""
+    n = chain.n
+    if chain.kind == "q1":
+        out = 0.5 * probs[inv]
+        w = 1.0 / (2 * n)
+        for i in range(n):
+            out += w * probs[inv ^ (1 << i)]
+        return out
+    m = chain.middle
+    return 0.5 * (probs[inv] + probs[inv ^ (1 << (m - 1))])
+
+
+def reference_evolve(chain, probs, steps):
+    inv = reference_inverse_shift_index(chain.n)
+    for _ in range(steps):
+        probs = reference_step(chain, probs, inv)
+    return probs
 
 
 class TestConstruction:
@@ -107,6 +140,73 @@ class TestEvolve:
         emp = counts / trials
         se = np.sqrt(exact * (1 - exact) / trials)
         assert np.all(np.abs(emp - exact) <= 4 * se + 1e-12)
+
+
+class TestAgainstReference:
+    """The in-place step equals the pull-form reference bit for bit."""
+
+    CHAINS = [q1(n) for n in range(1, 17)] + [q2(n) for n in range(2, 17, 2)]
+
+    def test_inverse_shift_index(self):
+        for n in range(1, 21):
+            assert np.array_equal(
+                _inverse_shift_index(n), reference_inverse_shift_index(n)
+            )
+
+    @pytest.mark.parametrize("chain", CHAINS, ids=lambda c: f"{c.kind}-n{c.n}")
+    def test_point_mass_and_random_vector(self, chain):
+        n = chain.n
+        gen = stream(77, n)
+        starts = [
+            point_mass(n, BitVector.random(n, gen)),
+            DistributionVector(n, gen.dirichlet(np.ones(1 << n))),
+        ]
+        for d in starts:
+            for steps in (1, 3):
+                assert np.array_equal(
+                    evolve_exact(chain, d, steps).probs,
+                    reference_evolve(chain, d.probs, steps),
+                )
+
+    def test_curve_matches_reference(self):
+        for chain in (q1(9), q2(10)):
+            n = chain.n
+            x0 = BitVector.unit(n, 2)
+            inv = reference_inverse_shift_index(n)
+            probs = point_mass(n, x0).probs
+            expected = []
+            for t in range(n + 2):
+                expected.append((t, 0.5 * float(np.abs(probs - 2.0**-n).sum())))
+                probs = reference_step(chain, probs, inv)
+            assert exact_tv_curve(chain, x0, n + 1) == expected
+
+    def test_input_is_not_mutated(self):
+        for chain in (q1(8), q2(8)):
+            d = DistributionVector(8, stream(5, 0).dirichlet(np.ones(256)))
+            before = d.probs.copy()
+            evolve_exact(chain, d, 4)
+            assert np.array_equal(d.probs, before)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        data=st.data(),
+        n=st.integers(1, 10),
+        kind=st.sampled_from(["q1", "q2"]),
+        steps=st.integers(1, 4),
+    )
+    def test_property_mass_and_reference(self, data, n, kind, steps):
+        if kind == "q2":
+            n += n % 2
+        weights = data.draw(
+            arrays(np.float64, 1 << n, elements=st.floats(0.0, 1.0)).filter(
+                lambda a: a.sum() > 0
+            )
+        )
+        d = DistributionVector(n, weights / weights.sum())
+        chain = q1(n) if kind == "q1" else q2(n)
+        stepped = evolve_exact(chain, d, steps).probs
+        assert abs(float(stepped.sum()) - 1.0) <= 1e-12
+        assert np.array_equal(stepped, reference_evolve(chain, d.probs, steps))
 
 
 class TestTV:
