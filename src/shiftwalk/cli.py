@@ -47,6 +47,21 @@ def _write_output(text: str, out: str | None) -> None:
             fh.write(text)
 
 
+def _strict_json(report: dict) -> str:
+    """The report as strict JSON: non-finite floats become null."""
+
+    def finite(value):
+        if isinstance(value, dict):
+            return {k: finite(v) for k, v in value.items()}
+        if isinstance(value, (list, tuple)):
+            return [finite(v) for v in value]
+        if isinstance(value, (float, np.floating)) and not math.isfinite(value):
+            return None
+        return value
+
+    return json.dumps(finite(report), indent=2, default=float, allow_nan=False)
+
+
 def _parse_state(value: str | None, n: int) -> BitVector:
     if value is None:
         return BitVector.zeros(n)
@@ -94,7 +109,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         ],
     }
     if args.format == "json" or args.out:
-        _write_output(json.dumps(report, indent=2, default=float), args.out)
+        _write_output(_strict_json(report), args.out)
     if args.format != "json":
         for c in checks:
             tag = "PASS" if c.passed else "FAIL"
@@ -207,7 +222,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     seed = _resolve_seed(args.seed)
     report = _build_profile(args, seed)
     if args.format == "json":
-        _write_output(json.dumps(report, indent=2, default=float), args.out)
+        _write_output(_strict_json(report), args.out)
     else:
         _write_output(_profile_csv(report), args.out)
     return 0
@@ -216,6 +231,8 @@ def _cmd_profile(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------- sample
 
 def _cmd_sample(args: argparse.Namespace) -> int:
+    if args.count < 0:
+        raise ValueError(f"--count must be >= 0, got {args.count}")
     seed = _resolve_seed(args.seed)
     x0 = _parse_state(args.x0, args.n)
     lines = []

@@ -4,14 +4,21 @@ Over n = 2m steps the walk's final state is an affine function
 ``B @ R ^ offset`` of the n fresh update bits R, where B is an invertible
 block matrix.  Uniform bits therefore give an exactly uniform state, and
 inverting B recovers the unique driving sequence that reaches any target.
+
+Sampling and solving apply B and its inverse in closed form on packed
+ints, a few word operations instead of an n-step walk or a GF(2)
+elimination.  ``build_transfer_matrix`` and ``build_offset`` keep the
+explicit map as the reference the closed form is checked against.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import rng
-from .chains import DrivingSequence, _step_word
-from .gf2 import BitVector, GF2Matrix, solve_linear
+from .chains import DrivingSequence
+from .gf2 import BitVector, GF2Matrix
 
 __all__ = [
     "TransferMatrix",
@@ -59,33 +66,58 @@ def build_offset(x: BitVector) -> BitVector:
     return BitVector(x.n, word)
 
 
+def _apply_transfer(m: int, r: int) -> int:
+    """``B @ R`` on a packed word: bit j of ``r`` is the update bit of step j.
+
+    With ``lo``/``hi`` the low and high m bits of R, the top block row
+    [I, C] gives ``lo ^ (hi >> 1)`` and the bottom row [I, I] ``lo ^ hi``.
+    """
+    lo = r & ((1 << m) - 1)
+    hi = r >> m
+    return (lo ^ (hi >> 1)) | ((lo ^ hi) << m)
+
+
+def _invert_transfer(m: int, v: int) -> int:
+    """The R with ``B @ R == v``, so ``_apply_transfer(m, R) == v``.
+
+    XOR-ing the two halves of v leaves ``w = hi ^ (hi >> 1)``, so ``hi`` is
+    the suffix XOR of w, taken in log2(m) shift-and-xor rounds; then
+    ``lo = (v >> m) ^ hi``.
+    """
+    hi = (v ^ (v >> m)) & ((1 << m) - 1)
+    s = 1
+    while s < m:
+        hi ^= hi >> s
+        s <<= 1
+    return ((v >> m) ^ hi) | (hi << m)
+
+
 def exact_sample(x0: BitVector, seed: int, stream_index: int = 0) -> BitVector:
-    """Run the middle-coordinate walk for n steps with fresh uniform bits.
+    """The state after n middle-coordinate steps from ``x0``, driven by the
+    first n draws of stream ``(seed, stream_index)``.
 
     The output is exactly uniform on {0,1}^n for even n, from any start.
     """
     if x0.n % 2 != 0:
         raise ValueError(f"expected even length, got {x0.n}")
     n = x0.n
-    m = n // 2
-    gen = rng.stream(seed, stream_index)
-    word = x0.word
-    for r in gen.integers(0, 2, size=n):
-        word = _step_word(n, word, m, int(r))
-    return BitVector(n, word)
+    # Keep the default int64 draw: a uint8 draw reads the stream differently
+    # and would change every sample.
+    draws = rng.stream(seed, stream_index).integers(0, 2, size=n)
+    r = int.from_bytes(np.packbits(draws, bitorder="little").tobytes(), "little")
+    return BitVector(n, _apply_transfer(n // 2, r) ^ build_offset(x0).word)
 
 
 def solve_driving(x0: BitVector, z: BitVector) -> DrivingSequence:
     """The unique n-step driving sequence taking ``x0`` to ``z``.
 
-    Solves ``B @ R == z ^ offset(x0)``; the transfer matrix has unit
-    determinant, so a singular solve here would be an internal error.
+    Solves ``B @ R == z ^ offset(x0)``; B has unit determinant, so the
+    solution always exists and is unique.
     """
     if x0.n != z.n:
         raise ValueError(f"length mismatch: {x0.n} vs {z.n}")
     if x0.n % 2 != 0:
         raise ValueError(f"expected even length, got {x0.n}")
     m = x0.n // 2
-    b = build_transfer_matrix(m).matrix
-    bits = solve_linear(b, z ^ build_offset(x0))
-    return DrivingSequence(coords=(m,) * x0.n, bits=bits.bits)
+    r = _invert_transfer(m, (z ^ build_offset(x0)).word)
+    return DrivingSequence(coords=(m,) * x0.n, bits=BitVector(x0.n, r).bits)

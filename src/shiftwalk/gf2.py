@@ -73,7 +73,7 @@ class BitVector:
         """Parse a bitstring whose leftmost character is coordinate 1."""
         if not text or any(ch not in "01" for ch in text):
             raise ValueError(f"expected a nonempty string of 0s and 1s, got {text!r}")
-        return cls.from_bits(int(ch) for ch in text)
+        return cls(len(text), int(text[::-1], 2))
 
     @classmethod
     def random(cls, n: int, gen: np.random.Generator) -> BitVector:
@@ -118,7 +118,8 @@ class BitVector:
         return BitVector(self.n, self.word ^ other.word)
 
     def to_string(self) -> str:
-        return "".join(str((self.word >> i) & 1) for i in range(self.n))
+        """Coordinate 1 first: the binary digits of ``word``, reversed."""
+        return format(self.word, f"0{self.n}b")[::-1]
 
     def __str__(self) -> str:
         return self.to_string()

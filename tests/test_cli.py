@@ -1,5 +1,7 @@
 import json
+import math
 
+import numpy as np
 import pytest
 
 from shiftwalk import BitVector, DrivingSequence, q2, simulate
@@ -47,6 +49,28 @@ class TestVerify:
         code, out, _ = run_cli(capsys, "verify", "moments", "--seed", "1")
         assert code == 1
         assert "[FAIL] forced failure" in out
+
+    def test_non_finite_observed_is_null(self, capsys):
+        # n_max = 1 sweeps no exact time, so the worst gap stays -inf.
+        code, out, _ = run_cli(capsys, "verify", "variance", "--n-max", "1",
+                               "--samples", "200", "--seed", "1",
+                               "--format", "json")
+        assert code in (0, 1)
+
+        def reject(constant):
+            raise ValueError(f"non-strict JSON constant {constant}")
+
+        report = json.loads(out, parse_constant=reject)
+        assert report["checks"][0]["observed"] == {"max_var_minus_4t": None}
+
+    def test_strict_json_keeps_finite_reports(self):
+        from shiftwalk.cli import _strict_json
+
+        finite = {"a": 1, "b": [0.5, np.float64(2.0), (3, np.int64(4))],
+                  "c": {"d": None, "e": "x", "f": np.float32(0.25)}}
+        assert _strict_json(finite) == json.dumps(finite, indent=2, default=float)
+        odd = {"a": [math.inf, (np.float64(-np.inf),)], "b": {"c": math.nan}}
+        assert json.loads(_strict_json(odd)) == {"a": [None, [None]], "b": {"c": None}}
 
     def test_all_suites_serialize(self, capsys, tmp_path):
         out_file = tmp_path / "all.json"
@@ -154,6 +178,13 @@ class TestSample:
                                "--seed", "7", "--hex")
         lines = out.strip().splitlines()
         assert all(len(line) == 2 for line in lines)
+
+    def test_negative_count_is_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, "sample", "--n", "8", "--count", "-1",
+                                 "--seed", "1")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "--count" in err
 
     def test_odd_length_rejected(self, capsys):
         code, _, err = run_cli(capsys, "sample", "--n", "7", "--seed", "1")

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from shiftwalk import (
@@ -15,8 +17,24 @@ from shiftwalk import (
     shift_register,
     simulate,
     solve_driving,
+    solve_linear,
     stream,
 )
+from shiftwalk.chains import _step_word
+
+
+def reference_sample(x0, seed, stream_index=0):
+    """The n-step middle-coordinate walk the closed-form sampler replaces."""
+    n, m = x0.n, x0.n // 2
+    word = x0.word
+    for r in stream(seed, stream_index).integers(0, 2, size=n):
+        word = _step_word(n, word, m, int(r))
+    return BitVector(n, word)
+
+
+def reference_solve(x0, z, matrix):
+    """The GF(2) elimination on B the closed-form solver replaces."""
+    return solve_linear(matrix, z ^ build_offset(x0)).bits
 
 
 class TestTransferMatrix:
@@ -114,6 +132,59 @@ class TestExactSample:
         null = np.full(16, trials / 16)
         statistic, pvalue = stats.chisquare(counts, null)
         assert pvalue > 1e-4, (statistic, pvalue)
+
+
+class TestSampleAgainstWalk:
+    """The closed-form sampler equals the step-by-step walk bit for bit."""
+
+    @pytest.mark.parametrize("n", list(range(2, 67, 2)) + [128, 130, 2048])
+    def test_random_and_zero_starts(self, n):
+        gen = stream(31, n)
+        for x0 in (BitVector.zeros(n), BitVector.random(n, gen)):
+            for i in range(50):
+                assert exact_sample(x0, 9, i) == reference_sample(x0, 9, i)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        data=st.data(),
+        m=st.integers(1, 64),
+        seed=st.integers(0, 2**64 - 1),
+        index=st.integers(0, 2**64 - 1),
+    )
+    def test_property(self, data, m, seed, index):
+        n = 2 * m
+        x0 = BitVector(n, data.draw(st.integers(0, (1 << n) - 1)))
+        assert exact_sample(x0, seed, index) == reference_sample(x0, seed, index)
+
+
+class TestSolveAgainstElimination:
+    """The closed-form solver equals Gaussian elimination on B."""
+
+    def test_small_m(self):
+        gen = stream(41, 0)
+        for m in range(1, 65):
+            n = 2 * m
+            matrix = build_transfer_matrix(m).matrix
+            for _ in range(20):
+                x0, z = BitVector.random(n, gen), BitVector.random(n, gen)
+                assert solve_driving(x0, z).bits == reference_solve(x0, z, matrix)
+
+    def test_m1024(self):
+        gen = stream(42, 0)
+        matrix = build_transfer_matrix(1024).matrix
+        for _ in range(3):
+            x0, z = BitVector.random(2048, gen), BitVector.random(2048, gen)
+            assert solve_driving(x0, z).bits == reference_solve(x0, z, matrix)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), m=st.integers(1, 64))
+    def test_property_solve_then_replay(self, data, m):
+        n = 2 * m
+        words = st.integers(0, (1 << n) - 1)
+        x0, z = BitVector(n, data.draw(words)), BitVector(n, data.draw(words))
+        driving = solve_driving(x0, z)
+        assert driving.coords == (m,) * n
+        assert simulate(q2(n), x0, driving)[-1] == z
 
 
 class TestSolveDriving:

@@ -66,6 +66,39 @@ class TestBitVector:
         assert a == b and a.n == 130
 
 
+def old_to_string(v):
+    return "".join(str((v.word >> i) & 1) for i in range(v.n))
+
+
+def old_from_string(text):
+    return BitVector.from_bits(int(ch) for ch in text)
+
+
+class TestStringForms:
+    """format/int string conversion equals the old per-bit forms."""
+
+    @staticmethod
+    def words(n, gen):
+        full = (1 << n) - 1
+        r = BitVector.random(n, gen).word
+        return {0, 1, full, 1 << (n - 1), r, r & (full >> (n // 2)),
+                r & ~((1 << (n // 2)) - 1) & full, r | 1, r | (1 << (n - 1))}
+
+    @pytest.mark.parametrize("n", list(range(1, 131)) + [2048])
+    def test_equal_to_per_bit_forms(self, n):
+        gen = stream(51, n)
+        for word in self.words(n, gen):
+            v = BitVector(n, word)
+            text = v.to_string()
+            assert text == old_to_string(v) and len(text) == n
+            assert BitVector.from_string(text) == old_from_string(text) == v
+
+    @pytest.mark.parametrize("text", ["", "012", " 01", "01 ", "0_1", "+01", "-1", "1\n"])
+    def test_rejects_non_bitstrings(self, text):
+        with pytest.raises(ValueError):
+            BitVector.from_string(text)
+
+
 class TestShiftRegister:
     def test_zero_fixed_point(self):
         z = BitVector.zeros(4)
