@@ -39,6 +39,7 @@ from .exact_sampler import (
     build_offset,
     build_transfer_matrix,
     exact_sample,
+    exact_samples,
     solve_driving,
 )
 from .gf2 import (
@@ -109,7 +110,7 @@ __all__ = [
     "weight_histogram", "stationary_weight_pmf",
     # exact_sampler
     "TransferMatrix", "build_transfer_matrix", "build_offset", "exact_sample",
-    "solve_driving",
+    "exact_samples", "solve_driving",
     # rng
     "stream",
 ]

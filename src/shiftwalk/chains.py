@@ -9,7 +9,7 @@ stochastic operation is a thin wrapper over deterministic replay.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Iterator, Sequence, Union
 
 import numpy as np
 
@@ -189,6 +189,46 @@ def _draw_driving_arrays(chain: ChainKind, t: int, seed: int, stream_index: int)
         coords = gen.integers(1, chain.n + 1, size=t, dtype=np.int64)
     bits = gen.integers(0, 2, size=t, dtype=np.uint8)
     return coords, bits
+
+
+def _draw_driving_blocks(
+    chain: ChainKind, t: int, seed: int, start: int, count: int
+) -> Iterator[tuple[int, np.ndarray | None, np.ndarray]]:
+    """The driving arrays of streams start..start+count-1, in blocks.
+
+    Yields ``(offset, coords, bits)``; row j equals
+    ``_draw_driving_arrays(chain, t, seed, start + offset + j)`` bit for
+    bit.  Both draws read one 32-bit value stream: a q1 coordinate takes
+    one value (none at n = 1, where the range has one element), and the
+    bits take one byte each, low byte first, starting at the next value.
+    A row whose coordinates numpy would reject and redraw is drawn again
+    through the per-stream path.
+    """
+    if t < 0:
+        raise ValueError(f"trajectory length must be >= 0, got {t}")
+    n_coords = t if chain.kind == "q1" and chain.n > 1 else 0
+    shifts = np.arange(7, 32, 8, dtype=np.uint32)  # the top bit of each byte
+    for offset, words in rng.stream_words(
+        seed, start, count, n_coords + (t + 3) // 4
+    ):
+        rows = len(words)
+        coords = None
+        redo = ()
+        if chain.kind == "q1":
+            if n_coords:
+                values, rejected = rng.bounded(words[:, :t], chain.n)
+                coords = values.astype(np.int64)
+                coords += 1
+                redo = np.flatnonzero(rejected.any(axis=1))
+            else:
+                coords = np.ones((rows, t), dtype=np.int64)
+        bytes_ = words[:, n_coords:, None] >> shifts
+        bits = (bytes_ & 1).astype(np.uint8).reshape(rows, -1)[:, :t]
+        for j in redo:
+            coords[j], bits[j] = _draw_driving_arrays(
+                chain, t, seed, start + offset + int(j)
+            )
+        yield offset, coords, bits
 
 
 def random_driving(

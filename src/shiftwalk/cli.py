@@ -20,7 +20,7 @@ import numpy as np
 
 from . import __version__, distribution, spectral, suites, weight_stats
 from .chains import ChainKind, simulate_random, trajectory_rows
-from .exact_sampler import exact_sample, solve_driving
+from .exact_sampler import exact_samples, solve_driving
 from .gf2 import BitVector
 
 SCHEMA_VERSION = 1
@@ -236,8 +236,7 @@ def _cmd_sample(args: argparse.Namespace) -> int:
     seed = _resolve_seed(args.seed)
     x0 = _parse_state(args.x0, args.n)
     lines = []
-    for i in range(args.count):
-        state = exact_sample(x0, seed, stream_index=i)
+    for state in exact_samples(x0, seed, 0, args.count):
         if args.hex:
             lines.append(format(state.word, f"0{(args.n + 3) // 4}x"))
         else:

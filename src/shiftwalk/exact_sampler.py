@@ -13,6 +13,7 @@ explicit map as the reference the closed form is checked against.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -25,6 +26,7 @@ __all__ = [
     "build_transfer_matrix",
     "build_offset",
     "exact_sample",
+    "exact_samples",
     "solve_driving",
 ]
 
@@ -92,20 +94,36 @@ def _invert_transfer(m: int, v: int) -> int:
     return ((v >> m) ^ hi) | (hi << m)
 
 
+def exact_samples(
+    x0: BitVector, seed: int, start: int, count: int
+) -> Iterator[BitVector]:
+    """Yield ``exact_sample(x0, seed, i)`` for i in start..start+count-1.
+
+    The streams are drawn in blocks from one reused generator; each
+    sample reads the same draws as its own stream would.  Samples are
+    yielded as they are made, so memory does not grow with ``count``.
+    """
+    if x0.n % 2 != 0:
+        raise ValueError(f"expected even length, got {x0.n}")
+    n = x0.n
+    offset = build_offset(x0).word
+    for _, words in rng.stream_words(seed, start, count, n):
+        # Each draw is the default int64 integers(0, 2): one 32-bit value
+        # per bit.  2 divides 2**32, so numpy never rejects one.
+        draws, _ = rng.bounded(words, 2)
+        packed = np.packbits(draws.astype(np.uint8), axis=1, bitorder="little")
+        for row in packed:
+            r = int.from_bytes(row.tobytes(), "little")
+            yield BitVector(n, _apply_transfer(n // 2, r) ^ offset)
+
+
 def exact_sample(x0: BitVector, seed: int, stream_index: int = 0) -> BitVector:
     """The state after n middle-coordinate steps from ``x0``, driven by the
     first n draws of stream ``(seed, stream_index)``.
 
     The output is exactly uniform on {0,1}^n for even n, from any start.
     """
-    if x0.n % 2 != 0:
-        raise ValueError(f"expected even length, got {x0.n}")
-    n = x0.n
-    # Keep the default int64 draw: a uint8 draw reads the stream differently
-    # and would change every sample.
-    draws = rng.stream(seed, stream_index).integers(0, 2, size=n)
-    r = int.from_bytes(np.packbits(draws, bitorder="little").tobytes(), "little")
-    return BitVector(n, _apply_transfer(n // 2, r) ^ build_offset(x0).word)
+    return next(exact_samples(x0, seed, stream_index, 1))
 
 
 def solve_driving(x0: BitVector, z: BitVector) -> DrivingSequence:

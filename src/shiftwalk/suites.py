@@ -26,6 +26,14 @@ class CheckResult:
     observed: dict = field(default_factory=dict)
 
 
+def _sweep_check(name: str, swept: bool, passed: bool, observed: dict) -> CheckResult:
+    """A check over a sweep (of n, t or trials).  Over an empty sweep it
+    says nothing, so it is reported as vacuous and not passed."""
+    if not swept:
+        return CheckResult(f"{name} [vacuous: empty range]", False, observed)
+    return CheckResult(name, passed, observed)
+
+
 def suite_matrix_order(
     n_max: int = 512, seed: int = 0, spot_n: int = 10_000, **_: object
 ) -> list[CheckResult]:
@@ -36,8 +44,9 @@ def suite_matrix_order(
         if mat_pow(a, n + 1) != GF2Matrix.identity(n):
             failures.append(n)
     results = [
-        CheckResult(
-            name=f"power n+1 is identity for 2 <= n <= {n_max}",
+        _sweep_check(
+            f"power n+1 is identity for 2 <= n <= {n_max}",
+            swept=n_max >= 2,
             passed=not failures,
             observed={"failures": failures},
         )
@@ -87,8 +96,9 @@ def suite_term_bounds(n_max: int = 2000, **_: object) -> list[CheckResult]:
         if rep.edge_ratio > worst_edge[0]:
             worst_edge = (rep.edge_ratio, n)
     return [
-        CheckResult(
-            name=f"term bounds hold for 6 <= n <= {n_max}",
+        _sweep_check(
+            f"term bounds hold for 6 <= n <= {n_max}",
+            swept=n_max >= 6,
             passed=not failures,
             observed={
                 "failures": failures,
@@ -150,8 +160,9 @@ def suite_fourier(n_max: int = 2000, **_: object) -> list[CheckResult]:
         s = spectral.fourier_sum(n).total
         worst_ratio = max(worst_ratio, s * n / 2.0)
     results.append(
-        CheckResult(
-            name=f"coefficient mass stays below 2/n for 6 <= n <= {n_max}",
+        _sweep_check(
+            f"coefficient mass stays below 2/n for 6 <= n <= {n_max}",
+            swept=n_max >= 6,
             passed=worst_ratio <= 1.0,
             observed={"max_of_total_times_n_over_2": worst_ratio},
         )
@@ -212,22 +223,25 @@ def suite_moments(n_max: int = 10, **_: object) -> list[CheckResult]:
                 # which is exactly uniform.
                 worst_terminal = max(worst_terminal, abs(marginal - 0.5))
     results.append(
-        CheckResult(
-            name=f"exact mean matches closed form (n <= {n_max}, t <= n)",
+        _sweep_check(
+            f"exact mean matches closed form (n <= {n_max}, t <= n)",
+            swept=n_max >= 2,
             passed=worst_mean <= 1e-12,
             observed={"max_abs_diff": worst_mean},
         )
     )
     results.append(
-        CheckResult(
-            name=f"exact leading-bit marginal matches formula (n <= {n_max}, t <= n-1)",
+        _sweep_check(
+            f"exact leading-bit marginal matches formula (n <= {n_max}, t <= n-1)",
+            swept=n_max >= 2,
             passed=worst_marginal <= 1e-12,
             observed={"max_abs_diff": worst_marginal},
         )
     )
     results.append(
-        CheckResult(
-            name="leading-bit marginal is exactly 1/2 at t = n",
+        _sweep_check(
+            "leading-bit marginal is exactly 1/2 at t = n",
+            swept=n_max >= 2,
             passed=worst_terminal <= 1e-12,
             observed={"max_abs_diff": worst_terminal},
         )
@@ -285,13 +299,15 @@ def suite_bounded_diff(
                 same_coord_violations += 1
         max_hamming = max(max_hamming, div.max_hamming)
     return [
-        CheckResult(
-            name=f"bit-flip weight differences <= 2 ({half} trials)",
+        _sweep_check(
+            f"bit-flip weight differences <= 2 ({half} trials)",
+            swept=half > 0,
             passed=max_flip <= 2,
             observed={"max_weight_diff": max_flip},
         ),
-        CheckResult(
-            name=f"coordinate-change weight differences <= 2 ({trials - half} trials)",
+        _sweep_check(
+            f"coordinate-change weight differences <= 2 ({trials - half} trials)",
+            swept=trials > half,
             passed=max_coord <= 2
             and zero_bit_violations == 0
             and same_coord_violations == 0,
@@ -301,8 +317,9 @@ def suite_bounded_diff(
                 "same_coord_violations": same_coord_violations,
             },
         ),
-        CheckResult(
-            name="intermediate Hamming distance <= 2 (all trials)",
+        _sweep_check(
+            "intermediate Hamming distance <= 2 (all trials)",
+            swept=trials > 0,
             passed=max_hamming <= 2,
             observed={"max_hamming": max_hamming},
         ),
@@ -324,8 +341,9 @@ def suite_variance(
             _, var = distribution.weight_moments(d)
             worst = max(worst, var - 4.0 * t)
     results = [
-        CheckResult(
-            name=f"exact variance <= 4t (n <= {n_max}, t <= n)",
+        _sweep_check(
+            f"exact variance <= 4t (n <= {n_max}, t <= n)",
+            swept=n_max >= 2,
             passed=worst <= 1e-12,
             observed={"max_var_minus_4t": worst},
         )
@@ -356,8 +374,9 @@ def suite_q2_exact(
             d = distribution.evolve_exact(chain, distribution.point_mass(n, x0), n)
             worst = max(worst, distribution.tv_to_uniform(d))
     return [
-        CheckResult(
-            name=f"exact TV at t = n is 0 (even n <= {n_max}, {starts} starts each)",
+        _sweep_check(
+            f"exact TV at t = n is 0 (even n <= {n_max}, {starts} starts each)",
+            swept=n_max >= 4 and starts > 0,
             passed=worst <= 1e-12,
             observed={"max_tv": worst},
         )

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import gammaln
 
-from .chains import ChainKind, DrivingSequence, _draw_driving_arrays, _step_word
+from .chains import ChainKind, DrivingSequence, _draw_driving_blocks, _step_word
 from .gf2 import BitVector
 
 __all__ = [
@@ -160,13 +160,14 @@ def sample_weights(
 
     coords_all = None
     if chain.kind == "q1":
-        coords_all = np.empty((samples, t_max), dtype=np.int64)
+        # A quarter of the int64 footprint; the column arithmetic widens.
+        coord_type = np.uint16 if 2 * n < 1 << 16 else np.int64
+        coords_all = np.empty((samples, t_max), dtype=coord_type)
     bits_all = np.empty((samples, t_max), dtype=np.uint8)
-    for i in range(samples):
-        coords, bits = _draw_driving_arrays(chain, t_max, seed, i)
+    for i, coords, bits in _draw_driving_blocks(chain, t_max, seed, 0, samples):
         if coords_all is not None:
-            coords_all[i] = coords
-        bits_all[i] = bits
+            coords_all[i : i + len(bits)] = coords
+        bits_all[i : i + len(bits)] = bits
 
     states = np.empty((samples, n), dtype=np.uint8)
     states[:] = np.array(list(x0), dtype=np.uint8)
@@ -182,7 +183,7 @@ def sample_weights(
     for s in range(t_max):
         r = bits_all[:, s]
         if chain.kind == "q1":
-            col = (coords_all[:, s] - 1 + origin) % n
+            col = (coords_all[:, s].astype(np.intp) - 1 + origin) % n
             old = states[rows, col]
             new = old ^ r
             states[rows, col] = new

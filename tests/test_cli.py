@@ -63,6 +63,27 @@ class TestVerify:
         report = json.loads(out, parse_constant=reject)
         assert report["checks"][0]["observed"] == {"max_var_minus_4t": None}
 
+    @pytest.mark.parametrize("argv, vacuous", [
+        (("variance", "--n-max", "1", "--samples", "200"), 1),
+        (("term-bounds", "--n-max", "5"), 1),
+        (("matrix-order", "--n-max", "1"), 1),
+        (("fourier", "--n-max", "5"), 1),
+        (("moments", "--n-max", "1"), 3),
+        (("q2-exact", "--n-max", "3"), 1),
+        (("bounded-diff", "--trials", "1"), 1),
+        (("bounded-diff", "--trials", "0"), 3),
+    ])
+    def test_empty_sweep_is_vacuous_not_passed(self, capsys, argv, vacuous):
+        code, out, _ = run_cli(capsys, "verify", *argv, "--seed", "1",
+                               "--format", "json")
+        assert code == 1
+        report = json.loads(out)
+        assert report["passed"] is False
+        flagged = [c for c in report["checks"] if "vacuous" in c["name"]]
+        assert len(flagged) == vacuous
+        assert not any(c["passed"] for c in flagged)
+        assert all(c["passed"] for c in report["checks"] if c not in flagged)
+
     def test_strict_json_keeps_finite_reports(self):
         from shiftwalk.cli import _strict_json
 
@@ -82,6 +103,7 @@ class TestVerify:
         report = json.loads(out_file.read_text())
         names = [c["name"] for c in report["checks"]]
         assert len(names) == len(set(names)) and len(names) >= 15
+        assert not any("vacuous" in name for name in names)
 
 
 class TestProfile:
@@ -187,9 +209,13 @@ class TestSample:
         assert err.startswith("error:") and "--count" in err
 
     def test_odd_length_rejected(self, capsys):
-        code, _, err = run_cli(capsys, "sample", "--n", "7", "--seed", "1")
-        assert code == 2
-        assert "even" in err
+        # --count 0 draws nothing, yet must fail the same way.
+        for count in ("0", "1", "3"):
+            code, out, err = run_cli(capsys, "sample", "--n", "7",
+                                     "--count", count, "--seed", "1")
+            assert code == 2
+            assert out == ""
+            assert err.startswith("error:") and "even" in err
 
     def test_missing_seed_is_drawn_and_printed(self, capsys):
         code, out, err = run_cli(capsys, "sample", "--n", "6")

@@ -12,6 +12,7 @@ from shiftwalk import (
     det_gf2,
     evolve_symbolic,
     exact_sample,
+    exact_samples,
     q2,
     rank,
     shift_register,
@@ -127,8 +128,8 @@ class TestExactSample:
         n, trials = 4, 300_000
         counts = np.zeros(16, dtype=np.int64)
         x0 = BitVector.from_string("1010")
-        for i in range(trials):
-            counts[exact_sample(x0, seed=123, stream_index=i).word] += 1
+        for z in exact_samples(x0, seed=123, start=0, count=trials):
+            counts[z.word] += 1
         null = np.full(16, trials / 16)
         statistic, pvalue = stats.chisquare(counts, null)
         assert pvalue > 1e-4, (statistic, pvalue)

@@ -1,0 +1,200 @@
+"""Batched stream draws against the per-stream generators they replace."""
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from shiftwalk import BitVector, ChainKind, rng, stream
+from shiftwalk.chains import _draw_driving_arrays, _draw_driving_blocks
+from shiftwalk.exact_sampler import exact_sample, exact_samples
+
+SEEDS = (0, 1, 2**63 - 1, 2**64 - 1)
+NS = (1, 2, 3, 7, 64, 100, 128, 1000, 1024)
+TS = (0, 1, 2, 3, 4, 5, 127, 128, 1025)
+START = 5
+
+
+def reference(chain, t, seed, start, count):
+    """Stacked per-stream draws: the arrays the batched path must equal."""
+    pairs = [_draw_driving_arrays(chain, t, seed, start + i) for i in range(count)]
+    coords = None if chain.kind == "q2" else np.stack([c for c, _ in pairs])
+    return coords, np.stack([b for _, b in pairs])
+
+
+def batched(chain, t, seed, start, count):
+    """The blocks of _draw_driving_blocks stacked, checking their offsets."""
+    coords, bits = [], []
+    for offset, c, b in _draw_driving_blocks(chain, t, seed, start, count):
+        assert offset == sum(len(x) for x in bits)
+        coords.append(c)
+        bits.append(b)
+    if chain.kind == "q2":
+        assert all(c is None for c in coords)
+        return None, np.concatenate(bits)
+    return np.concatenate(coords), np.concatenate(bits)
+
+
+def assert_same(got, want):
+    for g, w in zip(got, want):
+        if w is None:
+            assert g is None
+        else:
+            assert g.dtype == w.dtype and g.shape == w.shape
+            assert np.array_equal(g, w)
+
+
+def words_per_stream(chain, t):
+    coords = t if chain.kind == "q1" and chain.n > 1 else 0
+    return coords + (t + 3) // 4
+
+
+def reference_words(seed, index, k):
+    # integers over the full 32-bit range is numpy's next_uint32, unscaled.
+    return stream(seed, index).integers(0, 2**32, size=k, dtype=np.uint64)
+
+
+def reference_bounded(seed, index, k, size):
+    """numpy's Lemire loop rebuilt from ``bounded`` on the raw values:
+    a rejected value is dropped and the next one tried."""
+    values = iter(reference_words(seed, index, 64 * size + 64))
+    out = []
+    while len(out) < size:
+        value, rejected = rng.bounded(np.array([next(values)]), k)
+        if not rejected[0]:
+            out.append(int(value[0]))
+    return out
+
+
+class TestStreamWords:
+    @pytest.mark.parametrize("k", [0, 1, 2, 3, 64, 65, 1025])
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_matches_next_uint32(self, seed, k):
+        blocks = list(rng.stream_words(seed, START, 4, k))
+        words = np.concatenate([b for _, b in blocks])
+        assert words.dtype == np.uint32 and words.shape == (4, k)
+        for j in range(4):
+            assert np.array_equal(words[j], reference_words(seed, START + j, k))
+
+    def test_index_wraps_mod_2_64(self):
+        (_, words), = rng.stream_words(3, 2**64 - 1, 2, 6)
+        assert np.array_equal(words[0], reference_words(3, 2**64 - 1, 6))
+        assert np.array_equal(words[1], reference_words(3, 0, 6))
+
+    @pytest.mark.parametrize("rows", [1, 7])
+    def test_block_size(self, monkeypatch, rows):
+        k = 10
+        whole = next(rng.stream_words(9, START, 20, k))[1]
+        monkeypatch.setattr(rng, "_BLOCK_VALUES", rows * k)
+        blocks = list(rng.stream_words(9, START, 20, k))
+        assert [o for o, _ in blocks] == list(range(0, 20, rows))
+        assert np.array_equal(np.concatenate([b for _, b in blocks]), whole)
+
+    def test_empty_and_invalid(self):
+        assert list(rng.stream_words(1, 0, 0, 8)) == []
+        with pytest.raises(ValueError):
+            list(rng.stream_words(1, 0, -1, 8))
+
+
+class TestBounded:
+    @pytest.mark.parametrize("k", [2, 3, 7, 100, 1000, 1024, 2**31 + 1, 3 * 2**30])
+    def test_matches_integers(self, k):
+        for index in range(8):
+            want = stream(5, index).integers(0, k, size=40)
+            assert reference_bounded(5, index, k, 40) == want.tolist()
+
+    def test_crafted_rejections(self):
+        # 2**32 mod 3 = 1: only u = 0 is rejected.
+        values, rejected = rng.bounded(np.array([0, 1, 2**32 - 1], np.uint32), 3)
+        assert rejected.tolist() == [True, False, False]
+        assert values.tolist() == [0, 0, 2]
+        # 2**32 mod (2**31 + 1) = 2**31 - 1: u * k mod 2**32 is 2**31 + 1,
+        # 2 and 2**31 + 3 for u = 1, 2, 3.
+        _, rejected = rng.bounded(np.array([1, 2, 3], np.uint32), 2**31 + 1)
+        assert rejected.tolist() == [False, True, False]
+
+    def test_powers_of_two_never_reject(self):
+        u = np.arange(0, 2**32, 2**20 - 1, dtype=np.uint64).astype(np.uint32)
+        for k in (2, 4, 1024, 2**32):
+            values, rejected = rng.bounded(u, k)
+            assert not rejected.any()
+            assert np.array_equal(values, u.astype(np.uint64) * k >> 32)
+
+
+class TestDrivingBlocks:
+    @pytest.mark.parametrize("n", NS)
+    def test_q1(self, n):
+        chain = ChainKind("q1", n)
+        for t in TS:
+            for seed in SEEDS:
+                assert_same(batched(chain, t, seed, START, 3),
+                            reference(chain, t, seed, START, 3))
+
+    @pytest.mark.parametrize("n", [n for n in NS if n % 2 == 0])
+    def test_q2(self, n):
+        chain = ChainKind("q2", n)
+        for t in TS:
+            for seed in SEEDS:
+                assert_same(batched(chain, t, seed, START, 3),
+                            reference(chain, t, seed, START, 3))
+
+    @pytest.mark.parametrize("kind, n", [("q1", 7), ("q1", 1), ("q2", 64)])
+    @pytest.mark.parametrize("rows", [1, 7])
+    def test_block_invariance(self, monkeypatch, kind, n, rows):
+        chain, t = ChainKind(kind, n), 37
+        want = reference(chain, t, 11, START, 30)
+        monkeypatch.setattr(rng, "_BLOCK_VALUES", rows * words_per_stream(chain, t))
+        blocks = list(_draw_driving_blocks(chain, t, 11, START, 30))
+        assert [len(b) for _, _, b in blocks] == [rows] * (30 // rows) + (
+            [30 % rows] if 30 % rows else []
+        )
+        assert_same(batched(chain, t, 11, START, 30), want)
+
+    @pytest.mark.parametrize("n", [2**31 + 1, 3 * 2**30])
+    def test_rejected_rows_fall_back(self, n):
+        """At these n numpy rejects a coordinate draw with probability about
+        1/2 and 1/4, so some of the 20 streams take the per-stream path."""
+        chain, t, count = ChainKind("q1", n), 2, 20
+        (_, words), = rng.stream_words(2, START, count, words_per_stream(chain, t))
+        _, rejected = rng.bounded(words[:, :t], n)
+        assert 0 < rejected.any(axis=1).sum() < count
+        assert_same(batched(chain, t, 2, START, count),
+                    reference(chain, t, 2, START, count))
+
+    def test_rejects_negative_length(self):
+        with pytest.raises(ValueError):
+            next(_draw_driving_blocks(ChainKind("q1", 4), -1, 0, 0, 1))
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        kind=st.sampled_from(["q1", "q2"]),
+        m=st.integers(1, 150),
+        t=st.integers(0, 300),
+        seed=st.integers(0, 2**64 - 1),
+        start=st.integers(0, 2**64 - 1),
+        count=st.integers(1, 12),
+        block=st.integers(1, 4000),
+    )
+    def test_property(self, kind, m, t, seed, start, count, block):
+        chain = ChainKind(kind, 2 * m if kind == "q2" else m)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(rng, "_BLOCK_VALUES", block)
+            got = batched(chain, t, seed, start, count)
+        assert_same(got, reference(chain, t, seed, start, count))
+
+
+class TestExactSamples:
+    @pytest.mark.parametrize("n", [2, 4, 64, 66, 130])
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_equals_exact_sample(self, monkeypatch, n, seed):
+        monkeypatch.setattr(rng, "_BLOCK_VALUES", 7 * n)
+        x0 = BitVector.random(n, stream(seed, n))
+        start = 2**64 - 10  # the indices wrap mod 2**64
+        got = list(exact_samples(x0, seed, start, 20))
+        assert got == [exact_sample(x0, seed, start + i) for i in range(20)]
+
+    def test_empty_and_invalid(self):
+        assert list(exact_samples(BitVector.zeros(4), 1, 0, 0)) == []
+        with pytest.raises(ValueError):
+            list(exact_samples(BitVector.zeros(4), 1, 0, -1))
+        with pytest.raises(ValueError):
+            list(exact_samples(BitVector.zeros(5), 1, 0, 1))

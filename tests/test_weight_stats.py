@@ -197,13 +197,15 @@ class TestBoundedDifferences:
 
 class TestEnsemble:
     def test_matches_per_trajectory_replay(self):
-        chain, n, t, samples, seed = q1(12), 12, 12, 40, 99
-        weights = sample_weights(chain, BitVector.zeros(n), [5, t], samples, seed)
-        for i in range(samples):
-            states = simulate(chain, BitVector.zeros(n),
-                              random_driving(chain, t, seed, i))
-            assert weights[t][i] == states[t].weight()
-            assert weights[5][i] == states[5].weight()
+        # 32767 and 32768 sit on either side of the uint16 coordinate buffer.
+        for n in (12, 32767, 32768):
+            chain, t, samples, seed = q1(n), 12, 40, 99
+            weights = sample_weights(chain, BitVector.zeros(n), [5, t], samples, seed)
+            for i in range(samples):
+                states = simulate(chain, BitVector.zeros(n),
+                                  random_driving(chain, t, seed, i))
+                assert weights[t][i] == states[t].weight()
+                assert weights[5][i] == states[5].weight()
 
     def test_q2_ensemble_matches_replay(self):
         chain = q2(10)
