@@ -9,12 +9,15 @@ is given one is drawn from system entropy and printed to stderr.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import itertools
 import json
 import math
 import secrets
 import sys
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from typing import ContextManager, Iterator, TextIO
 
 import numpy as np
 
@@ -37,14 +40,17 @@ def _resolve_seed(seed: int | None) -> int:
     return seed
 
 
-def _write_output(text: str, out: str | None) -> None:
+def _open_output(out: str | None) -> ContextManager[TextIO]:
     if out is None:
-        sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
-    else:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        return contextlib.nullcontext(sys.stdout)
+    return open(out, "w", encoding="utf-8")
+
+
+def _write_output(text: str, out: str | None) -> None:
+    with _open_output(out) as fh:
+        fh.write(text)
+        if out is None and not text.endswith("\n"):
+            fh.write("\n")
 
 
 def _strict_json(report: dict) -> str:
@@ -230,18 +236,37 @@ def _cmd_profile(args: argparse.Namespace) -> int:
 
 # ---------------------------------------------------------------- sample
 
+# Lines per write of ``sample``: one write per line would cost more than
+# drawing the sample, and one write for all lets memory grow with --count.
+_SAMPLE_CHUNK = 2048
+
+
+def _sample_text(states: Iterator[BitVector], hex_digits: int) -> Iterator[str]:
+    """The lines of ``sample``, joined in chunks of ``_SAMPLE_CHUNK``;
+    no states give one empty line."""
+    if hex_digits:
+        lines = (format(state.word, f"0{hex_digits}x") for state in states)
+    else:
+        lines = (state.to_string() for state in states)
+    empty = True
+    while chunk := list(itertools.islice(lines, _SAMPLE_CHUNK)):
+        empty = False
+        yield "\n".join(chunk) + "\n"
+    if empty:
+        yield "\n"
+
+
 def _cmd_sample(args: argparse.Namespace) -> int:
     if args.count < 0:
         raise ValueError(f"--count must be >= 0, got {args.count}")
     seed = _resolve_seed(args.seed)
     x0 = _parse_state(args.x0, args.n)
-    lines = []
-    for state in exact_samples(x0, seed, 0, args.count):
-        if args.hex:
-            lines.append(format(state.word, f"0{(args.n + 3) // 4}x"))
-        else:
-            lines.append(state.to_string())
-    _write_output("\n".join(lines) + "\n", args.out)
+    hex_digits = (args.n + 3) // 4 if args.hex else 0
+    chunks = _sample_text(exact_samples(x0, seed, 0, args.count), hex_digits)
+    first = next(chunks)  # an odd n fails here, before --out is opened
+    with _open_output(args.out) as fh:
+        fh.write(first)
+        fh.writelines(chunks)
     return 0
 
 

@@ -12,9 +12,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import distribution, rng, spectral, weight_stats
-from .chains import DrivingSequence, q1, q2
+from .chains import q1, q2
 from .gf2 import BitVector, GF2Matrix, companion_matrix, mat_pow
-from .weight_stats import replay_divergence
 
 __all__ = ["CheckResult", "SUITES", "run_suite", "suite_names"]
 
@@ -264,50 +263,143 @@ def suite_moments(n_max: int = 10, **_: object) -> list[CheckResult]:
     return results
 
 
+# A bounded-diff block holds at most this many trials, and at most this
+# many trial-steps, so each of its (steps, trials) arrays stays near 2 MiB.
+_BLOCK_TRIALS = 1024
+_BLOCK_STEPS = 1 << 18
+
+
+def _draw_trial(
+    cursor: rng.WordCursor, n_max: int, coord_trial: bool, exact: bool
+) -> tuple[tuple[int, ...], list[int] | None]:
+    """Read one trial's draws as the generator calls of the reference
+    replay loop would, returning (n, t, x0 at, coordinates at, bits at,
+    i, u_new) and, if ``exact``, the coordinates drawn one by one.
+
+    ``BitVector.random(n, gen)`` reads ceil(n/32) values as little-endian
+    bytes; ``integers(1, n + 1, size=t)`` reads one value per coordinate
+    unless one is rejected, which ``exact`` handles; ``integers(0, 2,
+    size=t)`` reads one value per bit and never rejects.
+    """
+    n = cursor.integers(2, n_max + 1)
+    t = cursor.integers(1, n + 1)
+    x_words = (n + 31) // 32
+    x_at = cursor.skip(x_words if exact else x_words + t)
+    coords = [cursor.integers(1, n + 1) for _ in range(t)] if exact else None
+    b_at = cursor.skip(t)
+    i = cursor.integers(1, t + 1)
+    u_new = cursor.integers(1, n + 1) if coord_trial else 0
+    return (n, t, x_at, x_at + x_words, b_at, i, u_new), coords
+
+
+def _bounded_diff_block(
+    cursor: rng.WordCursor, first: int, count: int, n_max: int, half: int
+) -> tuple[int, int, int, int, int]:
+    """Trials first .. first+count-1 of the bounded-diff suite, replayed
+    together; returns (max bit-flip weight difference, max coordinate-change
+    weight difference, max Hamming distance, zero-bit violations,
+    same-coordinate violations).
+
+    Trials are parsed assuming no coordinate is rejected.  The first trial
+    with a rejected coordinate is parsed again drawing them one by one,
+    and the trials after it again from its end.
+    """
+    cursor.trim()
+    trials: list[tuple[int, ...]] = []
+    exact: dict[int, list[int]] = {}
+    while True:
+        for j in range(len(trials), count):
+            start = cursor.pos
+            fields, coords = _draw_trial(cursor, n_max, first + j >= half, j in exact)
+            trials.append((start, *fields))
+            if coords is not None:
+                exact[j] = coords
+        table = np.array(trials, dtype=np.int64)
+        order = np.argsort(-table[:, 2], kind="stable")
+        _, n, t, x_at, c_at, b_at, i, u_new = table[order].T
+        steps = np.arange(t[0])[:, None]
+        coords, rejected = rng.bounded(
+            np.take(cursor.words, c_at + steps, mode="clip"), n
+        )
+        rejected &= steps < t
+        redo = [j for j in order[rejected.any(axis=0)].tolist() if j not in exact]
+        if not redo:
+            break
+        j = min(redo)
+        exact[j] = []  # marks the trial for drawing one by one
+        cursor.pos = trials[j][0]
+        del trials[j:]
+    rank = np.argsort(order)
+    for j, drawn in exact.items():
+        coords[: len(drawn), rank[j]] = np.array(drawn, dtype=np.uint64) - 1
+    bits = (np.take(cursor.words, b_at + steps, mode="clip") >> 31).astype(np.uint8)
+
+    rows = np.arange(count)
+    at = i - 1
+    flip = first + order < half
+    # Narrow copies (n <= n_max <= 2**32); the replay widens them per step.
+    pair_coords = np.repeat(coords[:, None, :].astype(np.uint32), 2, axis=1)
+    pair_bits = np.repeat(bits[:, None, :], 2, axis=1)
+    pair_bits[at[flip], 1, rows[flip]] ^= 1
+    pair_coords[at[~flip], 1, rows[~flip]] = u_new[~flip] - 1
+
+    words = (n_max + 63) // 64
+    halves = np.take(
+        cursor.words, x_at + np.arange(2 * words)[:, None], mode="clip"
+    ).astype(np.uint64)
+    x0 = halves[0::2] | (halves[1::2] << np.uint64(32))
+    kept = np.clip(n - 64 * np.arange(words)[:, None], 0, 64).astype(np.uint64)
+    x0 &= ~(np.uint64(rng._MASK64) << kept)  # the low n bits, as BitVector.random
+
+    diff, hamming = weight_stats._replay_pairs(n, t, x0, pair_coords, pair_bits)
+    changed = ~flip & (diff != 0)
+    return (
+        int(diff[flip].max(initial=0)),
+        int(diff[~flip].max(initial=0)),
+        int(hamming.max()),
+        int(np.count_nonzero(changed & (bits[at, rows] == 0))),
+        int(np.count_nonzero(changed & (coords[at, rows] + 1 == u_new))),
+    )
+
+
 def suite_bounded_diff(
     trials: int = 100_000, seed: int = 0, n_max: int = 64, **_: object
 ) -> list[CheckResult]:
-    """Single-change replays never move the final weight by more than 2."""
-    gen = rng.stream(seed, 0)
-    max_flip = 0
-    max_coord = 0
-    max_hamming = 0
-    zero_bit_violations = 0
-    same_coord_violations = 0
+    """Single-change replays never move the final weight by more than 2.
+
+    Trial j reads stream (seed, 0) on from where trial j-1 stopped: n in
+    2..n_max, t in 1..n, a start in {0,1}^n, t coordinates, t bits, a
+    time i in 1..t, and, in the second half of the trials, a new
+    coordinate for time i; the first half flips the bit at time i.  The
+    stream is read as 32-bit values and a block of trials is replayed at
+    once (``weight_stats.replay_divergence`` replays one pair).
+    """
+    max_flip = max_coord = max_hamming = 0
+    zero_bit_violations = same_coord_violations = 0
     half = trials // 2
-    for trial in range(trials):
-        n = int(gen.integers(2, n_max + 1))
-        t = int(gen.integers(1, n + 1))
-        chain = q1(n)
-        x0 = BitVector.random(n, gen)
-        coords = tuple(int(u) for u in gen.integers(1, n + 1, size=t))
-        bits = tuple(int(b) for b in gen.integers(0, 2, size=t))
-        driving = DrivingSequence(coords, bits)
-        i = int(gen.integers(1, t + 1))
-        if trial < half:
-            div = replay_divergence(chain, x0, driving, driving.flip_bit(i))
-            max_flip = max(max_flip, div.weight_diff)
-        else:
-            u_new = int(gen.integers(1, n + 1))
-            div = replay_divergence(
-                chain, x0, driving, driving.replace_coord(i, u_new)
+    swept = n_max >= 2
+    if swept and trials > 0:
+        cursor = rng.WordCursor(seed, 0)
+        rows = max(1, min(_BLOCK_TRIALS, _BLOCK_STEPS // n_max))
+        for first in range(0, trials, rows):
+            flip, coord, hamming, zero_bit, same_coord = _bounded_diff_block(
+                cursor, first, min(rows, trials - first), n_max, half
             )
-            max_coord = max(max_coord, div.weight_diff)
-            if bits[i - 1] == 0 and div.weight_diff != 0:
-                zero_bit_violations += 1
-            if u_new == coords[i - 1] and div.weight_diff != 0:
-                same_coord_violations += 1
-        max_hamming = max(max_hamming, div.max_hamming)
+            max_flip = max(max_flip, flip)
+            max_coord = max(max_coord, coord)
+            max_hamming = max(max_hamming, hamming)
+            zero_bit_violations += zero_bit
+            same_coord_violations += same_coord
     return [
         _sweep_check(
             f"bit-flip weight differences <= 2 ({half} trials)",
-            swept=half > 0,
+            swept=swept and half > 0,
             passed=max_flip <= 2,
             observed={"max_weight_diff": max_flip},
         ),
         _sweep_check(
             f"coordinate-change weight differences <= 2 ({trials - half} trials)",
-            swept=trials > half,
+            swept=swept and trials > half,
             passed=max_coord <= 2
             and zero_bit_violations == 0
             and same_coord_violations == 0,
@@ -319,7 +411,7 @@ def suite_bounded_diff(
         ),
         _sweep_check(
             "intermediate Hamming distance <= 2 (all trials)",
-            swept=trials > 0,
+            swept=swept and trials > 0,
             passed=max_hamming <= 2,
             observed={"max_hamming": max_hamming},
         ),
@@ -349,12 +441,18 @@ def suite_variance(
         )
     ]
     for t in (64, 128):
-        rep = weight_stats.variance_bound_check(128, t, samples, seed)
+        if samples >= 1:
+            rep = weight_stats.variance_bound_check(128, t, samples, seed)
+            observed = rep.to_json_dict()
+        else:
+            observed = {"n": 128, "t": t, "samples": samples, "seed": seed}
+        # A variance estimate needs two trajectories.
         results.append(
-            CheckResult(
-                name=f"sampled variance at n = 128, t = {t} ({samples} trajectories)",
-                passed=rep.passed,
-                observed=rep.to_json_dict(),
+            _sweep_check(
+                f"sampled variance at n = 128, t = {t} ({samples} trajectories)",
+                swept=samples >= 2,
+                passed=bool(observed.get("passed")),
+                observed=observed,
             )
         )
     return results

@@ -72,6 +72,10 @@ class TestVerify:
         (("q2-exact", "--n-max", "3"), 1),
         (("bounded-diff", "--trials", "1"), 1),
         (("bounded-diff", "--trials", "0"), 3),
+        (("bounded-diff", "--n-max", "1"), 3),
+        (("variance", "--samples", "1"), 2),
+        (("variance", "--samples", "0"), 2),
+        (("all", "--n-max", "1", "--trials", "200", "--samples", "200"), 11),
     ])
     def test_empty_sweep_is_vacuous_not_passed(self, capsys, argv, vacuous):
         code, out, _ = run_cli(capsys, "verify", *argv, "--seed", "1",
@@ -208,14 +212,46 @@ class TestSample:
         assert out == ""
         assert err.startswith("error:") and "--count" in err
 
-    def test_odd_length_rejected(self, capsys):
+    def test_odd_length_rejected(self, capsys, tmp_path):
         # --count 0 draws nothing, yet must fail the same way.
+        out_file = tmp_path / "samples.txt"
         for count in ("0", "1", "3"):
             code, out, err = run_cli(capsys, "sample", "--n", "7",
                                      "--count", count, "--seed", "1")
             assert code == 2
             assert out == ""
             assert err.startswith("error:") and "even" in err
+            code, _, _ = run_cli(capsys, "sample", "--n", "7", "--count", count,
+                                 "--seed", "1", "--out", str(out_file))
+            assert code == 2
+            assert not out_file.exists()
+
+    def test_unwritable_output_is_usage_error(self, capsys, tmp_path):
+        code, out, err = run_cli(capsys, "sample", "--n", "8", "--count", "3",
+                                 "--seed", "1",
+                                 "--out", str(tmp_path / "missing" / "x.txt"))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "missing" in err
+
+    @pytest.mark.parametrize("count", [0, 1, 2, 3, 4, 6, 7, 10])
+    @pytest.mark.parametrize("hex_flag", [(), ("--hex",)])
+    def test_chunked_output_is_one_text(self, capsys, monkeypatch, tmp_path,
+                                        count, hex_flag):
+        from shiftwalk import cli, exact_samples
+
+        monkeypatch.setattr(cli, "_SAMPLE_CHUNK", 3)
+        x0 = BitVector.from_string("0110010111")
+        lines = [format(s.word, "03x") if hex_flag else s.to_string()
+                 for s in exact_samples(x0, 5, 0, count)]
+        want = "\n".join(lines) + "\n"
+        argv = ("sample", "--n", "10", "--count", str(count), "--seed", "5",
+                "--x0", "0110010111", *hex_flag)
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0 and out == want
+        out_file = tmp_path / "samples.txt"
+        code, _, _ = run_cli(capsys, *argv, "--out", str(out_file))
+        assert code == 0 and out_file.read_text() == want
 
     def test_missing_seed_is_drawn_and_printed(self, capsys):
         code, out, err = run_cli(capsys, "sample", "--n", "6")

@@ -30,6 +30,14 @@ from shiftwalk import (
     weight_diff_coord_change,
     weight_moments,
 )
+from shiftwalk.distribution import DistributionVector, _evolution
+
+
+def exact_laws(n: int):
+    """The exact q1 law from 0 after 0, 1, 2, ... steps, on one evolution;
+    each is valid until the next is taken."""
+    for probs, _ in _evolution(q1(n), point_mass(n, BitVector.zeros(n)).probs):
+        yield DistributionVector(n, probs)
 
 
 class TestMeanFormulas:
@@ -67,15 +75,11 @@ class TestMeanFormulas:
 
     def test_exact_oracle_agreement(self):
         for n in (2, 5, 8):
-            chain = q1(n)
-            d = point_mass(n, BitVector.zeros(n))
-            for t in range(n + 1):
+            for t, d in zip(range(n + 1), exact_laws(n)):
                 mean, _ = weight_moments(d)
                 assert mean == pytest.approx(
                     mean_weight_closed_form(n, t), abs=1e-12
                 )
-                if t < n:
-                    d = evolve_exact(chain, d, 1)
 
     def test_displacement_envelope(self):
         for n in (100, 1000, 10_000):
@@ -93,13 +97,10 @@ class TestFirstCoordinate:
 
     def test_exact_oracle_agreement_below_n(self):
         for n in (2, 4, 6, 8):
-            chain = q1(n)
-            d = point_mass(n, BitVector.zeros(n))
-            for t in range(n):
+            for t, d in zip(range(n), exact_laws(n)):
                 assert coordinate_marginal(d, 1) == pytest.approx(
                     prob_first_coord_one(n, t), abs=1e-12
                 )
-                d = evolve_exact(chain, d, 1)
 
     def test_marginal_is_exactly_half_at_t_equal_n(self):
         # at t = n the traced bit is the appended parity of step one, which
@@ -230,13 +231,15 @@ class TestVarianceBound:
 
     def test_exact_variance_below_4t(self):
         for n in (4, 7, 10):
-            chain = q1(n)
-            d = point_mass(n, BitVector.zeros(n))
-            for t in range(n + 1):
+            for t, d in zip(range(n + 1), exact_laws(n)):
                 _, var = weight_moments(d)
                 assert var <= 4 * t + 1e-12
-                if t < n:
-                    d = evolve_exact(chain, d, 1)
+
+    def test_one_trajectory_does_not_pass(self):
+        # Its estimate and standard error are both 0, which says nothing.
+        rep = variance_bound_check(128, 64, 1, seed=0)
+        assert rep.estimate == 0.0 and rep.std_error == 0.0
+        assert not rep.passed and rep.to_json_dict()["passed"] is False
 
     def test_sampled_variance_n128(self):
         rep = variance_bound_check(128, 128, 5000, seed=11)
