@@ -47,6 +47,7 @@ from .gf2 import (
     GF2Matrix,
     SingularMatrixError,
     companion_matrix,
+    companion_power,
     det_gf2,
     mat_pow,
     rank,
@@ -87,7 +88,8 @@ __all__ = [
     "__version__",
     # gf2
     "BitVector", "GF2Matrix", "SingularMatrixError", "shift_register",
-    "companion_matrix", "mat_pow", "det_gf2", "solve_linear", "rank",
+    "companion_matrix", "companion_power", "mat_pow", "det_gf2",
+    "solve_linear", "rank",
     # chains
     "ChainKind", "DrivingSequence", "AffineState", "q1", "q2", "step_q1",
     "step_q2", "simulate", "simulate_random", "random_driving",

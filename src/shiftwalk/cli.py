@@ -15,6 +15,7 @@ import json
 import math
 import secrets
 import sys
+import time
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from typing import ContextManager, Iterator, TextIO
@@ -94,6 +95,7 @@ def _parse_t_range(value: str) -> list[int]:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     seed = _resolve_seed(args.seed)
+    start = time.perf_counter()
     checks = suites.run_suite(
         args.suite,
         n_max=args.n_max,
@@ -109,6 +111,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         "seed": seed,
         "versions": _versions(),
         "passed": passed,
+        "elapsed_s": round(time.perf_counter() - start, 3),
         "checks": [
             {"name": c.name, "passed": c.passed, "observed": c.observed}
             for c in checks
@@ -177,8 +180,8 @@ def _build_profile(args: argparse.Namespace, seed: int) -> dict:
                     row.chebyshev_lower = value
 
     if args.samples:
-        snapshots = weight_stats.sample_weights(chain, x0, ts, args.samples, seed)
         pmf = weight_stats.stationary_weight_pmf(n)
+        snapshots = weight_stats.sample_weights(chain, x0, ts, args.samples, seed)
         for row in rows:
             counts = np.bincount(snapshots[row.t], minlength=n + 1)
             row.tv_lower_emp, row.tv_lower_emp_se = _histogram_tv_and_se(counts, pmf)

@@ -6,6 +6,7 @@ values are immutable after construction and safe to share across tasks.
 """
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -17,6 +18,7 @@ __all__ = [
     "SingularMatrixError",
     "shift_register",
     "companion_matrix",
+    "companion_power",
     "mat_pow",
     "det_gf2",
     "solve_linear",
@@ -281,6 +283,26 @@ def companion_matrix(n: int) -> GF2Matrix:
     rows = [1 << (i + 1) for i in range(n - 1)]
     rows.append((1 << n) - 1)
     return GF2Matrix(n, n, tuple(rows))
+
+
+def companion_power(n: int, k: int) -> GF2Matrix:
+    """``companion_matrix(n) ** k`` in O(n) row moves, for any k >= 0.
+
+    ``M @ X`` keeps rows 2..n of X and appends the XOR of all of X's rows;
+    after that step the XOR of all rows is the row just dropped.  So one
+    power step rotates the n+1 rows (rows of X, their XOR) left by one,
+    and the rows of M^k are the first n of the cycle e_1, ..., e_n,
+    (1, ..., 1) rotated left by k mod (n+1).  Requires n >= 2.
+    """
+    if n < 2:
+        raise ValueError(f"companion matrix needs n >= 2, got {n}")
+    if k < 0:
+        raise ValueError(f"exponent must be >= 0, got {k}")
+    cycle = deque(1 << i for i in range(n))
+    cycle.append((1 << n) - 1)
+    cycle.rotate(-(k % (n + 1)))
+    cycle.pop()
+    return GF2Matrix(n, n, tuple(cycle))
 
 
 def mat_pow(m: GF2Matrix, k: int) -> GF2Matrix:

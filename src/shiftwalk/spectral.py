@@ -146,7 +146,7 @@ def fourier_sum(n: int) -> FourierSummary:
     total = float(terms.sum())
     return FourierSummary(
         n=n,
-        per_weight_terms=tuple(float(t) for t in terms),
+        per_weight_terms=tuple(terms.tolist()),
         total=total,
         tv_bound=float(np.sqrt(total) / 2.0),
     )

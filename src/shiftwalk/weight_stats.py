@@ -266,8 +266,19 @@ def histogram_rows(counts: np.ndarray) -> list[tuple[int, int]]:
     return [(w, int(c)) for w, c in enumerate(counts)]
 
 
+MAX_PMF_N = 2**14
+
+
 def stationary_weight_pmf(n: int) -> np.ndarray:
-    """Binomial(n, 1/2) mass function via log-gamma (safe up to n ~ 2**14)."""
+    """Binomial(n, 1/2) mass function via log-gamma, for n <= 2**14.
+
+    Beyond that the log-gamma differences lose too many digits: at n = 2**15
+    the mass sums to 1 only within 6e-11.
+    """
+    if n > MAX_PMF_N:
+        raise ValueError(
+            f"the stationary weight law is computed for n <= {MAX_PMF_N}, got {n}"
+        )
     k = np.arange(n + 1, dtype=np.float64)
     logp = gammaln(n + 1) - gammaln(k + 1) - gammaln(n - k + 1) - n * math.log(2.0)
     return np.exp(logp)

@@ -97,6 +97,17 @@ class TestVerify:
         odd = {"a": [math.inf, (np.float64(-np.inf),)], "b": {"c": math.nan}}
         assert json.loads(_strict_json(odd)) == {"a": [None, [None]], "b": {"c": None}}
 
+    def test_report_times_the_whole_run(self, capsys):
+        code, out, _ = run_cli(capsys, "verify", "moments", "--n-max", "8",
+                               "--seed", "1", "--format", "json")
+        assert code == 0
+        report = json.loads(out)
+        assert set(report) == {"schema_version", "command", "suite", "seed",
+                               "versions", "passed", "elapsed_s", "checks"}
+        elapsed = report["elapsed_s"]
+        assert isinstance(elapsed, float)
+        assert math.isfinite(elapsed) and elapsed >= 0
+
     def test_all_suites_serialize(self, capsys, tmp_path):
         out_file = tmp_path / "all.json"
         code, _, _ = run_cli(capsys, "verify", "all", "--n-max", "32",
@@ -174,6 +185,15 @@ class TestProfile:
         assert code == 2
         assert out == ""
         assert err.startswith("error:") and "missing" in err
+
+    def test_weight_law_beyond_its_range_is_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, "profile", "--chain", "q1",
+                                 "--n", "16385", "--t", "0", "--samples", "1",
+                                 "--seed", "1")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "16385" in err
+        assert "Traceback" not in err
 
     def test_chebyshev_column_appears_when_window_is_positive(self, capsys):
         # n = 10^6, alpha = 0.9, c = 5: window delta ~ 41, t = 748811

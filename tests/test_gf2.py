@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shiftwalk import (
     BitVector,
     GF2Matrix,
     SingularMatrixError,
     companion_matrix,
+    companion_power,
     det_gf2,
     mat_pow,
     rank,
@@ -14,6 +17,7 @@ from shiftwalk import (
     stream,
 )
 from shiftwalk.exact_sampler import build_transfer_matrix
+from shiftwalk.suites import CheckResult, suite_matrix_order
 
 
 def random_matrix(n, gen):
@@ -168,6 +172,55 @@ class TestMatPow:
             mat_pow(GF2Matrix.zeros(2, 3), 2)
         with pytest.raises(ValueError):
             mat_pow(GF2Matrix.identity(2), -1)
+
+
+def reference_matrix_order(n_max, spot_n):
+    """The matrix-order suite's checks, every power by square-and-multiply."""
+    failures = [n for n in range(2, n_max + 1)
+                if mat_pow(companion_matrix(n), n + 1) != GF2Matrix.identity(n)]
+    early = [(n, k) for n in range(2, min(n_max, 64) + 1) for k in range(1, n + 1)
+             if mat_pow(companion_matrix(n), k) == GF2Matrix.identity(n)]
+    spot = mat_pow(companion_matrix(spot_n), spot_n + 1) == GF2Matrix.identity(spot_n)
+    return [
+        CheckResult(f"power n+1 is identity for 2 <= n <= {n_max}", not failures,
+                    {"failures": failures}),
+        CheckResult("no smaller power is the identity (n <= 64, informational)",
+                    True, {"early_identities": early}),
+        CheckResult(f"spot check at n = {spot_n}", spot, {}),
+    ]
+
+
+class TestCompanionPower:
+    def test_equals_mat_pow(self):
+        for n in range(2, 41):
+            a = companion_matrix(n)
+            for k in range(0, 2 * n + 4):
+                assert companion_power(n, k) == mat_pow(a, k), (n, k)
+
+    def test_rejects_bad_args(self):
+        for n in (1, 0, -3):
+            with pytest.raises(ValueError):
+                companion_power(n, 2)
+        with pytest.raises(ValueError):
+            companion_power(3, -1)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_order_is_n_plus_one(self, data):
+        n = data.draw(st.integers(2, 2000), label="n")
+        k = data.draw(st.integers(1, n), label="k")
+        identity = GF2Matrix.identity(n)
+        assert companion_power(n, n + 1) == identity
+        assert companion_power(n, k) != identity
+
+    def test_suite_matches_square_and_multiply(self):
+        got = suite_matrix_order(n_max=64, spot_n=300)
+        want = reference_matrix_order(64, 300)
+        spot_observed = got[-1].observed
+        assert set(spot_observed) == {"elapsed_s"}
+        assert spot_observed["elapsed_s"] >= 0
+        got[-1] = CheckResult(got[-1].name, got[-1].passed, {})
+        assert got == want
 
 
 class TestSolveAndDet:

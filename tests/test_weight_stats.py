@@ -298,6 +298,11 @@ class TestEmpiricalLowerBound:
         for n in (10, 1000, 2**14):
             assert stationary_weight_pmf(n).sum() == pytest.approx(1.0, abs=1e-9)
 
+    def test_pmf_rejects_n_beyond_its_range(self):
+        assert stationary_weight_pmf(2**14).shape == (2**14 + 1,)
+        with pytest.raises(ValueError):
+            stationary_weight_pmf(2**14 + 1)
+
     def test_histogram_rows(self):
         from shiftwalk import histogram_rows, weight_histogram
 
