@@ -20,7 +20,6 @@ from .chains import (
     simulate,
     simulate_random,
     step_q1,
-    step_q2,
     trajectory_rows,
 )
 from .distribution import (
@@ -35,9 +34,7 @@ from .distribution import (
     weight_moments,
 )
 from .exact_sampler import (
-    TransferMatrix,
     build_offset,
-    build_transfer_matrix,
     exact_sample,
     exact_samples,
     solve_driving,
@@ -50,7 +47,6 @@ from .gf2 import (
     companion_power,
     det_gf2,
     mat_pow,
-    rank,
     shift_register,
     solve_linear,
 )
@@ -71,7 +67,6 @@ from .weight_stats import (
     VarianceReport,
     chebyshev_lower_bound,
     empirical_tv_lower_bound,
-    histogram_rows,
     mean_weight_closed_form,
     mean_weight_recursion,
     prob_first_coord_one,
@@ -79,8 +74,6 @@ from .weight_stats import (
     sample_weights,
     stationary_weight_pmf,
     variance_bound_check,
-    weight_diff_bit_flip,
-    weight_diff_coord_change,
     weight_histogram,
 )
 
@@ -89,11 +82,11 @@ __all__ = [
     # gf2
     "BitVector", "GF2Matrix", "SingularMatrixError", "shift_register",
     "companion_matrix", "companion_power", "mat_pow", "det_gf2",
-    "solve_linear", "rank",
+    "solve_linear",
     # chains
     "ChainKind", "DrivingSequence", "AffineState", "q1", "q2", "step_q1",
-    "step_q2", "simulate", "simulate_random", "random_driving",
-    "evolve_symbolic", "trajectory_rows",
+    "simulate", "simulate_random", "random_driving", "evolve_symbolic",
+    "trajectory_rows",
     # distribution
     "MAX_EXACT_N", "DistributionVector", "point_mass", "uniform",
     "evolve_exact", "tv_to_uniform", "weight_moments", "coordinate_marginal",
@@ -105,14 +98,11 @@ __all__ = [
     # weight_stats
     "LowerBoundParams", "DegenerateWindowError", "ReplayDivergence",
     "VarianceReport", "mean_weight_closed_form", "mean_weight_recursion",
-    "prob_first_coord_one", "replay_divergence", "weight_diff_bit_flip",
-    "weight_diff_coord_change", "variance_bound_check",
-    "chebyshev_lower_bound", "empirical_tv_lower_bound", "histogram_rows",
-    "sample_weights",
+    "prob_first_coord_one", "replay_divergence", "variance_bound_check",
+    "chebyshev_lower_bound", "empirical_tv_lower_bound", "sample_weights",
     "weight_histogram", "stationary_weight_pmf",
     # exact_sampler
-    "TransferMatrix", "build_transfer_matrix", "build_offset", "exact_sample",
-    "exact_samples", "solve_driving",
+    "build_offset", "exact_sample", "exact_samples", "solve_driving",
     # rng
     "stream",
 ]

@@ -23,7 +23,6 @@ __all__ = [
     "q1",
     "q2",
     "step_q1",
-    "step_q2",
     "simulate",
     "random_driving",
     "simulate_random",
@@ -144,13 +143,6 @@ def step_q1(x: BitVector, u: int, r: int) -> BitVector:
     if r not in (0, 1):
         raise ValueError(f"update bit must be 0 or 1, got {r!r}")
     return BitVector(x.n, _step_word(x.n, x.word, u, r))
-
-
-def step_q2(x: BitVector, r: int) -> BitVector:
-    """Add ``r`` at the middle coordinate of even-length ``x``, then shift."""
-    if x.n % 2 != 0:
-        raise ValueError(f"q2 needs even dimension, got n={x.n}")
-    return step_q1(x, x.n // 2, r)
 
 
 def _validate_driving(chain: ChainKind, driving: DrivingSequence) -> None:

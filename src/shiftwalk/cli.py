@@ -94,6 +94,12 @@ def _parse_t_range(value: str) -> list[int]:
 # ---------------------------------------------------------------- verify
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    if args.suite == "all" and args.n_max is not None:
+        raise ValueError(
+            "--n-max is for one suite, not 'all': matrix-order reads it as n <= 512, "
+            "term-bounds and fourier 2000, bounded-diff 64, moments and variance "
+            "10 (at most 16), q2-exact 16 (at most 16), by default"
+        )
     seed = _resolve_seed(args.seed)
     start = time.perf_counter()
     checks = suites.run_suite(
@@ -141,17 +147,6 @@ class ProfileRow:
     chebyshev_lower: float | None = None
 
 
-def _histogram_tv_and_se(counts: np.ndarray, pmf: np.ndarray) -> tuple[float, float]:
-    total = counts.sum()
-    emp = counts / total
-    tv = 0.5 * float(np.abs(emp - pmf).sum())
-    # Delta-method error of the signed functional 0.5 * sum s_w (emp_w - q_w).
-    signs = np.sign(emp - pmf)
-    mu = float((signs * emp).sum())
-    se = 0.5 * math.sqrt(max(1.0 - mu * mu, 0.0) / total)
-    return tv, se
-
-
 def _build_profile(args: argparse.Namespace, seed: int) -> dict:
     chain = ChainKind(args.chain, args.n)
     n = args.n
@@ -170,9 +165,7 @@ def _build_profile(args: argparse.Namespace, seed: int) -> dict:
             # Valid from t = n+1 on: distance to uniform is nonincreasing.
             if row.t >= n + 1:
                 row.tv_upper = bound
-        params = weight_stats.LowerBoundParams(
-            n=n, alpha=args.alpha, c=args.c if args.c is not None else math.nan
-        )
+        params = weight_stats.LowerBoundParams(n=n, alpha=args.alpha, c=args.c)
         if params.delta > 0:
             value = weight_stats.chebyshev_lower_bound(params)
             for row in rows:
@@ -184,7 +177,9 @@ def _build_profile(args: argparse.Namespace, seed: int) -> dict:
         snapshots = weight_stats.sample_weights(chain, x0, ts, args.samples, seed)
         for row in rows:
             counts = np.bincount(snapshots[row.t], minlength=n + 1)
-            row.tv_lower_emp, row.tv_lower_emp_se = _histogram_tv_and_se(counts, pmf)
+            row.tv_lower_emp, row.tv_lower_emp_se = weight_stats.histogram_tv(
+                counts, pmf
+            )
 
     return {
         "schema_version": SCHEMA_VERSION,
@@ -314,7 +309,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run a named verification suite")
     p.add_argument("suite", choices=suites.suite_names())
-    p.add_argument("--n-max", type=int, default=None, help="largest dimension to sweep")
+    p.add_argument("--n-max", type=int, default=None,
+                   help="largest dimension to sweep (one suite, not 'all')")
     p.add_argument("--trials", type=int, default=None, help="replay count (bounded-diff)")
     p.add_argument("--samples", type=int, default=None, help="trajectory count (variance)")
     p.add_argument("--seed", type=int, default=None)

@@ -27,6 +27,7 @@ __all__ = [
     "tv_to_uniform",
     "weight_moments",
     "coordinate_marginal",
+    "exact_laws",
     "exact_tv_curve",
 ]
 
@@ -200,6 +201,19 @@ def coordinate_marginal(d: DistributionVector, coord: int) -> float:
     idx = np.arange(1 << d.n, dtype=np.int64)
     mask = (idx >> (coord - 1)) & 1
     return float(d.probs[mask == 1].sum())
+
+
+def exact_laws(
+    chain: ChainKind, x0: BitVector, t_max: int
+) -> Iterator[tuple[int, DistributionVector]]:
+    """Yield (t, exact law) for t = 0..t_max from a point mass at ``x0``.
+
+    One evolution serves the whole sweep: each law is updated in place, so
+    it is valid only until the next one is taken.
+    """
+    states = _evolution(chain, point_mass(chain.n, x0).probs)
+    for t, (probs, _) in zip(range(t_max + 1), states):
+        yield t, DistributionVector(chain.n, probs)
 
 
 def exact_tv_curve(

@@ -1,62 +1,33 @@
 """The middle-coordinate walk as an exact uniform sampler.
 
 Over n = 2m steps the walk's final state is an affine function
-``B @ R ^ offset`` of the n fresh update bits R, where B is an invertible
-block matrix.  Uniform bits therefore give an exactly uniform state, and
-inverting B recovers the unique driving sequence that reaches any target.
+``B @ R ^ offset`` of the n fresh update bits R, where B is the block
+matrix [[I, C], [I, I]] with C the (m x m) superdiagonal shift block.  B
+has unit determinant for every m, so uniform bits give an exactly uniform
+state, and inverting B recovers the unique driving sequence that reaches
+any target.
 
 Sampling and solving apply B and its inverse in closed form on packed
 ints, a few word operations instead of an n-step walk or a GF(2)
-elimination.  ``build_transfer_matrix`` and ``build_offset`` keep the
-explicit map as the reference the closed form is checked against.
+elimination.  ``chains.evolve_symbolic(q2(n), x0, n)`` gives the explicit
+map that the closed form is checked against.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
 
 from . import rng
 from .chains import DrivingSequence
-from .gf2 import BitVector, GF2Matrix
+from .gf2 import BitVector
 
 __all__ = [
-    "TransferMatrix",
-    "build_transfer_matrix",
     "build_offset",
     "exact_sample",
     "exact_samples",
     "solve_driving",
 ]
-
-
-@dataclass(frozen=True)
-class TransferMatrix:
-    """The 2m x 2m map from update bits to the state after 2m steps.
-
-    Block form [[I, C], [I, I]] with C the (m x m) superdiagonal shift
-    block; unit determinant for every m, hence a bijection on bit vectors.
-    """
-
-    m: int
-    matrix: GF2Matrix
-
-
-def build_transfer_matrix(m: int) -> TransferMatrix:
-    """Assemble the block matrix for half-dimension ``m``."""
-    if m < 1:
-        raise ValueError(f"half-dimension must be >= 1, got {m}")
-    n = 2 * m
-    rows = []
-    for i in range(m):
-        word = 1 << i  # left block: identity
-        if i < m - 1:
-            word |= 1 << (m + i + 1)  # right block C: ones at (i, i+1)
-        rows.append(word)
-    for i in range(m):
-        rows.append((1 << i) | (1 << (m + i)))  # [I I]
-    return TransferMatrix(m=m, matrix=GF2Matrix(n, n, tuple(rows)))
 
 
 def build_offset(x: BitVector) -> BitVector:

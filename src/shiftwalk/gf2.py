@@ -22,7 +22,6 @@ __all__ = [
     "mat_pow",
     "det_gf2",
     "solve_linear",
-    "rank",
 ]
 
 
@@ -181,25 +180,6 @@ class GF2Matrix:
                 col ^= lsb
         return cls(n_rows, len(columns), tuple(rows))
 
-    @classmethod
-    def from_array(cls, arr: np.ndarray) -> GF2Matrix:
-        arr = np.asarray(arr) % 2
-        return cls.from_rows(arr.tolist())
-
-    def entry(self, i: int, j: int) -> int:
-        return (self.rows[i] >> j) & 1
-
-    def column(self, j: int) -> BitVector:
-        if not 0 <= j < self.n_cols:
-            raise IndexError(f"column {j} out of range")
-        word = 0
-        for i in range(self.n_rows):
-            word |= ((self.rows[i] >> j) & 1) << i
-        return BitVector(self.n_rows, word)
-
-    def transpose(self) -> GF2Matrix:
-        return GF2Matrix.from_columns(self.n_cols, self.rows)
-
     def mul_vec(self, v: BitVector) -> BitVector:
         if v.n != self.n_cols:
             raise ValueError(f"length mismatch: {self.n_cols} columns vs {v.n}")
@@ -230,33 +210,6 @@ class GF2Matrix:
         if isinstance(other, GF2Matrix):
             return self.mul_mat(other)
         return NotImplemented
-
-    def __add__(self, other: GF2Matrix) -> GF2Matrix:
-        if (self.n_rows, self.n_cols) != (other.n_rows, other.n_cols):
-            raise ValueError("shape mismatch in matrix sum")
-        return GF2Matrix(
-            self.n_rows, self.n_cols,
-            tuple(a ^ b for a, b in zip(self.rows, other.rows)),
-        )
-
-    def to_array(self) -> np.ndarray:
-        out = np.zeros((self.n_rows, self.n_cols), dtype=np.uint8)
-        for i, row in enumerate(self.rows):
-            while row:
-                lsb = row & -row
-                out[i, lsb.bit_length() - 1] = 1
-                row ^= lsb
-        return out
-
-    def to_text(self) -> str:
-        """Dense 0/1 grid, one row per line."""
-        return "\n".join(
-            "".join(str((row >> j) & 1) for j in range(self.n_cols))
-            for row in self.rows
-        )
-
-    def __str__(self) -> str:
-        return self.to_text()
 
 
 def shift_register(x: BitVector) -> BitVector:
@@ -345,15 +298,11 @@ def _eliminate(rows: list[int], n_cols: int) -> tuple[list[int], list[int]]:
     return rows, pivots
 
 
-def rank(m: GF2Matrix) -> int:
-    _, pivots = _eliminate(list(m.rows), m.n_cols)
-    return len(pivots)
-
-
 def det_gf2(m: GF2Matrix) -> int:
     """1 iff ``m`` is invertible over GF(2), else 0."""
     _validate_square(m)
-    return 1 if rank(m) == m.n_rows else 0
+    _, pivots = _eliminate(list(m.rows), m.n_cols)
+    return 1 if len(pivots) == m.n_rows else 0
 
 
 def solve_linear(m: GF2Matrix, b: BitVector) -> BitVector:

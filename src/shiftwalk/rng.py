@@ -17,6 +17,8 @@ from typing import Iterator
 
 import numpy as np
 
+__all__ = ["stream", "stream_words", "bounded", "WordCursor"]
+
 _MASK64 = (1 << 64) - 1
 _MASK32 = np.uint64(0xFFFFFFFF)
 # Drawn 32-bit values per block of stream_words.  A block's temporaries

@@ -20,6 +20,7 @@ from .gf2 import BitVector
 __all__ = [
     "FourierSummary",
     "WeightClassBoundReport",
+    "weight_class_log_terms",
     "weight_class_term",
     "check_weight_class_bounds",
     "fourier_coeff_closed_form",
@@ -32,23 +33,37 @@ def _log_binom(n: float, k: np.ndarray | float):
     return gammaln(n + 1) - gammaln(k + 1) - gammaln(n - k + 1)
 
 
+def weight_class_log_terms(
+    n: int, k: np.ndarray | int, lag: int = 0
+) -> np.ndarray:
+    """log of C(n,k) (1-k/n)^(2n-2k+2 lag) ((k-lag)/n)^(2k), elementwise
+    over weights lag < k < n.
+
+    ``lag = 0`` gives the envelope ``weight_class_term``; ``lag = 1`` the
+    exact squared-coefficient class summed by ``fourier_sum``.
+    """
+    k = np.asarray(k, dtype=np.float64)
+    return (
+        _log_binom(n, k)
+        + (2 * n - 2 * k + 2 * lag) * np.log1p(-k / n)
+        + 2 * k * np.log((k - lag) / n)
+    )
+
+
 def weight_class_term(n: int, k: int) -> float:
     """C(n,k) (1-k/n)^(2n-2k) (k/n)^(2k), evaluated in log-space.
 
     Dominating envelope for the squared-coefficient mass of the weight-k
-    frequency class.  Uses the 0*log(0) = 0 convention at k = 0 and k = n;
-    terms below exp(-745) underflow to 0.
+    frequency class.  Uses the 0*log(0) = 0 convention at k = 0 and k = n,
+    where the term is 1; terms below exp(-745) underflow to 0.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     if not 0 <= k <= n:
         raise ValueError(f"k must be in 0..{n}, got {k}")
-    log_term = _log_binom(n, float(k))
-    if k < n:
-        log_term += (2 * n - 2 * k) * np.log1p(-k / n)
-    if k > 0:
-        log_term += 2 * k * np.log(k / n)
-    return float(np.exp(log_term))
+    if k in (0, n):
+        return 1.0
+    return float(np.exp(weight_class_log_terms(n, k)))
 
 
 @dataclass(frozen=True)
@@ -66,13 +81,11 @@ def check_weight_class_bounds(n: int) -> WeightClassBoundReport:
     """Verify term(n,k) <= 1/n^2 for 2 <= k <= n-2 and term(n,n-1) <= 1/n."""
     if n <= 5:
         raise ValueError(f"bounds hold for n >= 6, got {n}")
-    k = np.arange(2, n - 1, dtype=np.float64)
-    log_terms = (
-        _log_binom(n, k) + (2 * n - 2 * k) * np.log1p(-k / n) + 2 * k * np.log(k / n)
-    )
-    ratios = np.exp(log_terms + 2 * np.log(n))
+    k = np.arange(2, n, dtype=np.float64)  # the interior, then k = n-1
+    log_terms = weight_class_log_terms(n, k)
+    ratios = np.exp(log_terms[:-1] + 2 * np.log(n))
     i = int(np.argmax(ratios))
-    edge = weight_class_term(n, n - 1) * n
+    edge = float(np.exp(log_terms[-1])) * n
     max_interior = float(ratios[i])
     return WeightClassBoundReport(
         n=n,
@@ -136,13 +149,7 @@ def fourier_sum(n: int) -> FourierSummary:
     """Sum the exact squared-coefficient classes for k = 2..n-1 in log-space."""
     if n < 3:
         raise ValueError(f"n must be >= 3, got {n}")
-    k = np.arange(2, n, dtype=np.float64)
-    log_terms = (
-        _log_binom(n, k)
-        + (2 * n - 2 * k + 2) * np.log1p(-k / n)
-        + 2 * k * np.log((k - 1) / n)
-    )
-    terms = np.exp(log_terms)
+    terms = np.exp(weight_class_log_terms(n, np.arange(2, n), lag=1))
     total = float(terms.sum())
     return FourierSummary(
         n=n,

@@ -7,7 +7,7 @@ machine readable and reruns are comparable.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -15,7 +15,7 @@ from . import distribution, rng, spectral, weight_stats
 from .chains import q1, q2
 from .gf2 import BitVector, GF2Matrix, companion_power
 
-__all__ = ["CheckResult", "SUITES", "run_suite", "suite_names"]
+__all__ = ["CheckResult", "SUITES", "run_suite", "suite_names", "transform_max_diff"]
 
 
 @dataclass(frozen=True)
@@ -106,14 +106,13 @@ def suite_term_bounds(n_max: int = 2000, **_: object) -> list[CheckResult]:
     ]
 
 
-def suite_fourier(n_max: int = 2000, **_: object) -> list[CheckResult]:
-    """Closed-form transform coefficients against the brute-force oracle."""
-    results = []
+def transform_max_diff() -> float:
+    """Largest |brute-force - closed-form| transform coefficient of the q1
+    law at t = n+1 from 0, over all 2^n frequencies, for n in {6, 8, 10}."""
     worst = 0.0
     for n in (6, 8, 10):
-        chain = q1(n)
         d = distribution.evolve_exact(
-            chain, distribution.point_mass(n, BitVector.zeros(n)), n + 1
+            q1(n), distribution.point_mass(n, BitVector.zeros(n)), n + 1
         )
         mags = [
             spectral.fourier_coeff_closed_form(n, BitVector.zeros(n), k)
@@ -123,13 +122,19 @@ def suite_fourier(n_max: int = 2000, **_: object) -> list[CheckResult]:
             y = BitVector(n, word)
             diff = abs(spectral.fourier_bruteforce(d, y) - mags[y.weight()])
             worst = max(worst, diff)
-    results.append(
+    return worst
+
+
+def suite_fourier(n_max: int = 2000, **_: object) -> list[CheckResult]:
+    """Closed-form transform coefficients against the brute-force oracle."""
+    worst = transform_max_diff()
+    results = [
         CheckResult(
             name="closed form matches brute force at n in {6,8,10}, all frequencies",
             passed=worst <= 1e-12,
             observed={"max_abs_diff": worst},
         )
-    )
+    ]
 
     n = 6
     d = distribution.evolve_exact(
@@ -197,11 +202,7 @@ def suite_moments(n_max: int = 10, **_: object) -> list[CheckResult]:
     worst_marginal = 0.0
     worst_terminal = 0.0
     for n in range(2, n_max + 1):
-        states = distribution._evolution(
-            q1(n), distribution.point_mass(n, BitVector.zeros(n)).probs
-        )
-        for t, (probs, _) in zip(range(n + 1), states):
-            d = distribution.DistributionVector(n, probs)
+        for t, d in distribution.exact_laws(q1(n), BitVector.zeros(n), n):
             mean, _ = distribution.weight_moments(d)
             worst_mean = max(
                 worst_mean, abs(mean - weight_stats.mean_weight_closed_form(n, t))
@@ -420,11 +421,7 @@ def suite_variance(
     worst = -np.inf
     n_max = min(n_max, 16)
     for n in range(2, n_max + 1):
-        states = distribution._evolution(
-            q1(n), distribution.point_mass(n, BitVector.zeros(n)).probs
-        )
-        for t, (probs, _) in zip(range(n + 1), states):
-            d = distribution.DistributionVector(n, probs)
+        for t, d in distribution.exact_laws(q1(n), BitVector.zeros(n), n):
             _, var = distribution.weight_moments(d)
             worst = max(worst, var - 4.0 * t)
     results = [
@@ -438,7 +435,7 @@ def suite_variance(
     for t in (64, 128):
         if samples >= 1:
             rep = weight_stats.variance_bound_check(128, t, samples, seed)
-            observed = rep.to_json_dict()
+            observed = asdict(rep)
         else:
             observed = {"n": 128, "t": t, "samples": samples, "seed": seed}
         # A variance estimate needs two trajectories.

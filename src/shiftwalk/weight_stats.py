@@ -9,13 +9,13 @@ reproducible and independent of batching.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .chains import ChainKind, DrivingSequence, _draw_driving_blocks, _step_word
 from .gf2 import BitVector
+from .spectral import _log_binom
 
 __all__ = [
     "LowerBoundParams",
@@ -26,10 +26,9 @@ __all__ = [
     "mean_weight_recursion",
     "prob_first_coord_one",
     "replay_divergence",
-    "weight_diff_bit_flip",
-    "weight_diff_coord_change",
     "variance_bound_check",
     "chebyshev_lower_bound",
+    "histogram_tv",
     "empirical_tv_lower_bound",
     "sample_weights",
     "weight_histogram",
@@ -163,24 +162,6 @@ def _replay_pairs(
     return np.abs(weight[0] - weight[1]), hamming
 
 
-def weight_diff_bit_flip(
-    chain: ChainKind, x0: BitVector, driving: DrivingSequence, i: int
-) -> int:
-    """|weight difference| after flipping the update bit at 1-based time i."""
-    return replay_divergence(chain, x0, driving, driving.flip_bit(i)).weight_diff
-
-
-def weight_diff_coord_change(
-    chain: ChainKind, x0: BitVector, driving: DrivingSequence, i: int, u_new: int
-) -> int:
-    """|weight difference| after replacing the coordinate at time i by u_new."""
-    if not 1 <= u_new <= chain.n:
-        raise ValueError(f"coordinate {u_new} out of range 1..{chain.n}")
-    return replay_divergence(
-        chain, x0, driving, driving.replace_coord(i, u_new)
-    ).weight_diff
-
-
 def sample_weights(
     chain: ChainKind,
     x0: BitVector,
@@ -261,11 +242,6 @@ def weight_histogram(
     return np.bincount(w, minlength=chain.n + 1).astype(np.int64)
 
 
-def histogram_rows(counts: np.ndarray) -> list[tuple[int, int]]:
-    """CSV-ready (weight, count) rows for a histogram from weight_histogram."""
-    return [(w, int(c)) for w, c in enumerate(counts)]
-
-
 MAX_PMF_N = 2**14
 
 
@@ -280,8 +256,20 @@ def stationary_weight_pmf(n: int) -> np.ndarray:
             f"the stationary weight law is computed for n <= {MAX_PMF_N}, got {n}"
         )
     k = np.arange(n + 1, dtype=np.float64)
-    logp = gammaln(n + 1) - gammaln(k + 1) - gammaln(n - k + 1) - n * math.log(2.0)
-    return np.exp(logp)
+    return np.exp(_log_binom(n, k) - n * math.log(2.0))
+
+
+def histogram_tv(counts: np.ndarray, pmf: np.ndarray) -> tuple[float, float]:
+    """TV distance between the empirical law of a histogram and ``pmf``,
+    with its delta-method standard error."""
+    total = counts.sum()
+    emp = counts / total
+    tv = 0.5 * float(np.abs(emp - pmf).sum())
+    # Delta-method error of the signed functional 0.5 * sum s_w (emp_w - q_w).
+    signs = np.sign(emp - pmf)
+    mu = float((signs * emp).sum())
+    se = 0.5 * math.sqrt(max(1.0 - mu * mu, 0.0) / total)
+    return tv, se
 
 
 def empirical_tv_lower_bound(
@@ -295,8 +283,7 @@ def empirical_tv_lower_bound(
     the state.
     """
     counts = weight_histogram(chain, x0, t, samples, seed)
-    emp = counts / counts.sum()
-    return 0.5 * float(np.abs(emp - stationary_weight_pmf(chain.n)).sum())
+    return histogram_tv(counts, stationary_weight_pmf(chain.n))[0]
 
 
 @dataclass(frozen=True)
@@ -311,18 +298,6 @@ class VarianceReport:
     std_error: float
     bound: float
     passed: bool
-
-    def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "t": self.t,
-            "samples": self.samples,
-            "seed": self.seed,
-            "estimate": self.estimate,
-            "std_error": self.std_error,
-            "bound": self.bound,
-            "passed": self.passed,
-        }
 
 
 def variance_bound_check(n: int, t: int, samples: int, seed: int) -> VarianceReport:
@@ -357,22 +332,23 @@ class LowerBoundParams:
     """Window parameters for the distinguishing-statistic lower bound.
 
     ``t`` is round(n - n^alpha); ``delta`` = n^(alpha-1/2)/(2e) - c must be
-    positive for the bound to say anything.  ``c`` defaults to log n.
+    positive for the bound to say anything.  ``c`` defaults to log n when
+    None is given.
     """
 
     n: int
     alpha: float = 0.75
-    c: float = field(default=math.nan)
+    c: float | None = None
 
     def __post_init__(self) -> None:
         if self.n < 2:
             raise ValueError(f"n must be >= 2, got {self.n}")
-        if not 0.5 < self.alpha < 1.0:
+        if not 0.5 < self.alpha < 1.0:  # also rejects NaN and infinities
             raise ValueError(f"alpha must be in (1/2, 1), got {self.alpha}")
-        if math.isnan(self.c):
+        if self.c is None:
             object.__setattr__(self, "c", math.log(self.n))
-        if self.c <= 0:
-            raise ValueError(f"c must be > 0, got {self.c}")
+        if not (math.isfinite(self.c) and self.c > 0):
+            raise ValueError(f"c must be finite and > 0, got {self.c}")
 
     @property
     def t(self) -> int:
@@ -395,4 +371,7 @@ def chebyshev_lower_bound(params: LowerBoundParams) -> float:
             f"delta = {delta:.4g} <= 0 for n={params.n}, alpha={params.alpha}, "
             f"c={params.c:.4g}; the window bound is vacuous"
         )
+    if params.c <= 0.5:
+        # 1/(4c^2) >= 1 already, so the max is 0; a tiny c^2 would be 0.
+        return 0.0
     return max(0.0, 1.0 - 1.0 / (4.0 * params.c**2) - 4.0 / delta**2)

@@ -12,15 +12,13 @@ import numpy as np
 
 from shiftwalk import (
     BitVector,
-    DrivingSequence,
     GF2Matrix,
-    build_transfer_matrix,
     companion_matrix,
     coordinate_marginal,
     det_gf2,
+    empirical_tv_lower_bound,
     evolve_exact,
-    fourier_bruteforce,
-    fourier_coeff_closed_form,
+    evolve_symbolic,
     fourier_sum,
     mat_pow,
     mean_weight_closed_form,
@@ -28,25 +26,21 @@ from shiftwalk import (
     prob_first_coord_one,
     q1,
     q2,
-    replay_divergence,
     simulate,
     solve_driving,
     stream,
     tv_to_uniform,
-    variance_bound_check,
     weight_class_term,
-    weight_histogram,
     weight_moments,
-    stationary_weight_pmf,
 )
-from shiftwalk.distribution import DistributionVector, _evolution
-
-
-def exact_laws(n: int):
-    """The exact q1 law from 0 after 0, 1, 2, ... steps, on one evolution;
-    each is valid until the next is taken."""
-    for probs, _ in _evolution(q1(n), point_mass(n, BitVector.zeros(n)).probs):
-        yield DistributionVector(n, probs)
+from shiftwalk.distribution import exact_laws
+from shiftwalk.spectral import weight_class_log_terms
+from shiftwalk.suites import (
+    suite_bounded_diff,
+    suite_q2_exact,
+    suite_variance,
+    transform_max_diff,
+)
 
 
 def conclude(number: int, passed: bool, detail: str) -> None:
@@ -78,14 +72,8 @@ def test_criterion_01_tv_upper_bound_at_n_plus_one():
 
 def test_criterion_02_exact_uniformity_of_middle_coordinate_walk():
     start = time.perf_counter()
-    worst = 0.0
-    for n in range(4, 17, 2):
-        chain = q2(n)
-        gen = stream(20260810, n)
-        for _ in range(16):
-            x0 = BitVector.random(n, gen)
-            d = evolve_exact(chain, point_mass(n, x0), n)
-            worst = max(worst, tv_to_uniform(d))
+    [check] = suite_q2_exact(n_max=16, seed=20260810, starts=16)
+    worst = check.observed["max_tv"]
     elapsed = time.perf_counter() - start
     conclude(2, worst <= 1e-12 and elapsed < 60.0,
              f"exact TV at t=n for even n=4..16, 16 random starts: "
@@ -93,14 +81,7 @@ def test_criterion_02_exact_uniformity_of_middle_coordinate_walk():
 
 
 def test_criterion_03_closed_form_transform_matches_brute_force():
-    worst = 0.0
-    for n in (6, 8, 10):
-        zeros = BitVector.zeros(n)
-        d = evolve_exact(q1(n), point_mass(n, zeros), n + 1)
-        mags = [fourier_coeff_closed_form(n, zeros, k) for k in range(n + 1)]
-        for word in range(1 << n):
-            y = BitVector(n, word)
-            worst = max(worst, abs(fourier_bruteforce(d, y) - mags[y.weight()]))
+    worst = transform_max_diff()
     conclude(3, worst <= 1e-12,
              f"all 2^n frequencies at n in {{6,8,10}}, t=n+1: max |diff| {worst:.3g}")
 
@@ -109,14 +90,8 @@ def test_criterion_04_weight_class_term_bounds():
     worst_interior = 0.0
     worst_edge = 0.0
     for n in range(6, 2001):
-        k = np.arange(2, n - 1)
         # exact inequalities, evaluated in log space
-        from scipy.special import gammaln
-        log_terms = (
-            gammaln(n + 1) - gammaln(k + 1) - gammaln(n - k + 1)
-            + (2 * n - 2 * k) * np.log1p(-k / n)
-            + 2 * k * np.log(k / n)
-        )
+        log_terms = weight_class_log_terms(n, np.arange(2, n - 1))
         worst_interior = max(worst_interior, float(np.exp(log_terms).max()) * n * n)
     for n in range(5, 2001):
         worst_edge = max(worst_edge, weight_class_term(n, n - 1) * n)
@@ -145,7 +120,7 @@ def test_criterion_06_moment_formulas():
     worst_mean = 0.0
     marginal_failures = []
     for n in range(2, 11):
-        for t, d in zip(range(n + 1), exact_laws(n)):
+        for t, d in exact_laws(q1(n), BitVector.zeros(n), n):
             mean, _ = weight_moments(d)
             worst_mean = max(
                 worst_mean, abs(mean - mean_weight_closed_form(n, t))
@@ -170,51 +145,32 @@ def test_criterion_06_moment_formulas():
 
 
 def test_criterion_07_bounded_differences():
-    gen = stream(42, 0)
-    max_weight_diff = 0
-    max_hamming = 0
-    for trial in range(100_000):
-        n = int(gen.integers(2, 65))
-        t = int(gen.integers(1, n + 1))
-        chain = q1(n)
-        x0 = BitVector.random(n, gen)
-        coords = tuple(int(u) for u in gen.integers(1, n + 1, size=t))
-        bits = tuple(int(b) for b in gen.integers(0, 2, size=t))
-        driving = DrivingSequence(coords, bits)
-        i = int(gen.integers(1, t + 1))
-        if trial % 2 == 0:
-            other = driving.flip_bit(i)
-        else:
-            other = driving.replace_coord(i, int(gen.integers(1, n + 1)))
-        div = replay_divergence(chain, x0, driving, other)
-        max_weight_diff = max(max_weight_diff, div.weight_diff)
-        max_hamming = max(max_hamming, div.max_hamming)
+    flip, coord, hamming = suite_bounded_diff(trials=100_000, seed=42, n_max=64)
+    max_weight_diff = max(flip.observed["max_weight_diff"],
+                          coord.observed["max_weight_diff"])
+    max_hamming = hamming.observed["max_hamming"]
     conclude(7, max_weight_diff <= 2 and max_hamming <= 2,
              f"10^5 single-change replays (n<=64): max weight diff "
              f"{max_weight_diff}, max stepwise Hamming distance {max_hamming}")
 
 
 def test_criterion_08_variance_bound():
-    worst = -math.inf
-    for n in range(2, 11):
-        for t, d in zip(range(n + 1), exact_laws(n)):
-            _, var = weight_moments(d)
-            worst = max(worst, var - 4 * t)
-    reports = [variance_bound_check(128, t, 100_000, seed=314) for t in (64, 128)]
-    passed = worst <= 1e-12 and all(r.passed for r in reports)
+    exact, *sampled = suite_variance(samples=100_000, seed=314, n_max=10)
+    worst = exact.observed["max_var_minus_4t"]
+    reports = [check.observed for check in sampled]
+    passed = worst <= 1e-12 and all(r["passed"] for r in reports)
     conclude(8, passed,
              f"exact Var-4t max {worst:.3g} (n<=10); sampled at n=128: " +
-             "; ".join(f"t={r.t}: {r.estimate:.1f} <= {r.bound:.0f}+3*{r.std_error:.2f}"
-                       for r in reports))
+             "; ".join(f"t={r['t']}: {r['estimate']:.1f} <= {r['bound']:.0f}"
+                       f"+3*{r['std_error']:.2f}" for r in reports))
 
 
 def test_criterion_09_cutoff_two_point_separation():
     start = time.perf_counter()
     n = 1024
     t_low = round(n - n**0.75)
-    counts = weight_histogram(q1(n), BitVector.zeros(n), t_low, 10_000, seed=271828)
-    emp = counts / counts.sum()
-    lower = 0.5 * float(np.abs(emp - stationary_weight_pmf(n)).sum())
+    lower = empirical_tv_lower_bound(q1(n), BitVector.zeros(n), t_low, 10_000,
+                                     seed=271828)
     upper = fourier_sum(n).tv_bound
     upper_cap = math.sqrt(2 / 1024) / 2
     elapsed = time.perf_counter() - start
@@ -238,7 +194,8 @@ def test_criterion_10_sampler_round_trip():
             z = BitVector.random(n, gen)
             if simulate(chain, x0, solve_driving(x0, z))[-1] != z:
                 bad += 1
-    dets = [det_gf2(build_transfer_matrix(m).matrix) for m in range(1, 13)]
+    dets = [det_gf2(evolve_symbolic(q2(2 * m), BitVector.zeros(2 * m), 2 * m).map)
+            for m in range(1, 13)]
     passed = bad == 0 and all(d == 1 for d in dets)
     conclude(10, passed,
              f"10^3 solve-and-replay round trips at n in {{6,12,20}}: "

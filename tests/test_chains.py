@@ -13,7 +13,6 @@ from shiftwalk import (
     simulate,
     simulate_random,
     step_q1,
-    step_q2,
     stream,
     trajectory_rows,
 )
@@ -66,16 +65,13 @@ class TestSteps:
             step_q1(BitVector.zeros(4), 1, 2)
 
     def test_q2_first_step(self):
-        assert step_q2(BitVector.zeros(6), 1).to_string() == "010001"
-        assert step_q2(BitVector.zeros(6), 0) == BitVector.zeros(6)
+        one, zero = (DrivingSequence((3,), (r,)) for r in (1, 0))
+        assert simulate(q2(6), BitVector.zeros(6), one)[-1].to_string() == "010001"
+        assert simulate(q2(6), BitVector.zeros(6), zero)[-1] == BitVector.zeros(6)
 
     def test_q2_two_steps(self):
-        x = step_q2(step_q2(BitVector.zeros(6), 1), 0)
+        x = simulate(q2(6), BitVector.zeros(6), DrivingSequence((3, 3), (1, 0)))[-1]
         assert x.to_string() == "100010"
-
-    def test_q2_rejects_odd(self):
-        with pytest.raises(ValueError):
-            step_q2(BitVector.zeros(5), 1)
 
     def test_appended_bit_is_preshift_parity(self):
         gen = stream(11, 0)

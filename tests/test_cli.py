@@ -75,7 +75,6 @@ class TestVerify:
         (("bounded-diff", "--n-max", "1"), 3),
         (("variance", "--samples", "1"), 2),
         (("variance", "--samples", "0"), 2),
-        (("all", "--n-max", "1", "--trials", "200", "--samples", "200"), 11),
     ])
     def test_empty_sweep_is_vacuous_not_passed(self, capsys, argv, vacuous):
         code, out, _ = run_cli(capsys, "verify", *argv, "--seed", "1",
@@ -87,6 +86,17 @@ class TestVerify:
         assert len(flagged) == vacuous
         assert not any(c["passed"] for c in flagged)
         assert all(c["passed"] for c in report["checks"] if c not in flagged)
+
+    def test_n_max_is_rejected_for_all(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "all", "--n-max", "1",
+                                 "--trials", "200", "--samples", "200",
+                                 "--seed", "1", "--format", "json")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "--n-max" in err
+        for suite in ("matrix-order", "term-bounds", "fourier", "bounded-diff",
+                      "moments", "variance", "q2-exact"):
+            assert suite in err
 
     def test_strict_json_keeps_finite_reports(self):
         from shiftwalk.cli import _strict_json
@@ -110,7 +120,7 @@ class TestVerify:
 
     def test_all_suites_serialize(self, capsys, tmp_path):
         out_file = tmp_path / "all.json"
-        code, _, _ = run_cli(capsys, "verify", "all", "--n-max", "32",
+        code, _, _ = run_cli(capsys, "verify", "all",
                              "--trials", "500", "--samples", "500",
                              "--seed", "4", "--format", "json",
                              "--out", str(out_file))
@@ -205,6 +215,27 @@ class TestProfile:
         row = json.loads(out)["rows"][0]
         assert row["chebyshev_lower"] == pytest.approx(0.987643918422881,
                                                        rel=1e-12)
+
+    def test_tiny_window_constant_gives_zero(self, capsys):
+        # c^2 underflows to 0; the window bound at t = 1 is max(0, -inf) = 0.
+        code, out, err = run_cli(capsys, "profile", "--chain", "q1", "--n", "30",
+                                 "--t", "0..5", "--alpha", "0.99", "--c", "1e-300",
+                                 "--seed", "1", "--format", "json")
+        assert code == 0 and "Traceback" not in err
+        rows = json.loads(out)["rows"]
+        assert [r["t"] for r in rows if "chebyshev_lower" in r] == [1]
+        assert rows[1]["chebyshev_lower"] == 0.0
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--c", "nan"), ("--c", "inf"), ("--c", "-inf"), ("--alpha", "nan"),
+        ("--alpha", "inf"),
+    ])
+    def test_non_finite_window_parameter_is_usage_error(self, capsys, flag, value):
+        code, out, err = run_cli(capsys, "profile", "--chain", "q1", "--n", "30",
+                                 "--t", "0..5", f"{flag}={value}", "--seed", "1")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
 
 
 class TestSample:

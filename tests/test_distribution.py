@@ -20,7 +20,11 @@ from shiftwalk import (
 )
 from shiftwalk import step_q1
 from shiftwalk.chains import _step_word
-from shiftwalk.distribution import DistributionVector, _inverse_shift_index
+from shiftwalk.distribution import (
+    DistributionVector,
+    _inverse_shift_index,
+    exact_laws,
+)
 
 
 def reference_inverse_shift_index(n):
@@ -179,6 +183,19 @@ class TestAgainstReference:
                 expected.append((t, 0.5 * float(np.abs(probs - 2.0**-n).sum())))
                 probs = reference_step(chain, probs, inv)
             assert exact_tv_curve(chain, x0, n + 1) == expected
+
+    def test_law_sweep_matches_reference(self):
+        for chain in (q1(9), q2(10)):
+            n = chain.n
+            x0 = BitVector.unit(n, 2)
+            inv = reference_inverse_shift_index(n)
+            probs = point_mass(n, x0).probs
+            times = []
+            for t, d in exact_laws(chain, x0, n + 1):
+                assert d.n == n and np.array_equal(d.probs, probs)
+                probs = reference_step(chain, probs, inv)
+                times.append(t)
+            assert times == list(range(n + 2))
 
     def test_input_is_not_mutated(self):
         for chain in (q1(8), q2(8)):

@@ -1,0 +1,40 @@
+import shiftwalk
+from shiftwalk import (
+    chains,
+    distribution,
+    exact_sampler,
+    gf2,
+    rng,
+    spectral,
+    weight_stats,
+)
+
+EXPORTS = [
+    "AffineState", "BitVector", "ChainKind", "DegenerateWindowError",
+    "DistributionVector", "DrivingSequence", "FourierSummary", "GF2Matrix",
+    "LowerBoundParams", "MAX_EXACT_N", "ReplayDivergence",
+    "SingularMatrixError", "VarianceReport", "WeightClassBoundReport",
+    "__version__", "build_offset", "chebyshev_lower_bound",
+    "check_weight_class_bounds", "companion_matrix", "companion_power",
+    "coordinate_marginal", "det_gf2", "empirical_tv_lower_bound",
+    "evolve_exact", "evolve_symbolic", "exact_sample", "exact_samples",
+    "exact_tv_curve", "fourier_bruteforce", "fourier_coeff_closed_form",
+    "fourier_sum", "mat_pow", "mean_weight_closed_form",
+    "mean_weight_recursion", "point_mass", "prob_first_coord_one", "q1", "q2",
+    "random_driving", "replay_divergence", "sample_weights", "shift_register",
+    "simulate", "simulate_random", "solve_driving", "solve_linear",
+    "stationary_weight_pmf", "step_q1", "stream", "trajectory_rows",
+    "tv_to_uniform", "uniform", "variance_bound_check", "weight_class_term",
+    "weight_histogram", "weight_moments",
+]
+
+
+def test_exports_are_pinned_and_owned():
+    assert sorted(shiftwalk.__all__) == EXPORTS
+    modules = (gf2, chains, distribution, spectral, weight_stats, exact_sampler, rng)
+    for name in EXPORTS:
+        if name == "__version__":
+            continue
+        owners = [m for m in modules if name in m.__all__]
+        assert len(owners) == 1, (name, owners)
+        assert getattr(owners[0], name) is getattr(shiftwalk, name), name

@@ -66,6 +66,15 @@ class TestBoundReport:
             assert report.max_interior_ratio <= 1.0
             assert report.edge_ratio <= 1.0
 
+    def test_report_matches_terms(self):
+        for n in (6, 37, 1000):
+            report = check_weight_class_bounds(n)
+            assert report.edge_ratio == weight_class_term(n, n - 1) * n
+            interior = [weight_class_term(n, k) * n * n for k in range(2, n - 1)]
+            assert report.max_interior_ratio == pytest.approx(max(interior), rel=1e-12)
+            assert interior[report.argmax_interior_k - 2] == \
+                pytest.approx(max(interior), rel=1e-12)
+
     def test_rejects_n_at_most_five(self):
         with pytest.raises(ValueError):
             check_weight_class_bounds(5)

@@ -26,18 +26,11 @@ from shiftwalk import (
     stationary_weight_pmf,
     stream,
     variance_bound_check,
-    weight_diff_bit_flip,
-    weight_diff_coord_change,
+    weight_histogram,
     weight_moments,
 )
-from shiftwalk.distribution import DistributionVector, _evolution
-
-
-def exact_laws(n: int):
-    """The exact q1 law from 0 after 0, 1, 2, ... steps, on one evolution;
-    each is valid until the next is taken."""
-    for probs, _ in _evolution(q1(n), point_mass(n, BitVector.zeros(n)).probs):
-        yield DistributionVector(n, probs)
+from shiftwalk.distribution import exact_laws
+from shiftwalk.weight_stats import histogram_tv
 
 
 class TestMeanFormulas:
@@ -75,7 +68,7 @@ class TestMeanFormulas:
 
     def test_exact_oracle_agreement(self):
         for n in (2, 5, 8):
-            for t, d in zip(range(n + 1), exact_laws(n)):
+            for t, d in exact_laws(q1(n), BitVector.zeros(n), n):
                 mean, _ = weight_moments(d)
                 assert mean == pytest.approx(
                     mean_weight_closed_form(n, t), abs=1e-12
@@ -97,7 +90,7 @@ class TestFirstCoordinate:
 
     def test_exact_oracle_agreement_below_n(self):
         for n in (2, 4, 6, 8):
-            for t, d in zip(range(n), exact_laws(n)):
+            for t, d in exact_laws(q1(n), BitVector.zeros(n), n - 1):
                 assert coordinate_marginal(d, 1) == pytest.approx(
                     prob_first_coord_one(n, t), abs=1e-12
                 )
@@ -115,8 +108,8 @@ class TestBoundedDifferences:
     def test_zero_driving_flip(self):
         chain = q1(8)
         driving = DrivingSequence((3,) * 8, (0,) * 8)
-        diff = weight_diff_bit_flip(chain, BitVector.zeros(8), driving, 4)
-        assert diff in (0, 1, 2)
+        div = replay_divergence(chain, BitVector.zeros(8), driving, driving.flip_bit(4))
+        assert div.weight_diff in (0, 1, 2)
 
     def test_random_flips_bounded(self):
         gen = stream(21, 0)
@@ -162,15 +155,15 @@ class TestBoundedDifferences:
             bits[i - 1] = 0
             driving = DrivingSequence(coords, tuple(bits))
             u_new = int(gen.integers(1, n + 1))
-            assert weight_diff_coord_change(
-                q1(n), BitVector.random(n, gen), driving, i, u_new
-            ) == 0
+            div = replay_divergence(q1(n), BitVector.random(n, gen), driving,
+                                    driving.replace_coord(i, u_new))
+            assert div.weight_diff == 0
 
     def test_coord_change_same_coordinate_is_identity(self):
         driving = random_driving(q1(12), 10, seed=3)
         x0 = BitVector.zeros(12)
-        assert weight_diff_coord_change(q1(12), x0, driving, 5,
-                                        driving.coords[4]) == 0
+        other = driving.replace_coord(5, driving.coords[4])
+        assert replay_divergence(q1(12), x0, driving, other).weight_diff == 0
 
     def test_random_coord_changes_bounded(self):
         gen = stream(24, 0)
@@ -191,9 +184,10 @@ class TestBoundedDifferences:
     def test_validation(self):
         driving = random_driving(q1(6), 4, seed=1)
         with pytest.raises(IndexError):
-            weight_diff_bit_flip(q1(6), BitVector.zeros(6), driving, 5)
+            driving.flip_bit(5)
         with pytest.raises(ValueError):
-            weight_diff_coord_change(q1(6), BitVector.zeros(6), driving, 1, 7)
+            replay_divergence(q1(6), BitVector.zeros(6), driving,
+                              driving.replace_coord(1, 7))
 
 
 class TestEnsemble:
@@ -231,7 +225,7 @@ class TestVarianceBound:
 
     def test_exact_variance_below_4t(self):
         for n in (4, 7, 10):
-            for t, d in zip(range(n + 1), exact_laws(n)):
+            for t, d in exact_laws(q1(n), BitVector.zeros(n), n):
                 _, var = weight_moments(d)
                 assert var <= 4 * t + 1e-12
 
@@ -239,14 +233,13 @@ class TestVarianceBound:
         # Its estimate and standard error are both 0, which says nothing.
         rep = variance_bound_check(128, 64, 1, seed=0)
         assert rep.estimate == 0.0 and rep.std_error == 0.0
-        assert not rep.passed and rep.to_json_dict()["passed"] is False
+        assert rep.passed is False
 
     def test_sampled_variance_n128(self):
         rep = variance_bound_check(128, 128, 5000, seed=11)
         assert rep.passed
         assert rep.estimate <= rep.bound + 3 * rep.std_error
-        payload = rep.to_json_dict()
-        assert payload["n"] == 128 and payload["t"] == 128
+        assert rep.n == 128 and rep.t == 128
 
 
 class TestChebyshev:
@@ -276,6 +269,21 @@ class TestChebyshev:
         with pytest.raises(ValueError):
             LowerBoundParams(n=100, alpha=0.75, c=-1.0)
 
+    @pytest.mark.parametrize("alpha, c", [
+        (math.nan, None), (math.inf, None), (0.75, math.nan), (0.75, math.inf),
+        (0.75, -math.inf),
+    ])
+    def test_rejects_non_finite(self, alpha, c):
+        with pytest.raises(ValueError):
+            LowerBoundParams(n=100, alpha=alpha, c=c)
+
+    def test_tiny_c_gives_zero(self):
+        # 1/(4c^2) exceeds 1 for c <= 1/2; at c = 1e-300 c^2 underflows to 0.
+        for c in (1e-300, 1e-160, 0.5):
+            params = LowerBoundParams(n=10**6, alpha=0.9, c=c)
+            assert params.delta > 0
+            assert chebyshev_lower_bound(params) == 0.0
+
 
 class TestEmpiricalLowerBound:
     def test_degenerate_time_zero(self):
@@ -304,9 +312,13 @@ class TestEmpiricalLowerBound:
             stationary_weight_pmf(2**14 + 1)
 
     def test_histogram_rows(self):
-        from shiftwalk import histogram_rows, weight_histogram
-
+        # one row per weight 0..n, counting every trajectory
         counts = weight_histogram(q1(8), BitVector.zeros(8), 4, 300, seed=2)
-        rows = histogram_rows(counts)
-        assert [w for w, _ in rows] == list(range(9))
-        assert sum(c for _, c in rows) == 300
+        assert counts.shape == (9,) and counts.sum() == 300
+
+    def test_histogram_tv_and_its_error(self):
+        pmf = np.array([0.25, 0.5, 0.25])
+        assert histogram_tv(np.array([1, 2, 1]), pmf) == (0.0, 0.25)
+        assert histogram_tv(np.array([4, 0, 0]), pmf) == (0.75, 0.0)
+        tv, se = histogram_tv(np.array([3, 1, 0]), pmf)  # signed mean 1/2
+        assert tv == 0.5 and se == pytest.approx(0.5 * math.sqrt(0.75 / 4), rel=1e-15)
