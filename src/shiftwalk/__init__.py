@@ -19,7 +19,6 @@ from .chains import (
     random_driving,
     simulate,
     simulate_random,
-    step_q1,
     trajectory_rows,
 )
 from .distribution import (
@@ -84,7 +83,7 @@ __all__ = [
     "companion_matrix", "companion_power", "mat_pow", "det_gf2",
     "solve_linear",
     # chains
-    "ChainKind", "DrivingSequence", "AffineState", "q1", "q2", "step_q1",
+    "ChainKind", "DrivingSequence", "AffineState", "q1", "q2",
     "simulate", "simulate_random", "random_driving", "evolve_symbolic",
     "trajectory_rows",
     # distribution

@@ -14,7 +14,7 @@ from typing import Iterator, Sequence, Union
 import numpy as np
 
 from . import rng
-from .gf2 import BitVector, GF2Matrix, _shift_word
+from .gf2 import BitVector, GF2Matrix, _shift_power, _shift_word
 
 __all__ = [
     "ChainKind",
@@ -22,7 +22,6 @@ __all__ = [
     "AffineState",
     "q1",
     "q2",
-    "step_q1",
     "simulate",
     "random_driving",
     "simulate_random",
@@ -114,35 +113,12 @@ class AffineState:
     map: GF2Matrix
     offset: BitVector
 
-    @property
-    def steps(self) -> int:
-        return self.map.n_cols
-
-    def apply(self, bits: Union[BitVector, Sequence[int]]) -> BitVector:
-        if not isinstance(bits, BitVector):
-            bits = tuple(bits)
-            if len(bits) != self.steps:
-                raise ValueError(f"expected {self.steps} bits, got {len(bits)}")
-            if not bits:
-                return self.offset
-            bits = BitVector.from_bits(bits)
-        return self.map.mul_vec(bits) ^ self.offset
-
 
 def _step_word(n: int, word: int, u: int, r: int) -> int:
     """One step on a packed state: flip bit at 1-based ``u`` if r, then shift."""
     if r:
         word ^= 1 << (u - 1)
     return _shift_word(n, word)
-
-
-def step_q1(x: BitVector, u: int, r: int) -> BitVector:
-    """Add ``r`` at 1-based coordinate ``u`` of ``x``, then shift-register."""
-    if not 1 <= u <= x.n:
-        raise ValueError(f"coordinate {u} out of range 1..{x.n}")
-    if r not in (0, 1):
-        raise ValueError(f"update bit must be 0 or 1, got {r!r}")
-    return BitVector(x.n, _step_word(x.n, x.word, u, r))
 
 
 def _validate_driving(chain: ChainKind, driving: DrivingSequence) -> None:
@@ -265,18 +241,14 @@ def evolve_symbolic(
         coords = (chain.middle,) * coords
     coords = tuple(coords)
     _validate_driving(chain, DrivingSequence(coords, (0,) * len(coords)))
-    n = chain.n
-    offset = x0.word
-    columns: list[int] = []
-    for u in coords:
-        # X_s = shift(X_{s-1} ^ R_s e_u): shift every column and the offset,
-        # then open a new column for the fresh bit.
-        columns = [_shift_word(n, c) for c in columns]
-        columns.append(_shift_word(n, 1 << (u - 1)))
-        offset = _shift_word(n, offset)
+    n, t = chain.n, len(coords)
+    # X_t = A^t x0 ^ sum over s = 1..t of R_s A^(t-s+1) e_(u_s), A the shift.
+    columns = [
+        _shift_power(n, 1 << (u - 1), t - s + 1) for s, u in enumerate(coords, 1)
+    ]
     return AffineState(
         map=GF2Matrix.from_columns(n, columns),
-        offset=BitVector(n, offset),
+        offset=BitVector(n, _shift_power(n, x0.word, t)),
     )
 
 

@@ -148,6 +148,7 @@ class ProfileRow:
 
 
 def _build_profile(args: argparse.Namespace, seed: int) -> dict:
+    weight_stats.check_window(args.alpha, args.c)
     chain = ChainKind(args.chain, args.n)
     n = args.n
     ts = _parse_t_range(args.t)

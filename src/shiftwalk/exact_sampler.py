@@ -20,7 +20,7 @@ import numpy as np
 
 from . import rng
 from .chains import DrivingSequence
-from .gf2 import BitVector
+from .gf2 import BitVector, _shift_power
 
 __all__ = [
     "build_offset",
@@ -31,12 +31,11 @@ __all__ = [
 
 
 def build_offset(x: BitVector) -> BitVector:
-    """(parity of x, x_1, ..., x_{n-1}): the image of the start after a
-    full 2m-step cycle, equivalently the inverse of the shift map."""
+    """(parity of x, x_1, ..., x_{n-1}): the image A^n x of the start after
+    a full 2m-step cycle, equivalently the inverse of the shift map A."""
     if x.n % 2 != 0:
         raise ValueError(f"expected even length, got {x.n}")
-    word = ((x.word << 1) | x.parity()) & ((1 << x.n) - 1)
-    return BitVector(x.n, word)
+    return BitVector(x.n, _shift_power(x.n, x.word, x.n))
 
 
 def _apply_transfer(m: int, r: int) -> int:

@@ -52,13 +52,6 @@ class BitVector:
         return cls(n, 0)
 
     @classmethod
-    def unit(cls, n: int, i: int) -> BitVector:
-        """Vector with a single one at 0-based position ``i``."""
-        if not 0 <= i < n:
-            raise ValueError(f"position {i} out of range for n={n}")
-        return cls(n, 1 << i)
-
-    @classmethod
     def from_bits(cls, bits: Iterable[int]) -> BitVector:
         word = 0
         n = 0
@@ -107,12 +100,6 @@ class BitVector:
     def parity(self) -> int:
         return self.word.bit_count() & 1
 
-    def flip(self, i: int) -> BitVector:
-        """Copy with the bit at 0-based position ``i`` toggled."""
-        if not 0 <= i < self.n:
-            raise IndexError(f"position {i} out of range for n={self.n}")
-        return BitVector(self.n, self.word ^ (1 << i))
-
     def __xor__(self, other: BitVector) -> BitVector:
         if self.n != other.n:
             raise ValueError(f"length mismatch: {self.n} vs {other.n}")
@@ -152,10 +139,6 @@ class GF2Matrix:
     @classmethod
     def identity(cls, n: int) -> GF2Matrix:
         return cls(n, n, tuple(1 << i for i in range(n)))
-
-    @classmethod
-    def zeros(cls, n_rows: int, n_cols: int) -> GF2Matrix:
-        return cls(n_rows, n_cols, (0,) * n_rows)
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[int]]) -> GF2Matrix:
@@ -223,6 +206,20 @@ def shift_register(x: BitVector) -> BitVector:
 
 def _shift_word(n: int, word: int) -> int:
     return (word >> 1) | ((word.bit_count() & 1) << (n - 1))
+
+
+def _shift_power(n: int, word: int, k: int) -> int:
+    """``_shift_word`` applied k >= 0 times, in O(1) word operations.
+
+    The shift rotates the (n+1)-bit word (x, parity of x) right by one:
+    its low n bits become the shifted x, and the bit rotated to the top,
+    the dropped x_1, is the parity of the shifted x.  So k shifts are the
+    low n bits of that word rotated right by k mod (n+1).
+    """
+    m = n + 1
+    k %= m
+    y = word | ((word.bit_count() & 1) << n)
+    return ((y >> k) | (y << (m - k))) & ((1 << n) - 1)
 
 
 def companion_matrix(n: int) -> GF2Matrix:

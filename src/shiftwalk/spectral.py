@@ -136,14 +136,6 @@ class FourierSummary:
     total: float
     tv_bound: float
 
-    def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "terms": list(self.per_weight_terms),
-            "total": self.total,
-            "tv_bound": self.tv_bound,
-        }
-
 
 def fourier_sum(n: int) -> FourierSummary:
     """Sum the exact squared-coefficient classes for k = 2..n-1 in log-space."""

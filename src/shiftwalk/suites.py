@@ -265,70 +265,91 @@ _BLOCK_TRIALS = 1024
 _BLOCK_STEPS = 1 << 18
 
 
-def _draw_trial(
-    cursor: rng.WordCursor, n_max: int, coord_trial: bool, exact: bool
-) -> tuple[tuple[int, ...], list[int] | None]:
-    """Read one trial's draws as the generator calls of the reference
-    replay loop would, returning (n, t, x0 at, coordinates at, bits at,
-    i, u_new) and, if ``exact``, the coordinates drawn one by one.
+def _trial_draws(
+    seed: int, j: int, n_max: int, coord_trial: bool
+) -> tuple[int, int, np.ndarray, np.ndarray, int, int, int]:
+    """Trial j of the bounded-diff suite, drawn by generator calls on
+    stream (seed, j): returns (n, t, coordinates, bits, start, i, u_new).
 
-    ``BitVector.random(n, gen)`` reads ceil(n/32) values as little-endian
-    bytes; ``integers(1, n + 1, size=t)`` reads one value per coordinate
-    unless one is rejected, which ``exact`` handles; ``integers(0, 2,
-    size=t)`` reads one value per bit and never rejects.
+    n is in 2..n_max and t in 1..n.  n_max coordinates (0-based, in
+    0..n-1) and n_max bits follow, of which the first t drive the replay,
+    then a start word of n_max bits cut to its low n, a time i in 1..t
+    and, in a coordinate trial, a new coordinate u_new in 1..n for time i
+    (0 in a bit-flip trial).
     """
-    n = cursor.integers(2, n_max + 1)
-    t = cursor.integers(1, n + 1)
-    x_words = (n + 31) // 32
-    x_at = cursor.skip(x_words if exact else x_words + t)
-    coords = [cursor.integers(1, n + 1) for _ in range(t)] if exact else None
-    b_at = cursor.skip(t)
-    i = cursor.integers(1, t + 1)
-    u_new = cursor.integers(1, n + 1) if coord_trial else 0
-    return (n, t, x_at, x_at + x_words, b_at, i, u_new), coords
+    gen = rng.stream(seed, j)
+    n = int(gen.integers(2, n_max + 1))
+    t = int(gen.integers(1, n + 1))
+    coords = gen.integers(1, n + 1, size=n_max) - 1
+    bits = gen.integers(0, 2, size=n_max)
+    x0 = BitVector.random(n_max, gen).word & ((1 << n) - 1)
+    i = int(gen.integers(1, t + 1))
+    u_new = int(gen.integers(1, n + 1)) if coord_trial else 0
+    return n, t, coords, bits, x0, i, u_new
+
+
+def _draw_trials(
+    seed: int, first: int, count: int, n_max: int, half: int
+) -> tuple[np.ndarray, ...]:
+    """``_trial_draws`` for trials first .. first+count-1, decoded from
+    their streams' 32-bit values at once: returns int64 arrays n, t, i
+    and u_new, coords and bits of shape (count, n_max) and x0 as (words,
+    count) uint64, in the order of ``_trial_draws``.
+
+    Each draw takes one value, at a column fixed by n_max: n (none at
+    n_max = 2, where its range has one value), t, the coordinates, the
+    bits (the top bit of a value), the start (ceil(n_max/32) values read
+    as little-endian bytes), i (none at t = 1) and u_new.  A trial with a
+    rejected draw is drawn again through ``_trial_draws``.
+    """
+    lead = int(n_max > 2)
+    at_c = lead + 1
+    at_b = at_c + n_max
+    at_x = at_b + n_max
+    at_i = at_x + (n_max + 31) // 32
+    values = np.concatenate(
+        [block for _, block in rng.stream_words(seed, first, count, at_i + 2)]
+    )
+    # bounded reads column 0 and gives 0 when the range has one value.
+    n, rejected = rng.bounded(values[:, 0], n_max - 1)
+    n = n.astype(np.int64) + 2
+    t, rejected_t = rng.bounded(values[:, lead], n)
+    t = t.astype(np.int64) + 1
+    coords, rejected_c = rng.bounded(values[:, at_c:at_b], n[:, None])
+    bits = (values[:, at_b:at_x] >> 31).astype(np.uint8)
+    words = (n_max + 63) // 64
+    x0 = np.ascontiguousarray(values[:, at_x : at_x + 2 * words]).view("<u8").T
+    kept = np.clip(n - 64 * np.arange(words)[:, None], 0, 64)
+    x0 = x0 & ~(np.uint64(rng._MASK64) << kept.astype(np.uint64))
+    i, rejected_i = rng.bounded(values[:, at_i], t)
+    i = i.astype(np.int64) + 1
+    rows = np.arange(count)
+    u_new, rejected_u = rng.bounded(values[rows, at_i + (t > 1)], n)
+    u_new = u_new.astype(np.int64) + 1
+    coord_trial = first + rows >= half
+    rejected |= rejected_t | rejected_c.any(axis=1) | rejected_i
+    rejected |= coord_trial & rejected_u
+    for j in np.flatnonzero(rejected):
+        n[j], t[j], coords[j], bits[j], x, i[j], u_new[j] = _trial_draws(
+            seed, first + int(j), n_max, bool(coord_trial[j])
+        )
+        x0[:, j] = [(x >> (64 * w)) & rng._MASK64 for w in range(words)]
+    return n, t, coords, bits, x0, i, u_new
 
 
 def _bounded_diff_block(
-    cursor: rng.WordCursor, first: int, count: int, n_max: int, half: int
+    seed: int, first: int, count: int, n_max: int, half: int
 ) -> tuple[int, int, int, int, int]:
     """Trials first .. first+count-1 of the bounded-diff suite, replayed
     together; returns (max bit-flip weight difference, max coordinate-change
     weight difference, max Hamming distance, zero-bit violations,
     same-coordinate violations).
-
-    Trials are parsed assuming no coordinate is rejected.  The first trial
-    with a rejected coordinate is parsed again drawing them one by one,
-    and the trials after it again from its end.
     """
-    cursor.trim()
-    trials: list[tuple[int, ...]] = []
-    exact: dict[int, list[int]] = {}
-    while True:
-        for j in range(len(trials), count):
-            start = cursor.pos
-            fields, coords = _draw_trial(cursor, n_max, first + j >= half, j in exact)
-            trials.append((start, *fields))
-            if coords is not None:
-                exact[j] = coords
-        table = np.array(trials, dtype=np.int64)
-        order = np.argsort(-table[:, 2], kind="stable")
-        _, n, t, x_at, c_at, b_at, i, u_new = table[order].T
-        steps = np.arange(t[0])[:, None]
-        coords, rejected = rng.bounded(
-            np.take(cursor.words, c_at + steps, mode="clip"), n
-        )
-        rejected &= steps < t
-        redo = [j for j in order[rejected.any(axis=0)].tolist() if j not in exact]
-        if not redo:
-            break
-        j = min(redo)
-        exact[j] = []  # marks the trial for drawing one by one
-        cursor.pos = trials[j][0]
-        del trials[j:]
-    rank = np.argsort(order)
-    for j, drawn in exact.items():
-        coords[: len(drawn), rank[j]] = np.array(drawn, dtype=np.uint64) - 1
-    bits = (np.take(cursor.words, b_at + steps, mode="clip") >> 31).astype(np.uint8)
+    n, t, coords, bits, x0, i, u_new = _draw_trials(seed, first, count, n_max, half)
+    order = np.argsort(-t, kind="stable")
+    n, t, x0, i, u_new = n[order], t[order], x0[:, order], i[order], u_new[order]
+    coords = coords[order, : t[0]].T
+    bits = bits[order, : t[0]].T
 
     rows = np.arange(count)
     at = i - 1
@@ -338,14 +359,6 @@ def _bounded_diff_block(
     pair_bits = np.repeat(bits[:, None, :], 2, axis=1)
     pair_bits[at[flip], 1, rows[flip]] ^= 1
     pair_coords[at[~flip], 1, rows[~flip]] = u_new[~flip] - 1
-
-    words = (n_max + 63) // 64
-    halves = np.take(
-        cursor.words, x_at + np.arange(2 * words)[:, None], mode="clip"
-    ).astype(np.uint64)
-    x0 = halves[0::2] | (halves[1::2] << np.uint64(32))
-    kept = np.clip(n - 64 * np.arange(words)[:, None], 0, 64).astype(np.uint64)
-    x0 &= ~(np.uint64(rng._MASK64) << kept)  # the low n bits, as BitVector.random
 
     diff, hamming = weight_stats._replay_pairs(n, t, x0, pair_coords, pair_bits)
     changed = ~flip & (diff != 0)
@@ -363,23 +376,22 @@ def suite_bounded_diff(
 ) -> list[CheckResult]:
     """Single-change replays never move the final weight by more than 2.
 
-    Trial j reads stream (seed, 0) on from where trial j-1 stopped: n in
-    2..n_max, t in 1..n, a start in {0,1}^n, t coordinates, t bits, a
-    time i in 1..t, and, in the second half of the trials, a new
-    coordinate for time i; the first half flips the bit at time i.  The
-    stream is read as 32-bit values and a block of trials is replayed at
-    once (``weight_stats.replay_divergence`` replays one pair).
+    Trial j reads stream (seed, j) (see ``_trial_draws``): n in 2..n_max,
+    t in 1..n, coordinates and bits of which the first t drive the walk, a
+    start in {0,1}^n, a time i in 1..t, and, in the second half of the
+    trials, a new coordinate for time i; the first half flips the bit at
+    time i.  A block of trials is decoded and replayed at once
+    (``weight_stats.replay_divergence`` replays one pair).
     """
     max_flip = max_coord = max_hamming = 0
     zero_bit_violations = same_coord_violations = 0
     half = trials // 2
     swept = n_max >= 2
     if swept and trials > 0:
-        cursor = rng.WordCursor(seed, 0)
         rows = max(1, min(_BLOCK_TRIALS, _BLOCK_STEPS // n_max))
         for first in range(0, trials, rows):
             flip, coord, hamming, zero_bit, same_coord = _bounded_diff_block(
-                cursor, first, min(rows, trials - first), n_max, half
+                seed, first, min(rows, trials - first), n_max, half
             )
             max_flip = max(max_flip, flip)
             max_coord = max(max_coord, coord)

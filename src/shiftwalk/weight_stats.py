@@ -19,6 +19,7 @@ from .spectral import _log_binom
 
 __all__ = [
     "LowerBoundParams",
+    "check_window",
     "DegenerateWindowError",
     "ReplayDivergence",
     "VarianceReport",
@@ -327,6 +328,15 @@ def variance_bound_check(n: int, t: int, samples: int, seed: int) -> VarianceRep
     )
 
 
+def check_window(alpha: float, c: float | None) -> None:
+    """Raise ValueError unless 1/2 < alpha < 1 and c, when given, is finite
+    and > 0: the window parameters of ``LowerBoundParams``."""
+    if not 0.5 < alpha < 1.0:  # also rejects NaN and infinities
+        raise ValueError(f"alpha must be in (1/2, 1), got {alpha}")
+    if c is not None and not (math.isfinite(c) and c > 0):
+        raise ValueError(f"c must be finite and > 0, got {c}")
+
+
 @dataclass(frozen=True)
 class LowerBoundParams:
     """Window parameters for the distinguishing-statistic lower bound.
@@ -343,12 +353,9 @@ class LowerBoundParams:
     def __post_init__(self) -> None:
         if self.n < 2:
             raise ValueError(f"n must be >= 2, got {self.n}")
-        if not 0.5 < self.alpha < 1.0:  # also rejects NaN and infinities
-            raise ValueError(f"alpha must be in (1/2, 1), got {self.alpha}")
         if self.c is None:
             object.__setattr__(self, "c", math.log(self.n))
-        if not (math.isfinite(self.c) and self.c > 0):
-            raise ValueError(f"c must be finite and > 0, got {self.c}")
+        check_window(self.alpha, self.c)
 
     @property
     def t(self) -> int:

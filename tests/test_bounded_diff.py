@@ -1,5 +1,7 @@
-"""The bounded-diff suite's batched replay against the per-trial loop it
-replaces, which is kept here as the reference."""
+"""The bounded-diff suite's batched decode and replay against the
+per-trial loop it replaces, which is kept here as the reference: trial j
+makes its generator calls on stream (seed, j) and replays one pair with
+``replay_divergence``."""
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,17 +14,19 @@ from shiftwalk.suites import CheckResult, _sweep_check
 SEEDS = (0, 1, 2**63 - 1, 2**64 - 1)
 
 
-def reference_trials(gen, trials: int, n_max: int):
+def reference_trials(streams, trials: int, n_max: int):
     """The trials of the bounded-diff suite, one generator call and one
-    scalar replay at a time: yields (n, x0, driving, changed driving, new
-    coordinate or None, divergence)."""
+    scalar replay at a time, trial j drawing from ``streams(j)``: yields
+    (n, x0, driving, changed driving, i, new coordinate or None,
+    divergence)."""
     half = trials // 2
     for trial in range(trials if n_max >= 2 else 0):
+        gen = streams(trial)
         n = int(gen.integers(2, n_max + 1))
         t = int(gen.integers(1, n + 1))
-        x0 = BitVector.random(n, gen)
-        coords = tuple(int(u) for u in gen.integers(1, n + 1, size=t))
-        bits = tuple(int(b) for b in gen.integers(0, 2, size=t))
+        coords = tuple(int(u) for u in gen.integers(1, n + 1, size=n_max)[:t])
+        bits = tuple(int(b) for b in gen.integers(0, 2, size=n_max)[:t])
+        x0 = BitVector(n, BitVector.random(n_max, gen).word & ((1 << n) - 1))
         driving = DrivingSequence(coords, bits)
         i = int(gen.integers(1, t + 1))
         if trial < half:
@@ -35,7 +39,7 @@ def reference_trials(gen, trials: int, n_max: int):
         yield n, x0, driving, other, i, u_new, div
 
 
-def reference_suite(gen, trials: int, n_max: int) -> list[CheckResult]:
+def reference_suite(streams, trials: int, n_max: int) -> list[CheckResult]:
     """The bounded-diff report from ``reference_trials``."""
     max_flip = 0
     max_coord = 0
@@ -44,7 +48,7 @@ def reference_suite(gen, trials: int, n_max: int) -> list[CheckResult]:
     same_coord_violations = 0
     half = trials // 2
     swept = n_max >= 2
-    for _, _, driving, _, i, u_new, div in reference_trials(gen, trials, n_max):
+    for _, _, driving, _, i, u_new, div in reference_trials(streams, trials, n_max):
         if u_new is None:
             max_flip = max(max_flip, div.weight_diff)
         else:
@@ -82,21 +86,25 @@ def reference_suite(gen, trials: int, n_max: int) -> list[CheckResult]:
     ]
 
 
+def numpy_streams(seed: int):
+    return lambda j: stream(seed, j)
+
+
 def reference(seed: int, trials: int, n_max: int) -> list[CheckResult]:
-    return reference_suite(stream(seed, 0), trials, n_max)
+    return reference_suite(numpy_streams(seed), trials, n_max)
 
 
 def batched(seed: int, trials: int, n_max: int) -> list[CheckResult]:
     return suites.suite_bounded_diff(trials=trials, seed=seed, n_max=n_max)
 
 
-def reference_pairs(gen, trials: int, n_max: int) -> list[tuple]:
+def reference_pairs(streams, trials: int, n_max: int) -> list[tuple]:
     """Every replayed pair as (n, start, driving, changed driving, weight
     difference, largest Hamming distance), sorted."""
     return sorted(
         (n, x0.word, (a.coords, a.bits), (b.coords, b.bits),
          div.weight_diff, div.max_hamming)
-        for n, x0, a, b, _, _, div in reference_trials(gen, trials, n_max)
+        for n, x0, a, b, _, _, div in reference_trials(streams, trials, n_max)
     )
 
 
@@ -125,15 +133,18 @@ def batched_pairs(monkeypatch, seed: int, trials: int, n_max: int) -> list[tuple
 
 
 class WordGenerator:
-    """The generator calls of ``reference_suite`` over a given list of
+    """The generator calls of ``reference_trials`` over a given list of
     32-bit values, by numpy's algorithms written out: a bounded draw is
     ``(u * k) >> 32``, drawn again while ``(u * k) mod 2**32 < 2**32 mod k``,
     and reads nothing when k = 1; ``bytes`` reads 32-bit values as
-    little-endian bytes."""
+    little-endian bytes.  ``rejected`` holds the 1-based numbers of the
+    ``integers`` calls that rejected a value."""
 
     def __init__(self, values):
         self.values = [int(v) for v in values]
         self.pos = 0
+        self.calls = 0
+        self.rejected = set()
 
     def _next(self) -> int:
         self.pos += 1
@@ -147,8 +158,10 @@ class WordGenerator:
             m = self._next() * k
             if m % 2**32 >= 2**32 % k:
                 return lo + (m >> 32)
+            self.rejected.add(self.calls)
 
     def integers(self, lo, hi, size=None):
+        self.calls += 1
         if size is None:
             return self._bounded(lo, hi)
         return np.array([self._bounded(lo, hi) for _ in range(size)])
@@ -163,30 +176,49 @@ def stream_values(seed: int, count: int, index: int = 0) -> np.ndarray:
     return values[0]
 
 
-# Every PLANT-th value of a planted stream is 0, which a bounded draw
-# rejects for every range that is not a power of two.
-PLANT = 23
+class PlantedStreams:
+    """Streams (seed, j) in which every value at a position p with
+    (p + j) % period == 0 is 0, which a bounded draw rejects for every
+    range that is not a power of two.  The zero moves by one position from
+    one stream to the next, so over ``period`` trials it meets every draw.
+
+    ``words`` stands in for ``rng.stream_words`` and ``generator(j)`` for
+    ``rng.stream(seed, j)``; ``made`` keeps every generator handed out.
+    """
+
+    def __init__(self, seed: int, period: int) -> None:
+        self.seed = seed
+        self.period = period
+        self.stream_words = rng.stream_words
+        self.made: list[WordGenerator] = []
+
+    def _plant(self, values: np.ndarray, index: np.ndarray) -> np.ndarray:
+        values = values.copy()
+        positions = np.arange(values.shape[-1])
+        values[(positions + index[:, None]) % self.period == 0] = 0
+        return values
+
+    def words(self, seed, start, count, k):
+        assert seed == self.seed
+        for offset, block in self.stream_words(seed, start, count, k):
+            index = start + offset + np.arange(len(block))
+            yield offset, self._plant(block, index)
+
+    def generator(self, j: int) -> WordGenerator:
+        (_, values), = self.stream_words(self.seed, j, 1, 3 * self.period)
+        gen = WordGenerator(self._plant(values, np.array([j]))[0])
+        self.made.append(gen)
+        return gen
+
+    def install(self, monkeypatch) -> None:
+        monkeypatch.setattr(rng, "stream_words", self.words)
+        monkeypatch.setattr(rng, "stream", lambda seed, j: self.generator(j))
 
 
-def planted_values(seed: int, count: int) -> np.ndarray:
-    values = stream_values(seed, count).copy()
-    values[::PLANT] = 0
-    return values
-
-
-class PlantedCursor(rng.WordCursor):
-    """A WordCursor over ``planted_values`` of its seed."""
-
-    def __init__(self, seed: int, index: int = 0) -> None:
-        super().__init__(seed, index)
-        self.loaded = 0
-
-    def _load(self, end: int) -> None:
-        kept = len(self.words)
-        super()._load(end)
-        fresh = self.words[kept:]
-        fresh[(self.loaded + np.arange(len(fresh))) % PLANT == 0] = 0
-        self.loaded += len(fresh)
+def planted_period(n_max: int) -> int:
+    # A little more than a trial's 2 n_max + 4 + ceil(n_max / 32) values,
+    # so a trial holds one zero, or none.
+    return 2 * n_max + 9 + (n_max + 31) // 32
 
 
 class TestWordGenerator:
@@ -225,7 +257,7 @@ class TestAgainstReference:
     def test_every_pair(self, monkeypatch, seed, n_max):
         monkeypatch.setattr(suites, "_BLOCK_TRIALS", 64)
         assert batched_pairs(monkeypatch, seed, 200, n_max) == reference_pairs(
-            stream(seed, 0), 200, n_max)
+            numpy_streams(seed), 200, n_max)
 
     @pytest.mark.parametrize("n_max", [-3, 0, 1])
     def test_no_n_to_sweep(self, n_max):
@@ -257,28 +289,41 @@ class TestAgainstReference:
 
 
 class TestRejectedDraws:
-    """On a planted stream every kind of draw is rejected now and then:
-    n, t, i, the new coordinate and, above all, the coordinates, whose
-    rejection sends a trial through the one-by-one parse."""
+    """On planted streams every kind of draw is rejected now and then:
+    n, t, the coordinates, i and the new coordinate.  A trial with a
+    rejection is drawn again by generator calls on its own stream."""
+
+    # The 1-based numbers of the reference's integers calls in a trial.
+    KINDS = {1: "n", 2: "t", 3: "coordinates", 5: "i", 6: "u_new"}
 
     @pytest.mark.parametrize("n_max", [7, 64, 65, 130])
     @pytest.mark.parametrize("seed", [0, 2**64 - 1])
     def test_matches_reference(self, monkeypatch, seed, n_max):
         trials = 150
-        values = planted_values(seed, trials * (2 * n_max + 40))
-        want = reference_suite(WordGenerator(values), trials, n_max)
-        monkeypatch.setattr(rng, "WordCursor", PlantedCursor)
+        planted = PlantedStreams(seed, planted_period(n_max))
+        want = reference_suite(planted.generator, trials, n_max)
+        planted.install(monkeypatch)
         monkeypatch.setattr(suites, "_BLOCK_TRIALS", 64)
         assert batched(seed, trials, n_max) == want
 
     @pytest.mark.parametrize("n_max", [7, 65])
     def test_every_pair(self, monkeypatch, n_max):
         trials = 150
-        values = planted_values(3, trials * (2 * n_max + 40))
-        want = reference_pairs(WordGenerator(values), trials, n_max)
-        monkeypatch.setattr(rng, "WordCursor", PlantedCursor)
+        planted = PlantedStreams(3, planted_period(n_max))
+        want = reference_pairs(planted.generator, trials, n_max)
+        planted.install(monkeypatch)
         monkeypatch.setattr(suites, "_BLOCK_TRIALS", 64)
         assert batched_pairs(monkeypatch, 3, trials, n_max) == want
+
+    @pytest.mark.parametrize("n_max", [7, 64])
+    def test_every_kind_is_rejected(self, monkeypatch, n_max):
+        trials = 8 * planted_period(n_max)
+        planted = PlantedStreams(1, planted_period(n_max))
+        want = reference_suite(planted.generator, trials, n_max)
+        kinds = set().union(*(gen.rejected for gen in planted.made))
+        assert {self.KINDS[k] for k in kinds} == set(self.KINDS.values())
+        planted.install(monkeypatch)
+        assert batched(1, trials, n_max) == want
 
 
 def test_replay_pairs_matches_replay_divergence():

@@ -12,10 +12,10 @@ from shiftwalk import (
     shift_register,
     simulate,
     simulate_random,
-    step_q1,
     stream,
     trajectory_rows,
 )
+from shiftwalk.chains import _step_word
 
 
 def table_t6(r):
@@ -45,24 +45,23 @@ class TestChainKind:
 
 class TestSteps:
     def test_zero_state_no_flip(self):
-        z = BitVector.zeros(5)
         for u in range(1, 6):
-            assert step_q1(z, u, 0) == z
+            assert _step_word(5, 0, u, 0) == 0
 
     def test_flip_then_shift(self):
-        out = step_q1(BitVector.zeros(4), 2, 1)
+        out = BitVector(4, _step_word(4, 0, 2, 1))
         assert out == shift_register(BitVector.from_string("0100"))
         assert out.to_string() == "1001"
 
     def test_coordinate_range(self):
         with pytest.raises(ValueError):
-            step_q1(BitVector.zeros(4), 5, 1)
+            simulate(q1(4), BitVector.zeros(4), DrivingSequence((5,), (1,)))
         with pytest.raises(ValueError):
-            step_q1(BitVector.zeros(4), 0, 1)
+            simulate(q1(4), BitVector.zeros(4), DrivingSequence((0,), (1,)))
 
     def test_bit_validation(self):
         with pytest.raises(ValueError):
-            step_q1(BitVector.zeros(4), 1, 2)
+            simulate(q1(4), BitVector.zeros(4), DrivingSequence((1,), (2,)))
 
     def test_q2_first_step(self):
         one, zero = (DrivingSequence((3,), (r,)) for r in (1, 0))
@@ -80,8 +79,8 @@ class TestSteps:
             x = BitVector.random(n, gen)
             u = int(gen.integers(1, n + 1))
             r = int(gen.integers(0, 2))
-            flipped = x.flip(u - 1) if r else x
-            assert step_q1(x, u, r).bit(n - 1) == flipped.parity()
+            flipped = x ^ BitVector(n, r << (u - 1))
+            assert _step_word(n, x.word, u, r) >> (n - 1) == flipped.parity()
 
 
 class TestSimulate:
@@ -149,14 +148,14 @@ class TestEvolveSymbolic:
     def test_zero_steps(self):
         x0 = BitVector.from_string("1010")
         state = evolve_symbolic(q1(4), x0, ())
-        assert state.steps == 0
+        assert state.map.n_cols == 0
         assert state.offset == x0
-        assert state.apply(()) == x0
 
     def test_q2_table_row(self):
         state = evolve_symbolic(q2(6), BitVector.zeros(6), 6)
         for bits in itertools.product((0, 1), repeat=6):
-            assert state.apply(bits) == table_t6(bits)
+            assert state.map @ BitVector.from_bits(bits) ^ state.offset == \
+                table_t6(bits)
 
     def test_exhaustive_replay_q1(self):
         gen = stream(13, 0)
@@ -167,7 +166,7 @@ class TestEvolveSymbolic:
             state = evolve_symbolic(chain, x0, coords)
             for bits in itertools.product((0, 1), repeat=t):
                 replay = simulate(chain, x0, DrivingSequence(coords, bits))[-1]
-                assert state.apply(bits) == replay
+                assert state.map @ BitVector.from_bits(bits) ^ state.offset == replay
 
     def test_affine_correctness_random(self):
         gen = stream(14, 0)
@@ -181,7 +180,8 @@ class TestEvolveSymbolic:
                 for _ in range(16):
                     bits = tuple(int(b) for b in gen.integers(0, 2, size=t))
                     replay = simulate(chain, x0, DrivingSequence(coords, bits))[-1]
-                    assert state.apply(bits) == replay
+                    assert state.map @ BitVector.from_bits(bits) ^ state.offset == \
+                        replay
 
     def test_step_count_only_for_q2(self):
         with pytest.raises(ValueError):
@@ -190,5 +190,5 @@ class TestEvolveSymbolic:
     def test_single_step_last_coordinate_tracks_bit(self):
         # the appended coordinate after one step from 0 equals the fresh bit
         state = evolve_symbolic(q1(6), BitVector.zeros(6), (5,))
-        assert state.apply((1,)).bit(5) == 1
-        assert state.apply((0,)).bit(5) == 0
+        for r in (0, 1):
+            assert (state.map @ BitVector(1, r) ^ state.offset).bit(5) == r

@@ -237,6 +237,20 @@ class TestProfile:
         assert out == ""
         assert err.startswith("error:")
 
+    @pytest.mark.parametrize("chain, n", [("q1", 1), ("q1", 2), ("q2", 4)])
+    @pytest.mark.parametrize("flag, value", [
+        ("--c", "nan"), ("--c", "0"), ("--alpha", "7"), ("--alpha", "0.5"),
+    ])
+    def test_window_parameters_are_checked_for_every_chain(self, capsys, chain, n,
+                                                           flag, value):
+        # No window bound is computed here, but the flags are still checked.
+        code, out, err = run_cli(capsys, "profile", "--chain", chain, "--n", str(n),
+                                 "--t", "0..1", f"{flag}={value}", "--seed", "1",
+                                 "--format", "json")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "Traceback" not in err
+
 
 class TestSample:
     def test_deterministic_lines(self, capsys):

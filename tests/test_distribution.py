@@ -18,7 +18,6 @@ from shiftwalk import (
     uniform,
     weight_moments,
 )
-from shiftwalk import step_q1
 from shiftwalk.chains import _step_word
 from shiftwalk.distribution import (
     DistributionVector,
@@ -64,7 +63,7 @@ class TestConstruction:
 
     def test_point_mass_tv(self):
         for n in (2, 5, 9):
-            d = point_mass(n, BitVector.unit(n, 0))
+            d = point_mass(n, BitVector(n, 1))
             assert tv_to_uniform(d) == pytest.approx(1 - 2.0**-n, abs=1e-15)
 
     def test_point_mass_moments(self):
@@ -110,7 +109,7 @@ class TestEvolve:
 
     def test_one_step_matches_enumerated_kernel_exactly(self):
         # independent dense kernel built by enumerating every (u, r) move
-        # through the public step functions
+        # through the packed-word step
         for chain, moves in (
             (q1(5), [(u, r) for u in range(1, 6) for r in (0, 1)]),
             (q2(6), [(3, 0), (3, 1)]),
@@ -120,9 +119,8 @@ class TestEvolve:
             kernel = np.zeros((size, size))
             prob = 1.0 / len(moves)
             for word in range(size):
-                x = BitVector(n, word)
                 for u, r in moves:
-                    kernel[word, step_q1(x, u, r).word] += prob
+                    kernel[word, _step_word(n, word, u, r)] += prob
             gen = stream(55, n)
             d = DistributionVector(n, gen.dirichlet(np.ones(size)))
             stepped = evolve_exact(chain, d, 1)
@@ -175,7 +173,7 @@ class TestAgainstReference:
     def test_curve_matches_reference(self):
         for chain in (q1(9), q2(10)):
             n = chain.n
-            x0 = BitVector.unit(n, 2)
+            x0 = BitVector(n, 1 << 2)
             inv = reference_inverse_shift_index(n)
             probs = point_mass(n, x0).probs
             expected = []
@@ -187,7 +185,7 @@ class TestAgainstReference:
     def test_law_sweep_matches_reference(self):
         for chain in (q1(9), q2(10)):
             n = chain.n
-            x0 = BitVector.unit(n, 2)
+            x0 = BitVector(n, 1 << 2)
             inv = reference_inverse_shift_index(n)
             probs = point_mass(n, x0).probs
             times = []

@@ -23,7 +23,7 @@ EXPORTS = [
     "mean_weight_recursion", "point_mass", "prob_first_coord_one", "q1", "q2",
     "random_driving", "replay_divergence", "sample_weights", "shift_register",
     "simulate", "simulate_random", "solve_driving", "solve_linear",
-    "stationary_weight_pmf", "step_q1", "stream", "trajectory_rows",
+    "stationary_weight_pmf", "stream", "trajectory_rows",
     "tv_to_uniform", "uniform", "variance_bound_check", "weight_class_term",
     "weight_histogram", "weight_moments",
 ]

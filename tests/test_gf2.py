@@ -17,6 +17,7 @@ from shiftwalk import (
     solve_linear,
     stream,
 )
+from shiftwalk.gf2 import _shift_power, _shift_word
 from shiftwalk.suites import CheckResult, suite_matrix_order
 
 
@@ -44,13 +45,14 @@ class TestBitVector:
     def test_indexing_and_flip(self):
         v = BitVector.from_string("100")
         assert v[0] == 1 and v[1] == 0
-        assert v.flip(2).to_string() == "101"
+        assert (v ^ BitVector(3, 1 << 2)).to_string() == "101"
         with pytest.raises(IndexError):
             v.bit(3)
 
     def test_unit(self):
-        assert BitVector.unit(4, 0).to_string() == "1000"
-        assert BitVector.unit(4, 3).to_string() == "0001"
+        # bit i of the word is coordinate i + 1
+        assert BitVector(4, 1 << 0).to_string() == "1000"
+        assert BitVector(4, 1 << 3).to_string() == "0001"
 
     def test_xor_requires_equal_length(self):
         with pytest.raises(ValueError):
@@ -117,6 +119,17 @@ class TestShiftRegister:
         assert shift_register(BitVector.from_string("110")) == \
             BitVector.from_string("100")
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 64, 65, 130])
+    def test_power_is_rotation_of_word_and_parity(self, n):
+        gen = stream(15, n)
+        for x in [BitVector.zeros(n), BitVector(n, 1), BitVector(n, 1 << (n - 1))] + [
+            BitVector.random(n, gen) for _ in range(4)
+        ]:
+            word = x.word
+            for k in range(3 * (n + 1) + 1):
+                assert _shift_power(n, x.word, k) == word, (x, k)
+                word = _shift_word(n, word)
+
     def test_matches_matrix_exhaustively(self):
         for n in range(2, 11):
             a = companion_matrix(n)
@@ -131,7 +144,7 @@ class TestCompanionMatrix:
 
     def test_unit_images(self):
         a = companion_matrix(5)
-        e1, e4, e5 = BitVector.unit(5, 0), BitVector.unit(5, 3), BitVector.unit(5, 4)
+        e1, e4, e5 = (BitVector(5, 1 << i) for i in (0, 3, 4))
         assert a @ e1 == e5
         assert a @ (a @ e1) == e5 ^ e4
 
@@ -169,7 +182,7 @@ class TestMatPow:
 
     def test_rejects_bad_args(self):
         with pytest.raises(ValueError):
-            mat_pow(GF2Matrix.zeros(2, 3), 2)
+            mat_pow(GF2Matrix(2, 3, (0, 0)), 2)
         with pytest.raises(ValueError):
             mat_pow(GF2Matrix.identity(2), -1)
 
@@ -243,11 +256,11 @@ class TestSolveAndDet:
 
     def test_singular_raises(self):
         with pytest.raises(SingularMatrixError):
-            solve_linear(GF2Matrix.zeros(3, 3), BitVector.zeros(3))
+            solve_linear(GF2Matrix(3, 3, (0,) * 3), BitVector.zeros(3))
 
     def test_det_values(self):
         assert det_gf2(GF2Matrix.identity(5)) == 1
-        assert det_gf2(GF2Matrix.zeros(5, 5)) == 0
+        assert det_gf2(GF2Matrix(5, 5, (0,) * 5)) == 0
         for m in range(2, 9):
             n = 2 * m
             assert det_gf2(evolve_symbolic(q2(n), BitVector.zeros(n), n).map) == 1
@@ -259,7 +272,7 @@ class TestSolveAndDet:
             solvable = True
             for i in range(6):
                 try:
-                    solve_linear(m, BitVector.unit(6, i))
+                    solve_linear(m, BitVector(6, 1 << i))
                 except SingularMatrixError:
                     solvable = False
                     break

@@ -198,51 +198,3 @@ class TestExactSamples:
             list(exact_samples(BitVector.zeros(4), 1, 0, -1))
         with pytest.raises(ValueError):
             list(exact_samples(BitVector.zeros(5), 1, 0, 1))
-
-
-class TestWordCursor:
-    # Ranges of one value, powers of two, and ranges where numpy rejects
-    # about half and a quarter of the draws.
-    RANGES = (1, 2, 3, 64, 65, 2**31 + 1, 3 * 2**30, 2**32)
-
-    @pytest.mark.parametrize("seed", SEEDS)
-    def test_integers_match_generator(self, seed):
-        gen, cursor = stream(seed, 4), rng.WordCursor(seed, 4)
-        for _ in range(200):
-            for k in self.RANGES:
-                assert cursor.integers(7, 7 + k) == int(gen.integers(7, 7 + k))
-        # Then both stand at the same value.
-        at = cursor.skip(3)
-        assert np.array_equal(cursor.words[at : at + 3],
-                              gen.integers(0, 2**32, size=3, dtype=np.uint64))
-
-    @pytest.mark.parametrize("block", [1, 2, 5])
-    def test_loads_and_trims_in_any_chunk(self, monkeypatch, block):
-        monkeypatch.setattr(rng, "_BLOCK_VALUES", block)
-        cursor, want = rng.WordCursor(9, 2), reference_words(9, 2, 60)
-        read = []
-        for count in (1, 0, 4, 7, 3, 2, 9):
-            cursor.trim()
-            # Only values not yet read stay, and a load overshoots by
-            # less than a chunk.
-            assert cursor.pos == 0 and len(cursor.words) <= block + 1
-            at = cursor.skip(count)
-            read.extend(cursor.words[at : at + count].tolist())
-            read.append(cursor.integers(0, 2**32))
-        assert read == want[: len(read)].tolist()
-
-    def test_planted_rejections(self):
-        cursor = rng.WordCursor(0)
-        # 0 is rejected by every range that is not a power of two; for
-        # k = 3 the threshold is 1, so u = 1 is accepted (3 >> 32 = 0).
-        cursor.words = np.array([0, 0, 1, 0, 2**31, 0], dtype=np.uint32)
-        assert cursor.integers(0, 3) == 0 and cursor.pos == 3
-        assert cursor.integers(10, 12) == 10 and cursor.pos == 4  # k = 2 keeps 0
-        assert cursor.integers(0, 1) == 0 and cursor.pos == 4  # reads nothing
-        assert cursor.integers(0, 5) == 2 and cursor.pos == 5
-
-    def test_rejects_ranges_numpy_draws_otherwise(self):
-        cursor = rng.WordCursor(0)
-        for lo, hi in ((0, 0), (3, 2), (0, 2**32 + 1)):
-            with pytest.raises(ValueError):
-                cursor.integers(lo, hi)

@@ -180,13 +180,6 @@ class TestFourierSum:
             )
             assert exhaustive == pytest.approx(fourier_sum(n).total, abs=1e-10)
 
-    def test_json_dict(self):
-        s = fourier_sum(6)
-        payload = s.to_json_dict()
-        assert payload["n"] == 6
-        assert len(payload["terms"]) == 4
-        assert payload["tv_bound"] == s.tv_bound
-
     def test_rejects_tiny_n(self):
         with pytest.raises(ValueError):
             fourier_sum(2)
