@@ -29,7 +29,6 @@ from .distribution import (
     exact_tv_curve,
     point_mass,
     tv_to_uniform,
-    uniform,
     weight_moments,
 )
 from .exact_sampler import (
@@ -73,7 +72,6 @@ from .weight_stats import (
     sample_weights,
     stationary_weight_pmf,
     variance_bound_check,
-    weight_histogram,
 )
 
 __all__ = [
@@ -87,7 +85,7 @@ __all__ = [
     "simulate", "simulate_random", "random_driving", "evolve_symbolic",
     "trajectory_rows",
     # distribution
-    "MAX_EXACT_N", "DistributionVector", "point_mass", "uniform",
+    "MAX_EXACT_N", "DistributionVector", "point_mass",
     "evolve_exact", "tv_to_uniform", "weight_moments", "coordinate_marginal",
     "exact_tv_curve",
     # spectral
@@ -99,7 +97,7 @@ __all__ = [
     "VarianceReport", "mean_weight_closed_form", "mean_weight_recursion",
     "prob_first_coord_one", "replay_divergence", "variance_bound_check",
     "chebyshev_lower_bound", "empirical_tv_lower_bound", "sample_weights",
-    "weight_histogram", "stationary_weight_pmf",
+    "stationary_weight_pmf",
     # exact_sampler
     "build_offset", "exact_sample", "exact_samples", "solve_driving",
     # rng

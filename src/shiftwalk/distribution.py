@@ -22,7 +22,6 @@ __all__ = [
     "MAX_EXACT_N",
     "DistributionVector",
     "point_mass",
-    "uniform",
     "evolve_exact",
     "tv_to_uniform",
     "weight_moments",
@@ -76,11 +75,6 @@ def point_mass(n: int, x: BitVector) -> DistributionVector:
     probs = np.zeros(1 << n)
     probs[x.word] = 1.0
     return DistributionVector(n, probs)
-
-
-def uniform(n: int) -> DistributionVector:
-    _check_guard(n)
-    return DistributionVector(n, np.full(1 << n, 1.0 / (1 << n)))
 
 
 def _inverse_shift_index(n: int) -> np.ndarray:

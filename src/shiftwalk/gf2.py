@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -50,17 +50,6 @@ class BitVector:
     @classmethod
     def zeros(cls, n: int) -> BitVector:
         return cls(n, 0)
-
-    @classmethod
-    def from_bits(cls, bits: Iterable[int]) -> BitVector:
-        word = 0
-        n = 0
-        for b in bits:
-            if b not in (0, 1):
-                raise ValueError(f"entries must be 0 or 1, got {b!r}")
-            word |= b << n
-            n += 1
-        return cls(n, word)
 
     @classmethod
     def from_string(cls, text: str) -> BitVector:
@@ -139,18 +128,6 @@ class GF2Matrix:
     @classmethod
     def identity(cls, n: int) -> GF2Matrix:
         return cls(n, n, tuple(1 << i for i in range(n)))
-
-    @classmethod
-    def from_rows(cls, rows: Sequence[Sequence[int]]) -> GF2Matrix:
-        packed = []
-        for row in rows:
-            word = 0
-            for j, b in enumerate(row):
-                if b not in (0, 1):
-                    raise ValueError(f"entries must be 0 or 1, got {b!r}")
-                word |= b << j
-            packed.append(word)
-        return cls(len(packed), len(rows[0]), tuple(packed))
 
     @classmethod
     def from_columns(cls, n_rows: int, columns: Sequence[int]) -> GF2Matrix:

@@ -123,16 +123,14 @@ def fourier_bruteforce(d: DistributionVector, y: BitVector) -> float:
 
 @dataclass(frozen=True)
 class FourierSummary:
-    """Squared-coefficient mass of the (n+1)-step kernel by weight class.
+    """Squared-coefficient mass of the (n+1)-step kernel.
 
-    ``per_weight_terms[j]`` is the k = j+2 class total
-    C(n,k) (1-k/n)^(2n-2k+2) ((k-1)/n)^(2k); ``total`` is their sum S and
-    ``tv_bound`` = sqrt(S)/2 bounds the TV distance to uniform after n+1
-    steps, from any start.
+    ``total`` is the sum S over weight classes k = 2..n-1 of
+    C(n,k) (1-k/n)^(2n-2k+2) ((k-1)/n)^(2k), and ``tv_bound`` = sqrt(S)/2
+    bounds the TV distance to uniform after n+1 steps, from any start.
     """
 
     n: int
-    per_weight_terms: tuple[float, ...]
     total: float
     tv_bound: float
 
@@ -143,9 +141,4 @@ def fourier_sum(n: int) -> FourierSummary:
         raise ValueError(f"n must be >= 3, got {n}")
     terms = np.exp(weight_class_log_terms(n, np.arange(2, n), lag=1))
     total = float(terms.sum())
-    return FourierSummary(
-        n=n,
-        per_weight_terms=tuple(terms.tolist()),
-        total=total,
-        tv_bound=float(np.sqrt(total) / 2.0),
-    )
+    return FourierSummary(n=n, total=total, tv_bound=float(np.sqrt(total) / 2.0))

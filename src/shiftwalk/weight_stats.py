@@ -32,7 +32,6 @@ __all__ = [
     "histogram_tv",
     "empirical_tv_lower_bound",
     "sample_weights",
-    "weight_histogram",
     "stationary_weight_pmf",
 ]
 
@@ -174,8 +173,11 @@ def sample_weights(
     in ``ts``, returned as {t: int64 array of length samples}.
 
     Trajectory i consumes stream (seed, i); one pass serves all snapshot
-    times.  The state block is kept as a circular buffer so a step costs
-    O(samples) instead of O(samples * n).
+    times.  Each trajectory is held as the n+1 cells (x, parity of x), on
+    which the shift is a rotation by one cell (see ``gf2._shift_power``).
+    The buffer never moves: after s steps coordinate u sits in cell
+    (u-1+s) mod (n+1) and the parity in cell (n+s) mod (n+1), so a step
+    only toggles those two cells when its bit is set, O(samples) work.
     """
     if x0.n != chain.n:
         raise ValueError(f"start has length {x0.n}, chain has n={chain.n}")
@@ -189,7 +191,8 @@ def sample_weights(
 
     coords_all = None
     if chain.kind == "q1":
-        # A quarter of the int64 footprint; the column arithmetic widens.
+        # A quarter of the int64 footprint; the cell index is formed as
+        # u + (s-1) mod (n+1) <= 2n before its own mod, so it still fits.
         coord_type = np.uint16 if 2 * n < 1 << 16 else np.int64
         coords_all = np.empty((samples, t_max), dtype=coord_type)
     bits_all = np.empty((samples, t_max), dtype=np.uint8)
@@ -198,49 +201,36 @@ def sample_weights(
             coords_all[i : i + len(bits)] = coords
         bits_all[i : i + len(bits)] = bits
 
-    states = np.empty((samples, n), dtype=np.uint8)
-    states[:] = np.array(list(x0), dtype=np.uint8)
-    parity = np.full(samples, x0.parity(), dtype=np.uint8)
-    weight = np.full(samples, x0.weight(), dtype=np.int64)
-    rows = np.arange(samples)
-    origin = 0  # column of coordinate 1 in the circular buffer
+    m = n + 1
+    cells = np.empty((samples, m), dtype=np.uint8)
+    cells[:, :n] = np.array(list(x0), dtype=np.uint8)
+    cells[:, n] = x0.parity()
+    flat = cells.reshape(-1)
+    row_starts = np.arange(0, samples * m, m)
+    ones = np.full(samples, x0.weight() + x0.parity(), dtype=np.int64)
 
     out: dict[int, np.ndarray] = {}
-    if ts and ts[0] == 0:
-        out[0] = weight.copy()
     wanted = set(ts)
-    for s in range(t_max):
+    for s in range(t_max + 1):
+        parity = cells[:, (n + s) % m]  # a view, toggled in place below
+        if s in wanted:
+            out[s] = ones - parity
+        if s == t_max:
+            break
         r = bits_all[:, s]
-        if chain.kind == "q1":
-            col = (coords_all[:, s].astype(np.intp) - 1 + origin) % n
-            old = states[rows, col]
-            new = old ^ r
-            states[rows, col] = new
+        if coords_all is None:
+            col = (chain.middle - 1 + s) % m
         else:
-            col = (chain.middle - 1 + origin) % n
-            old = states[:, col].copy()  # plain slice is a view
-            new = old ^ r
-            states[:, col] = new
-        weight += new.astype(np.int64) - old.astype(np.int64)
-        appended = parity ^ r  # parity of the flipped word
-        dropped = states[:, origin].copy()  # leading coordinate after the flip
-        weight += appended.astype(np.int64) - dropped.astype(np.int64)
-        states[:, origin] = appended
-        # Parity of the new word: old parity minus the dropped bit plus the
-        # appended bit, which telescopes to the dropped bit itself.
-        parity = dropped
-        origin = (origin + 1) % n
-        if (s + 1) in wanted:
-            out[s + 1] = weight.copy()
+            col = coords_all[:, s] + (s - 1) % m
+            col %= m
+        updated = row_starts + col
+        both = flat[updated]
+        flat[updated] = both ^ r
+        both += parity
+        parity ^= r
+        # A set bit turns the `both` ones of the two cells into 2 - both.
+        ones += r * (2 - 2 * both.view(np.int8))
     return out
-
-
-def weight_histogram(
-    chain: ChainKind, x0: BitVector, t: int, samples: int, seed: int
-) -> np.ndarray:
-    """Counts of trajectory weights at time ``t`` (length n+1 int64 array)."""
-    w = sample_weights(chain, x0, [t], samples, seed)[t]
-    return np.bincount(w, minlength=chain.n + 1).astype(np.int64)
 
 
 MAX_PMF_N = 2**14
@@ -283,7 +273,9 @@ def empirical_tv_lower_bound(
     the chain from uniform at time t, since the weight is a function of
     the state.
     """
-    counts = weight_histogram(chain, x0, t, samples, seed)
+    counts = np.bincount(
+        sample_weights(chain, x0, [t], samples, seed)[t], minlength=chain.n + 1
+    )
     return histogram_tv(counts, stationary_weight_pmf(chain.n))[0]
 
 

@@ -18,13 +18,16 @@ from shiftwalk import (
 from shiftwalk.chains import _step_word
 
 
+def bit_vector(bits):
+    """The vector whose coordinate i+1 is bits[i]."""
+    return BitVector.from_string("".join(map(str, bits)))
+
+
 def table_t6(r):
     """Final state of the six-step middle-coordinate walk from 0 as an
     explicit function of the driving bits (independent hand derivation)."""
     r1, r2, r3, r4, r5, r6 = r
-    return BitVector.from_bits(
-        [r1 ^ r5, r2 ^ r6, r3, r1 ^ r4, r2 ^ r5, r3 ^ r6]
-    )
+    return bit_vector([r1 ^ r5, r2 ^ r6, r3, r1 ^ r4, r2 ^ r5, r3 ^ r6])
 
 
 class TestChainKind:
@@ -154,7 +157,7 @@ class TestEvolveSymbolic:
     def test_q2_table_row(self):
         state = evolve_symbolic(q2(6), BitVector.zeros(6), 6)
         for bits in itertools.product((0, 1), repeat=6):
-            assert state.map @ BitVector.from_bits(bits) ^ state.offset == \
+            assert state.map @ bit_vector(bits) ^ state.offset == \
                 table_t6(bits)
 
     def test_exhaustive_replay_q1(self):
@@ -166,7 +169,7 @@ class TestEvolveSymbolic:
             state = evolve_symbolic(chain, x0, coords)
             for bits in itertools.product((0, 1), repeat=t):
                 replay = simulate(chain, x0, DrivingSequence(coords, bits))[-1]
-                assert state.map @ BitVector.from_bits(bits) ^ state.offset == replay
+                assert state.map @ bit_vector(bits) ^ state.offset == replay
 
     def test_affine_correctness_random(self):
         gen = stream(14, 0)
@@ -180,7 +183,7 @@ class TestEvolveSymbolic:
                 for _ in range(16):
                     bits = tuple(int(b) for b in gen.integers(0, 2, size=t))
                     replay = simulate(chain, x0, DrivingSequence(coords, bits))[-1]
-                    assert state.map @ BitVector.from_bits(bits) ^ state.offset == \
+                    assert state.map @ bit_vector(bits) ^ state.offset == \
                         replay
 
     def test_step_count_only_for_q2(self):

@@ -15,7 +15,6 @@ from shiftwalk import (
     q2,
     stream,
     tv_to_uniform,
-    uniform,
     weight_moments,
 )
 from shiftwalk.chains import _step_word
@@ -24,6 +23,10 @@ from shiftwalk.distribution import (
     _inverse_shift_index,
     exact_laws,
 )
+
+
+def uniform_law(n):
+    return DistributionVector(n, np.full(1 << n, 2.0**-n))
 
 
 def reference_inverse_shift_index(n):
@@ -226,7 +229,7 @@ class TestAgainstReference:
 
 class TestTV:
     def test_uniform_is_zero(self):
-        assert tv_to_uniform(uniform(5)) == 0.0
+        assert tv_to_uniform(uniform_law(5)) == 0.0
 
     def test_two_point_mixture(self):
         probs = np.zeros(4)
@@ -236,12 +239,12 @@ class TestTV:
 
 class TestMoments:
     def test_uniform_moments(self):
-        mean, var = weight_moments(uniform(8))
+        mean, var = weight_moments(uniform_law(8))
         assert mean == pytest.approx(4.0, abs=1e-12)
         assert var == pytest.approx(2.0, abs=1e-12)
 
     def test_marginal_bounds(self):
-        d = uniform(4)
+        d = uniform_law(4)
         assert coordinate_marginal(d, 1) == pytest.approx(0.5)
         with pytest.raises(ValueError):
             coordinate_marginal(d, 5)

@@ -46,13 +46,14 @@ def transfer_map(m):
 class TestTransferMatrix:
     def test_m1_blocks_collapse(self):
         b = transfer_map(1)
-        assert b == GF2Matrix.from_rows([[1, 0], [1, 1]])
+        # rows 10 and 11; bit j of a row word is column j
+        assert b == GF2Matrix(2, 2, (0b01, 0b11))
         assert det_gf2(b) == 1
 
     def test_m3_explicit_grid(self):
         grid = ["100010", "010001", "001000", "100100", "010010", "001001"]
-        assert transfer_map(3) == GF2Matrix.from_rows(
-            [[int(c) for c in row] for row in grid]
+        assert transfer_map(3) == GF2Matrix(
+            6, 6, tuple(BitVector.from_string(row).word for row in grid)
         )
 
     def test_unit_determinant(self):
@@ -75,7 +76,7 @@ class TestTransferMatrix:
             bits = tuple(int(x) for x in gen.integers(0, 2, size=6))
             replay = simulate(chain, BitVector.zeros(6),
                               DrivingSequence((3,) * 6, bits))[-1]
-            assert b @ BitVector.from_bits(bits) == replay
+            assert b @ BitVector.from_string("".join(map(str, bits))) == replay
 
 
 class TestOffset:

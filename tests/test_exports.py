@@ -24,8 +24,8 @@ EXPORTS = [
     "random_driving", "replay_divergence", "sample_weights", "shift_register",
     "simulate", "simulate_random", "solve_driving", "solve_linear",
     "stationary_weight_pmf", "stream", "trajectory_rows",
-    "tv_to_uniform", "uniform", "variance_bound_check", "weight_class_term",
-    "weight_histogram", "weight_moments",
+    "tv_to_uniform", "variance_bound_check", "weight_class_term",
+    "weight_moments",
 ]
 
 

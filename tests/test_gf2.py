@@ -77,7 +77,7 @@ def old_to_string(v):
 
 
 def old_from_string(text):
-    return BitVector.from_bits(int(ch) for ch in text)
+    return BitVector(len(text), sum(int(ch) << i for i, ch in enumerate(text)))
 
 
 class TestStringForms:
@@ -140,7 +140,8 @@ class TestShiftRegister:
 
 class TestCompanionMatrix:
     def test_n2_entries(self):
-        assert companion_matrix(2) == GF2Matrix.from_rows([[0, 1], [1, 1]])
+        # rows 01 and 11; bit j of a row word is column j
+        assert companion_matrix(2) == GF2Matrix(2, 2, (0b10, 0b11))
 
     def test_unit_images(self):
         a = companion_matrix(5)

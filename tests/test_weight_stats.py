@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shiftwalk import (
     BitVector,
@@ -26,7 +28,6 @@ from shiftwalk import (
     stationary_weight_pmf,
     stream,
     variance_bound_check,
-    weight_histogram,
     weight_moments,
 )
 from shiftwalk.distribution import exact_laws
@@ -217,6 +218,31 @@ class TestEnsemble:
         states = simulate(q1(6), x0, random_driving(q1(6), 3, 1, 4))
         assert weights[3][4] == states[-1].weight()
 
+    @settings(max_examples=80, deadline=None)
+    @given(
+        data=st.data(),
+        n=st.integers(1, 40),
+        kind=st.sampled_from(["q1", "q2"]),
+        samples=st.integers(1, 6),
+        seed=st.integers(0, 2**64 - 1),
+    )
+    def test_property_matches_replay_past_the_wrap(
+        self, data, n, kind, samples, seed
+    ):
+        # The n+1 cells wrap from t = n+1 on; snapshots run to 3n+2.
+        if kind == "q2":
+            n += n % 2
+        chain = q1(n) if kind == "q1" else q2(n)
+        x0 = BitVector(n, data.draw(st.integers(0, (1 << n) - 1)))
+        t_max = data.draw(st.integers(0, 3 * n + 2))
+        ts = data.draw(st.lists(st.integers(0, t_max), max_size=8)) + [t_max]
+        weights = sample_weights(chain, x0, ts, samples, seed)
+        assert sorted(weights) == sorted(set(ts))
+        for i in range(samples):
+            states = simulate(chain, x0, random_driving(chain, t_max, seed, i))
+            for t, w in weights.items():
+                assert w[i] == states[t].weight()
+
 
 class TestVarianceBound:
     def test_zero_time(self):
@@ -312,9 +338,12 @@ class TestEmpiricalLowerBound:
             stationary_weight_pmf(2**14 + 1)
 
     def test_histogram_rows(self):
-        # one row per weight 0..n, counting every trajectory
-        counts = weight_histogram(q1(8), BitVector.zeros(8), 4, 300, seed=2)
+        # The estimate is the TV of the histogram of the sampled weights.
+        weights = sample_weights(q1(8), BitVector.zeros(8), [4], 300, seed=2)[4]
+        counts = np.bincount(weights, minlength=9)
         assert counts.shape == (9,) and counts.sum() == 300
+        value = empirical_tv_lower_bound(q1(8), BitVector.zeros(8), 4, 300, seed=2)
+        assert value == histogram_tv(counts, stationary_weight_pmf(8))[0]
 
     def test_histogram_tv_and_its_error(self):
         pmf = np.array([0.25, 0.5, 0.25])
