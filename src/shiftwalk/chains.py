@@ -85,22 +85,6 @@ class DrivingSequence:
     def __len__(self) -> int:
         return len(self.coords)
 
-    def flip_bit(self, i: int) -> DrivingSequence:
-        """Copy with the update bit at 1-based time ``i`` toggled."""
-        if not 1 <= i <= len(self):
-            raise IndexError(f"time {i} out of range 1..{len(self)}")
-        bits = list(self.bits)
-        bits[i - 1] ^= 1
-        return DrivingSequence(self.coords, tuple(bits))
-
-    def replace_coord(self, i: int, u_new: int) -> DrivingSequence:
-        """Copy with the update coordinate at 1-based time ``i`` replaced."""
-        if not 1 <= i <= len(self):
-            raise IndexError(f"time {i} out of range 1..{len(self)}")
-        coords = list(self.coords)
-        coords[i - 1] = u_new
-        return DrivingSequence(tuple(coords), self.bits)
-
 
 @dataclass(frozen=True)
 class AffineState:
@@ -160,21 +144,27 @@ def _draw_driving_arrays(chain: ChainKind, t: int, seed: int, stream_index: int)
 
 
 def _draw_driving_blocks(
-    chain: ChainKind, t: int, seed: int, start: int, count: int
+    chain: "ChainKind | np.ndarray", t: int, seed: int, start: int, count: int
 ) -> Iterator[tuple[int, np.ndarray | None, np.ndarray]]:
     """The driving arrays of streams start..start+count-1, in blocks.
 
-    Yields ``(offset, coords, bits)``; row j equals
-    ``_draw_driving_arrays(chain, t, seed, start + offset + j)`` bit for
-    bit.  Both draws read one 32-bit value stream: a q1 coordinate takes
-    one value (none at n = 1, where the range has one element), and the
-    bits take one byte each, low byte first, starting at the next value.
-    A row whose coordinates numpy would reject and redraw is drawn again
-    through the per-stream path.
+    ``chain`` is a ChainKind, or an integer array of q1 dimensions n >= 2,
+    one per stream.  Yields ``(offset, coords, bits)``; row j equals
+    ``_draw_driving_arrays(c, t, seed, start + offset + j)`` bit for bit,
+    c being ``chain`` or ``q1(chain[offset + j])``.  Both draws read one
+    32-bit value stream: a q1 coordinate takes one value (none at n = 1,
+    where the range has one element), and the bits take one byte each,
+    low byte first, starting at the next value.  A row whose coordinates
+    numpy would reject and redraw is drawn again through the per-stream
+    path.
     """
     if t < 0:
         raise ValueError(f"trajectory length must be >= 0, got {t}")
-    n_coords = t if chain.kind == "q1" and chain.n > 1 else 0
+    per_stream = not isinstance(chain, ChainKind)
+    if per_stream:
+        ns = np.asarray(chain, dtype=np.int64)
+    is_q1 = per_stream or chain.kind == "q1"
+    n_coords = t if per_stream or (is_q1 and chain.n > 1) else 0
     shifts = np.arange(7, 32, 8, dtype=np.uint32)  # the top bit of each byte
     for offset, words in rng.stream_words(
         seed, start, count, n_coords + (t + 3) // 4
@@ -182,19 +172,20 @@ def _draw_driving_blocks(
         rows = len(words)
         coords = None
         redo = ()
-        if chain.kind == "q1":
-            if n_coords:
-                values, rejected = rng.bounded(words[:, :t], chain.n)
-                coords = values.astype(np.int64)
-                coords += 1
-                redo = np.flatnonzero(rejected.any(axis=1))
-            else:
-                coords = np.ones((rows, t), dtype=np.int64)
+        if n_coords:
+            n = ns[offset : offset + rows, None] if per_stream else chain.n
+            values, rejected = rng.bounded(words[:, :t], n)
+            coords = values.astype(np.int64)
+            coords += 1
+            redo = np.flatnonzero(rejected.any(axis=1))
+        elif is_q1:
+            coords = np.ones((rows, t), dtype=np.int64)
         bytes_ = words[:, n_coords:, None] >> shifts
         bits = (bytes_ & 1).astype(np.uint8).reshape(rows, -1)[:, :t]
         for j in redo:
+            row_chain = q1(int(n[j, 0])) if per_stream else chain
             coords[j], bits[j] = _draw_driving_arrays(
-                chain, t, seed, start + offset + int(j)
+                row_chain, t, seed, start + offset + int(j)
             )
         yield offset, coords, bits
 

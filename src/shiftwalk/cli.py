@@ -16,7 +16,7 @@ import math
 import secrets
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from datetime import datetime, timezone
 from typing import ContextManager, Iterator, TextIO
 
@@ -78,7 +78,12 @@ def _parse_state(value: str | None, n: int) -> BitVector:
     return state
 
 
-def _parse_t_range(value: str) -> list[int]:
+# The most times one ``profile`` reports: each takes a row, and a longer
+# range would be built before any of them is computed.
+MAX_PROFILE_TIMES = 10**6
+
+
+def _parse_t_range(value: str) -> range:
     if ".." in value:
         lo_text, hi_text = value.split("..", 1)
         lo, hi = int(lo_text), int(hi_text)
@@ -88,7 +93,12 @@ def _parse_t_range(value: str) -> list[int]:
         lo = hi = int(value)
     if lo < 0:
         raise ValueError(f"times must be >= 0, got {value!r}")
-    return list(range(lo, hi + 1))
+    if hi - lo >= MAX_PROFILE_TIMES:
+        raise ValueError(
+            f"time range {value!r} holds {hi - lo + 1} times, "
+            f"more than the {MAX_PROFILE_TIMES} a profile reports"
+        )
+    return range(lo, hi + 1)
 
 
 # ---------------------------------------------------------------- verify
@@ -100,6 +110,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             "term-bounds and fourier 2000, bounded-diff 64, moments and variance "
             "10 (at most 16), q2-exact 16 (at most 16), by default"
         )
+    for flag, count in (("--trials", args.trials), ("--samples", args.samples)):
+        if count is not None and count < 0:
+            raise ValueError(f"{flag} must be >= 0, got {count}")
     seed = _resolve_seed(args.seed)
     start = time.perf_counter()
     checks = suites.run_suite(
@@ -200,10 +213,7 @@ def _build_profile(args: argparse.Namespace, seed: int) -> dict:
     }
 
 
-_PROFILE_COLUMNS = (
-    "t", "tv_exact", "tv_upper", "tv_lower_emp", "tv_lower_emp_se",
-    "chebyshev_lower",
-)
+_PROFILE_COLUMNS = tuple(f.name for f in fields(ProfileRow))
 
 
 def _profile_csv(report: dict) -> str:

@@ -12,7 +12,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import distribution, rng, spectral, weight_stats
-from .chains import q1, q2
+from .chains import _draw_driving_blocks, q1, q2
 from .gf2 import BitVector, GF2Matrix, companion_power
 
 __all__ = ["CheckResult", "SUITES", "run_suite", "suite_names", "transform_max_diff"]
@@ -260,102 +260,47 @@ def suite_moments(n_max: int = 10, **_: object) -> list[CheckResult]:
 
 
 # A bounded-diff block holds at most this many trials, and at most this
-# many trial-steps, so each of its (steps, trials) arrays stays near 2 MiB.
+# many trial-steps, so each of its (steps, trials) arrays stays within a
+# few MiB.
 _BLOCK_TRIALS = 1024
 _BLOCK_STEPS = 1 << 18
 
 
-def _trial_draws(
-    seed: int, j: int, n_max: int, coord_trial: bool
-) -> tuple[int, int, np.ndarray, np.ndarray, int, int, int]:
-    """Trial j of the bounded-diff suite, drawn by generator calls on
-    stream (seed, j): returns (n, t, coordinates, bits, start, i, u_new).
-
-    n is in 2..n_max and t in 1..n.  n_max coordinates (0-based, in
-    0..n-1) and n_max bits follow, of which the first t drive the replay,
-    then a start word of n_max bits cut to its low n, a time i in 1..t
-    and, in a coordinate trial, a new coordinate u_new in 1..n for time i
-    (0 in a bit-flip trial).
-    """
-    gen = rng.stream(seed, j)
-    n = int(gen.integers(2, n_max + 1))
-    t = int(gen.integers(1, n + 1))
-    coords = gen.integers(1, n + 1, size=n_max) - 1
-    bits = gen.integers(0, 2, size=n_max)
-    x0 = BitVector.random(n_max, gen).word & ((1 << n) - 1)
-    i = int(gen.integers(1, t + 1))
-    u_new = int(gen.integers(1, n + 1)) if coord_trial else 0
-    return n, t, coords, bits, x0, i, u_new
-
-
-def _draw_trials(
-    seed: int, first: int, count: int, n_max: int, half: int
-) -> tuple[np.ndarray, ...]:
-    """``_trial_draws`` for trials first .. first+count-1, decoded from
-    their streams' 32-bit values at once: returns int64 arrays n, t, i
-    and u_new, coords and bits of shape (count, n_max) and x0 as (words,
-    count) uint64, in the order of ``_trial_draws``.
-
-    Each draw takes one value, at a column fixed by n_max: n (none at
-    n_max = 2, where its range has one value), t, the coordinates, the
-    bits (the top bit of a value), the start (ceil(n_max/32) values read
-    as little-endian bytes), i (none at t = 1) and u_new.  A trial with a
-    rejected draw is drawn again through ``_trial_draws``.
-    """
-    lead = int(n_max > 2)
-    at_c = lead + 1
-    at_b = at_c + n_max
-    at_x = at_b + n_max
-    at_i = at_x + (n_max + 31) // 32
-    values = np.concatenate(
-        [block for _, block in rng.stream_words(seed, first, count, at_i + 2)]
-    )
-    # bounded reads column 0 and gives 0 when the range has one value.
-    n, rejected = rng.bounded(values[:, 0], n_max - 1)
-    n = n.astype(np.int64) + 2
-    t, rejected_t = rng.bounded(values[:, lead], n)
-    t = t.astype(np.int64) + 1
-    coords, rejected_c = rng.bounded(values[:, at_c:at_b], n[:, None])
-    bits = (values[:, at_b:at_x] >> 31).astype(np.uint8)
-    words = (n_max + 63) // 64
-    x0 = np.ascontiguousarray(values[:, at_x : at_x + 2 * words]).view("<u8").T
-    kept = np.clip(n - 64 * np.arange(words)[:, None], 0, 64)
-    x0 = x0 & ~(np.uint64(rng._MASK64) << kept.astype(np.uint64))
-    i, rejected_i = rng.bounded(values[:, at_i], t)
-    i = i.astype(np.int64) + 1
-    rows = np.arange(count)
-    u_new, rejected_u = rng.bounded(values[rows, at_i + (t > 1)], n)
-    u_new = u_new.astype(np.int64) + 1
-    coord_trial = first + rows >= half
-    rejected |= rejected_t | rejected_c.any(axis=1) | rejected_i
-    rejected |= coord_trial & rejected_u
-    for j in np.flatnonzero(rejected):
-        n[j], t[j], coords[j], bits[j], x, i[j], u_new[j] = _trial_draws(
-            seed, first + int(j), n_max, bool(coord_trial[j])
-        )
-        x0[:, j] = [(x >> (64 * w)) & rng._MASK64 for w in range(words)]
-    return n, t, coords, bits, x0, i, u_new
-
-
 def _bounded_diff_block(
-    seed: int, first: int, count: int, n_max: int, half: int
+    seed: int, first: int, count: int, trials: int, n_max: int
 ) -> tuple[int, int, int, int, int]:
     """Trials first .. first+count-1 of the bounded-diff suite, replayed
     together; returns (max bit-flip weight difference, max coordinate-change
     weight difference, max Hamming distance, zero-bit violations,
     same-coordinate violations).
     """
-    n, t, coords, bits, x0, i, u_new = _draw_trials(seed, first, count, n_max, half)
+    j = np.arange(first, first + count)
+    n = 2 + j * (n_max - 1) // trials
+    blocks = list(_draw_driving_blocks(n, 2 * n_max + 3, seed, first, count))
+    coords = np.concatenate([c for _, c, _ in blocks])
+    bits = np.concatenate([b for _, _, b in blocks])
+    times = coords[:, [2 * n_max, 2 * n_max + 2]]
+    i, t = times.min(axis=1), times.max(axis=1)
+    u_new = coords[:, 2 * n_max + 1]
+    # The start: coordinate c is the bit of step n_max + c, packed into
+    # words of 64 coordinates, as many as the block's largest n needs.
+    width = int(n.max())
+    start = bits[:, n_max : n_max + width] & (np.arange(width) < n[:, None])
+    packed = np.zeros((count, 8 * ((width + 63) // 64)), dtype=np.uint8)
+    packed[:, : (width + 7) // 8] = np.packbits(start, axis=1, bitorder="little")
+    x0 = packed.view("<u8").T
+
     order = np.argsort(-t, kind="stable")
-    n, t, x0, i, u_new = n[order], t[order], x0[:, order], i[order], u_new[order]
+    n, t, i, u_new, x0 = n[order], t[order], i[order], u_new[order], x0[:, order]
     coords = coords[order, : t[0]].T
     bits = bits[order, : t[0]].T
 
     rows = np.arange(count)
     at = i - 1
-    flip = first + order < half
-    # Narrow copies (n <= n_max <= 2**32); the replay widens them per step.
-    pair_coords = np.repeat(coords[:, None, :].astype(np.uint32), 2, axis=1)
+    flip = j[order] % 2 == 1
+    # Narrow 0-based copies (n <= n_max <= 2**32); the replay widens them
+    # per step.
+    pair_coords = np.repeat((coords - 1)[:, None, :].astype(np.uint32), 2, axis=1)
     pair_bits = np.repeat(bits[:, None, :], 2, axis=1)
     pair_bits[at[flip], 1, rows[flip]] ^= 1
     pair_coords[at[~flip], 1, rows[~flip]] = u_new[~flip] - 1
@@ -367,7 +312,7 @@ def _bounded_diff_block(
         int(diff[~flip].max(initial=0)),
         int(hamming.max()),
         int(np.count_nonzero(changed & (bits[at, rows] == 0))),
-        int(np.count_nonzero(changed & (coords[at, rows] + 1 == u_new))),
+        int(np.count_nonzero(changed & (coords[at, rows] == u_new))),
     )
 
 
@@ -376,12 +321,17 @@ def suite_bounded_diff(
 ) -> list[CheckResult]:
     """Single-change replays never move the final weight by more than 2.
 
-    Trial j reads stream (seed, j) (see ``_trial_draws``): n in 2..n_max,
-    t in 1..n, coordinates and bits of which the first t drive the walk, a
-    start in {0,1}^n, a time i in 1..t, and, in the second half of the
-    trials, a new coordinate for time i; the first half flips the bit at
-    time i.  A block of trials is decoded and replayed at once
-    (``weight_stats.replay_divergence`` replays one pair).
+    Trial j (0-based) is a q1 driving sequence on stream (seed, j), drawn
+    as every Monte Carlo trajectory is (``chains._draw_driving_blocks``).
+    Its dimension is n = 2 + j (n_max - 1) // trials, which spreads
+    2..n_max evenly, and it reads the driving of 2 n_max + 3 steps of
+    q1(n), so that the trials of a block share one layout: steps 1..t
+    drive the walk, the bits of steps n_max+1 .. n_max+n are the start,
+    and the coordinates of steps 2 n_max + 1 and 2 n_max + 3 are two
+    uniform times in 1..n, i the smaller and t the larger.  Odd trials
+    flip the bit at time i; even trials set the coordinate at time i to
+    the coordinate of step 2 n_max + 2.  A block of trials is decoded and
+    replayed at once (``weight_stats.replay_divergence`` replays one pair).
     """
     max_flip = max_coord = max_hamming = 0
     zero_bit_violations = same_coord_violations = 0
@@ -391,7 +341,7 @@ def suite_bounded_diff(
         rows = max(1, min(_BLOCK_TRIALS, _BLOCK_STEPS // n_max))
         for first in range(0, trials, rows):
             flip, coord, hamming, zero_bit, same_coord = _bounded_diff_block(
-                seed, first, min(rows, trials - first), n_max, half
+                seed, first, min(rows, trials - first), trials, n_max
             )
             max_flip = max(max_flip, flip)
             max_coord = max(max_coord, coord)

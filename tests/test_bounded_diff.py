@@ -1,45 +1,45 @@
-"""The bounded-diff suite's batched decode and replay against the
-per-trial loop it replaces, which is kept here as the reference: trial j
-makes its generator calls on stream (seed, j) and replays one pair with
+"""The bounded-diff suite's batched decode and replay against a per-trial
+reference: trial j draws the driving of 2 n_max + 3 steps of q1(n_j) with
+``_draw_driving_arrays`` on stream (seed, j), cuts its replay, start, times
+and new coordinate out of it, and replays one pair with
 ``replay_divergence``."""
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shiftwalk import BitVector, DrivingSequence, q1, replay_divergence, rng, stream
+from shiftwalk import BitVector, DrivingSequence, q1, replay_divergence, rng
 from shiftwalk import suites, weight_stats
+from shiftwalk.chains import _draw_driving_arrays
 from shiftwalk.suites import CheckResult, _sweep_check
 
 SEEDS = (0, 1, 2**63 - 1, 2**64 - 1)
+BOUNDED = rng.bounded
 
 
-def reference_trials(streams, trials: int, n_max: int):
-    """The trials of the bounded-diff suite, one generator call and one
-    scalar replay at a time, trial j drawing from ``streams(j)``: yields
-    (n, x0, driving, changed driving, i, new coordinate or None,
-    divergence)."""
-    half = trials // 2
-    for trial in range(trials if n_max >= 2 else 0):
-        gen = streams(trial)
-        n = int(gen.integers(2, n_max + 1))
-        t = int(gen.integers(1, n + 1))
-        coords = tuple(int(u) for u in gen.integers(1, n + 1, size=n_max)[:t])
-        bits = tuple(int(b) for b in gen.integers(0, 2, size=n_max)[:t])
-        x0 = BitVector(n, BitVector.random(n_max, gen).word & ((1 << n) - 1))
-        driving = DrivingSequence(coords, bits)
-        i = int(gen.integers(1, t + 1))
-        if trial < half:
+def reference_trials(seed: int, trials: int, n_max: int):
+    """The trials of the bounded-diff suite, one stream and one scalar
+    replay at a time: yields (n, x0, driving, changed driving, i, new
+    coordinate or None, divergence)."""
+    for j in range(trials if n_max >= 2 else 0):
+        n = 2 + j * (n_max - 1) // trials
+        coords, bits = _draw_driving_arrays(q1(n), 2 * n_max + 3, seed, j)
+        coords, bits = [int(u) for u in coords], [int(b) for b in bits]
+        i, t = sorted((coords[2 * n_max], coords[2 * n_max + 2]))
+        x0 = BitVector(n, sum(b << c for c, b in enumerate(bits[n_max : n_max + n])))
+        driving = DrivingSequence(tuple(coords[:t]), tuple(bits[:t]))
+        if j % 2:
             u_new = None
-            other = driving.flip_bit(i)
+            bits[i - 1] ^= 1
         else:
-            u_new = int(gen.integers(1, n + 1))
-            other = driving.replace_coord(i, u_new)
+            u_new = coords[2 * n_max + 1]
+            coords[i - 1] = u_new
+        other = DrivingSequence(tuple(coords[:t]), tuple(bits[:t]))
         div = replay_divergence(q1(n), x0, driving, other)
         yield n, x0, driving, other, i, u_new, div
 
 
-def reference_suite(streams, trials: int, n_max: int) -> list[CheckResult]:
+def reference(seed: int, trials: int, n_max: int) -> list[CheckResult]:
     """The bounded-diff report from ``reference_trials``."""
     max_flip = 0
     max_coord = 0
@@ -48,7 +48,7 @@ def reference_suite(streams, trials: int, n_max: int) -> list[CheckResult]:
     same_coord_violations = 0
     half = trials // 2
     swept = n_max >= 2
-    for _, _, driving, _, i, u_new, div in reference_trials(streams, trials, n_max):
+    for _, _, driving, _, i, u_new, div in reference_trials(seed, trials, n_max):
         if u_new is None:
             max_flip = max(max_flip, div.weight_diff)
         else:
@@ -86,25 +86,17 @@ def reference_suite(streams, trials: int, n_max: int) -> list[CheckResult]:
     ]
 
 
-def numpy_streams(seed: int):
-    return lambda j: stream(seed, j)
-
-
-def reference(seed: int, trials: int, n_max: int) -> list[CheckResult]:
-    return reference_suite(numpy_streams(seed), trials, n_max)
-
-
 def batched(seed: int, trials: int, n_max: int) -> list[CheckResult]:
     return suites.suite_bounded_diff(trials=trials, seed=seed, n_max=n_max)
 
 
-def reference_pairs(streams, trials: int, n_max: int) -> list[tuple]:
+def reference_pairs(seed: int, trials: int, n_max: int) -> list[tuple]:
     """Every replayed pair as (n, start, driving, changed driving, weight
     difference, largest Hamming distance), sorted."""
     return sorted(
         (n, x0.word, (a.coords, a.bits), (b.coords, b.bits),
          div.weight_diff, div.max_hamming)
-        for n, x0, a, b, _, _, div in reference_trials(streams, trials, n_max)
+        for n, x0, a, b, _, _, div in reference_trials(seed, trials, n_max)
     )
 
 
@@ -132,113 +124,29 @@ def batched_pairs(monkeypatch, seed: int, trials: int, n_max: int) -> list[tuple
     return sorted(pairs)
 
 
-class WordGenerator:
-    """The generator calls of ``reference_trials`` over a given list of
-    32-bit values, by numpy's algorithms written out: a bounded draw is
-    ``(u * k) >> 32``, drawn again while ``(u * k) mod 2**32 < 2**32 mod k``,
-    and reads nothing when k = 1; ``bytes`` reads 32-bit values as
-    little-endian bytes.  ``rejected`` holds the 1-based numbers of the
-    ``integers`` calls that rejected a value."""
+class ForcedRejections:
+    """Stands in for ``rng.bounded``: every ``period``-th row it decodes
+    is flagged as rejected at one column, the next column for the next
+    such row, and its values are zeroed, so the row comes out right only
+    if it is drawn again through the per-stream path."""
 
-    def __init__(self, values):
-        self.values = [int(v) for v in values]
-        self.pos = 0
-        self.calls = 0
-        self.rejected = set()
-
-    def _next(self) -> int:
-        self.pos += 1
-        return self.values[self.pos - 1]
-
-    def _bounded(self, lo: int, hi: int) -> int:
-        k = hi - lo
-        if k == 1:
-            return lo
-        while True:
-            m = self._next() * k
-            if m % 2**32 >= 2**32 % k:
-                return lo + (m >> 32)
-            self.rejected.add(self.calls)
-
-    def integers(self, lo, hi, size=None):
-        self.calls += 1
-        if size is None:
-            return self._bounded(lo, hi)
-        return np.array([self._bounded(lo, hi) for _ in range(size)])
-
-    def bytes(self, length: int) -> bytes:
-        values = [self._next() for _ in range((length + 3) // 4)]
-        return b"".join(v.to_bytes(4, "little") for v in values)[:length]
-
-
-def stream_values(seed: int, count: int, index: int = 0) -> np.ndarray:
-    (_, values), = rng.stream_words(seed, index, 1, count)
-    return values[0]
-
-
-class PlantedStreams:
-    """Streams (seed, j) in which every value at a position p with
-    (p + j) % period == 0 is 0, which a bounded draw rejects for every
-    range that is not a power of two.  The zero moves by one position from
-    one stream to the next, so over ``period`` trials it meets every draw.
-
-    ``words`` stands in for ``rng.stream_words`` and ``generator(j)`` for
-    ``rng.stream(seed, j)``; ``made`` keeps every generator handed out.
-    """
-
-    def __init__(self, seed: int, period: int) -> None:
-        self.seed = seed
+    def __init__(self, period: int) -> None:
         self.period = period
-        self.stream_words = rng.stream_words
-        self.made: list[WordGenerator] = []
+        self.seen = 0
+        self.columns: list[int] = []  # the flagged column of each flagged row
 
-    def _plant(self, values: np.ndarray, index: np.ndarray) -> np.ndarray:
-        values = values.copy()
-        positions = np.arange(values.shape[-1])
-        values[(positions + index[:, None]) % self.period == 0] = 0
-        return values
-
-    def words(self, seed, start, count, k):
-        assert seed == self.seed
-        for offset, block in self.stream_words(seed, start, count, k):
-            index = start + offset + np.arange(len(block))
-            yield offset, self._plant(block, index)
-
-    def generator(self, j: int) -> WordGenerator:
-        (_, values), = self.stream_words(self.seed, j, 1, 3 * self.period)
-        gen = WordGenerator(self._plant(values, np.array([j]))[0])
-        self.made.append(gen)
-        return gen
+    def __call__(self, values, k):
+        out, rejected = BOUNDED(values, k)
+        for r in range(-self.seen % self.period, len(values), self.period):
+            column = len(self.columns) % values.shape[1]
+            self.columns.append(column)
+            rejected[r, column] = True
+            out[r] = 0
+        self.seen += len(values)
+        return out, rejected
 
     def install(self, monkeypatch) -> None:
-        monkeypatch.setattr(rng, "stream_words", self.words)
-        monkeypatch.setattr(rng, "stream", lambda seed, j: self.generator(j))
-
-
-def planted_period(n_max: int) -> int:
-    # A little more than a trial's 2 n_max + 4 + ceil(n_max / 32) values,
-    # so a trial holds one zero, or none.
-    return 2 * n_max + 9 + (n_max + 31) // 32
-
-
-class TestWordGenerator:
-    """The test double reads real streams as numpy does, so it may stand
-    in for numpy on planted streams."""
-
-    @pytest.mark.parametrize("seed", SEEDS)
-    def test_matches_numpy(self, seed):
-        gen = stream(seed, 3)
-        double = WordGenerator(stream_values(seed, 4000, index=3))
-        for hi in (2, 3, 64, 65, 2**31 + 1, 3 * 2**30, 2**32, 1):
-            assert double.integers(0, hi) == int(gen.integers(0, hi))
-            assert double.integers(5, 5 + hi) == int(gen.integers(5, 5 + hi))
-        for size in (1, 7):
-            for hi in (2, 63, 2**31 + 1, 3 * 2**30):
-                assert list(double.integers(1, hi + 1, size=size)) == list(
-                    gen.integers(1, hi + 1, size=size))
-        for length in range(1, 14):
-            assert double.bytes(length) == gen.bytes(length)
-            assert double.integers(0, 7) == int(gen.integers(0, 7))
+        monkeypatch.setattr(rng, "bounded", self)
 
 
 class TestAgainstReference:
@@ -257,7 +165,7 @@ class TestAgainstReference:
     def test_every_pair(self, monkeypatch, seed, n_max):
         monkeypatch.setattr(suites, "_BLOCK_TRIALS", 64)
         assert batched_pairs(monkeypatch, seed, 200, n_max) == reference_pairs(
-            numpy_streams(seed), 200, n_max)
+            seed, 200, n_max)
 
     @pytest.mark.parametrize("n_max", [-3, 0, 1])
     def test_no_n_to_sweep(self, n_max):
@@ -270,9 +178,13 @@ class TestAgainstReference:
 
     @pytest.mark.parametrize("rows", [1, 2, 7])
     def test_block_size_does_not_matter(self, monkeypatch, rows):
+        """Blocks of ``rows`` trials, each decoded three streams at a time."""
         monkeypatch.setattr(suites, "_BLOCK_TRIALS", rows)
         for n_max in (7, 65):
-            assert batched(5, 41, n_max) == reference(5, 41, n_max)
+            steps = 2 * n_max + 3
+            monkeypatch.setattr(rng, "_BLOCK_VALUES", 3 * (steps + (steps + 3) // 4))
+            assert batched_pairs(monkeypatch, 5, 41, n_max) == reference_pairs(
+                5, 41, n_max)
 
     def test_steps_bound_the_block(self, monkeypatch):
         monkeypatch.setattr(suites, "_BLOCK_STEPS", 300)  # 2 trials of n <= 130
@@ -289,41 +201,35 @@ class TestAgainstReference:
 
 
 class TestRejectedDraws:
-    """On planted streams every kind of draw is rejected now and then:
-    n, t, the coordinates, i and the new coordinate.  A trial with a
-    rejection is drawn again by generator calls on its own stream."""
-
-    # The 1-based numbers of the reference's integers calls in a trial.
-    KINDS = {1: "n", 2: "t", 3: "coordinates", 5: "i", 6: "u_new"}
+    """Rows flagged as rejected in the block decode are drawn again through
+    ``_draw_driving_arrays`` with their own n, and the report does not
+    change."""
 
     @pytest.mark.parametrize("n_max", [7, 64, 65, 130])
     @pytest.mark.parametrize("seed", [0, 2**64 - 1])
     def test_matches_reference(self, monkeypatch, seed, n_max):
-        trials = 150
-        planted = PlantedStreams(seed, planted_period(n_max))
-        want = reference_suite(planted.generator, trials, n_max)
-        planted.install(monkeypatch)
+        forced = ForcedRejections(4)
+        forced.install(monkeypatch)
         monkeypatch.setattr(suites, "_BLOCK_TRIALS", 64)
-        assert batched(seed, trials, n_max) == want
+        assert batched(seed, 150, n_max) == reference(seed, 150, n_max)
+        assert len(forced.columns) >= 150 // 4
 
     @pytest.mark.parametrize("n_max", [7, 65])
     def test_every_pair(self, monkeypatch, n_max):
-        trials = 150
-        planted = PlantedStreams(3, planted_period(n_max))
-        want = reference_pairs(planted.generator, trials, n_max)
-        planted.install(monkeypatch)
+        want = reference_pairs(3, 150, n_max)
+        ForcedRejections(3).install(monkeypatch)
         monkeypatch.setattr(suites, "_BLOCK_TRIALS", 64)
-        assert batched_pairs(monkeypatch, 3, trials, n_max) == want
+        assert batched_pairs(monkeypatch, 3, 150, n_max) == want
 
     @pytest.mark.parametrize("n_max", [7, 64])
     def test_every_kind_is_rejected(self, monkeypatch, n_max):
-        trials = 8 * planted_period(n_max)
-        planted = PlantedStreams(1, planted_period(n_max))
-        want = reference_suite(planted.generator, trials, n_max)
-        kinds = set().union(*(gen.rejected for gen in planted.made))
-        assert {self.KINDS[k] for k in kinds} == set(self.KINDS.values())
-        planted.install(monkeypatch)
-        assert batched(1, trials, n_max) == want
+        """A rejection among the replay's coordinates, the start's, either
+        time or the new coordinate sends the row to the per-stream path."""
+        columns = 2 * n_max + 3
+        forced = ForcedRejections(2)
+        forced.install(monkeypatch)
+        assert batched(1, 2 * columns, n_max) == reference(1, 2 * columns, n_max)
+        assert set(forced.columns) == set(range(columns))
 
 
 def test_replay_pairs_matches_replay_divergence():

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from shiftwalk import BitVector, DrivingSequence, q2, simulate
-from shiftwalk.cli import main
+from shiftwalk.cli import MAX_PROFILE_TIMES, _parse_t_range, main
 
 
 def run_cli(capsys, *argv):
@@ -86,6 +86,18 @@ class TestVerify:
         assert len(flagged) == vacuous
         assert not any(c["passed"] for c in flagged)
         assert all(c["passed"] for c in report["checks"] if c not in flagged)
+
+    @pytest.mark.parametrize("argv, flag", [
+        (("bounded-diff", "--trials", "-5"), "--trials"),
+        (("variance", "--samples", "-3"), "--samples"),
+        (("all", "--trials", "10", "--samples", "-1"), "--samples"),
+    ])
+    def test_negative_count_is_usage_error(self, capsys, argv, flag):
+        code, out, err = run_cli(capsys, "verify", *argv, "--seed", "1",
+                                 "--format", "json")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and flag in err
 
     def test_n_max_is_rejected_for_all(self, capsys):
         code, out, err = run_cli(capsys, "verify", "all", "--n-max", "1",
@@ -187,6 +199,19 @@ class TestProfile:
                                    f"--t={t}", "--seed", "1")
             assert code == 2
             assert err.startswith("error:")
+
+    def test_overlong_range_is_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, "profile", "--chain", "q1", "--n", "4",
+                                 "--t", "0..99999999999", "--seed", "1")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "100000000000 times" in err
+
+    def test_range_bound(self):
+        # A range object, so the longest accepted range is not built.
+        assert len(_parse_t_range(f"5..{MAX_PROFILE_TIMES + 4}")) == MAX_PROFILE_TIMES
+        with pytest.raises(ValueError):
+            _parse_t_range(f"5..{MAX_PROFILE_TIMES + 5}")
 
     def test_unwritable_output_is_usage_error(self, capsys, tmp_path):
         code, out, err = run_cli(capsys, "profile", "--chain", "q1", "--n", "4",

@@ -15,9 +15,14 @@ START = 5
 
 
 def reference(chain, t, seed, start, count):
-    """Stacked per-stream draws: the arrays the batched path must equal."""
-    pairs = [_draw_driving_arrays(chain, t, seed, start + i) for i in range(count)]
-    coords = None if chain.kind == "q2" else np.stack([c for c, _ in pairs])
+    """Stacked per-stream draws: the arrays the batched path must equal.
+    An array ``chain`` gives each stream its own q1 dimension."""
+    if isinstance(chain, ChainKind):
+        chains = [chain] * count
+    else:
+        chains = [ChainKind("q1", int(n)) for n in chain]
+    pairs = [_draw_driving_arrays(c, t, seed, start + i) for i, c in enumerate(chains)]
+    coords = None if chains[0].kind == "q2" else np.stack([c for c, _ in pairs])
     return coords, np.stack([b for _, b in pairs])
 
 
@@ -28,7 +33,7 @@ def batched(chain, t, seed, start, count):
         assert offset == sum(len(x) for x in bits)
         coords.append(c)
         bits.append(b)
-    if chain.kind == "q2":
+    if isinstance(chain, ChainKind) and chain.kind == "q2":
         assert all(c is None for c in coords)
         return None, np.concatenate(bits)
     return np.concatenate(coords), np.concatenate(bits)
@@ -159,6 +164,23 @@ class TestDrivingBlocks:
         assert 0 < rejected.any(axis=1).sum() < count
         assert_same(batched(chain, t, 2, START, count),
                     reference(chain, t, 2, START, count))
+
+    @pytest.mark.parametrize("rows", [1, 7, 32])
+    @pytest.mark.parametrize("t", [0, 1, 57])
+    def test_q1_per_stream_n(self, monkeypatch, t, rows):
+        """Each stream with its own n, in blocks of ``rows`` streams.  At
+        2**31 + 1 and 3 * 2**30 numpy rejects about a half and a quarter
+        of the coordinate draws, so some rows take the per-stream path
+        with their own n."""
+        ns = np.array([2, 2**31 + 1, 3, 7, 3 * 2**30, 64, 1000, 1024] * 4)
+        k = t + (t + 3) // 4
+        if t:
+            (_, words), = rng.stream_words(2, START, len(ns), k)
+            _, rejected = rng.bounded(words[:, :t], ns[:, None])
+            assert 0 < rejected.any(axis=1).sum() < len(ns)
+        monkeypatch.setattr(rng, "_BLOCK_VALUES", rows * max(k, 1))
+        assert_same(batched(ns, t, 2, START, len(ns)),
+                    reference(ns, t, 2, START, len(ns)))
 
     def test_rejects_negative_length(self):
         with pytest.raises(ValueError):

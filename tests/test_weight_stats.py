@@ -34,6 +34,20 @@ from shiftwalk.distribution import exact_laws
 from shiftwalk.weight_stats import histogram_tv
 
 
+def flip_bit(driving: DrivingSequence, i: int) -> DrivingSequence:
+    """``driving`` with the update bit at 1-based time ``i`` toggled."""
+    bits = list(driving.bits)
+    bits[i - 1] ^= 1
+    return DrivingSequence(driving.coords, tuple(bits))
+
+
+def replace_coord(driving: DrivingSequence, i: int, u: int) -> DrivingSequence:
+    """``driving`` with the update coordinate at 1-based time ``i`` set to u."""
+    coords = list(driving.coords)
+    coords[i - 1] = u
+    return DrivingSequence(tuple(coords), driving.bits)
+
+
 class TestMeanFormulas:
     def test_boundary_values(self):
         assert mean_weight_closed_form(7, 0) == 0.0
@@ -109,7 +123,8 @@ class TestBoundedDifferences:
     def test_zero_driving_flip(self):
         chain = q1(8)
         driving = DrivingSequence((3,) * 8, (0,) * 8)
-        div = replay_divergence(chain, BitVector.zeros(8), driving, driving.flip_bit(4))
+        div = replay_divergence(chain, BitVector.zeros(8), driving,
+                                flip_bit(driving, 4))
         assert div.weight_diff in (0, 1, 2)
 
     def test_random_flips_bounded(self):
@@ -122,7 +137,7 @@ class TestBoundedDifferences:
             driving = random_driving(q1(n), t, seed=int(gen.integers(1 << 30)))
             x0 = BitVector.random(n, gen)
             i = int(gen.integers(1, t + 1))
-            div = replay_divergence(q1(n), x0, driving, driving.flip_bit(i))
+            div = replay_divergence(q1(n), x0, driving, flip_bit(driving, i))
             worst = max(worst, div.weight_diff)
             worst_hamming = max(worst_hamming, div.max_hamming)
         assert worst <= 2
@@ -141,7 +156,7 @@ class TestBoundedDifferences:
             driving = DrivingSequence(coords, bits)
             x0 = BitVector.random(n, gen)
             a = simulate(q1(n), x0, driving)[-1]
-            b = simulate(q1(n), x0, driving.flip_bit(t))[-1]
+            b = simulate(q1(n), x0, flip_bit(driving, t))[-1]
             assert (a ^ b).weight() == 1
             assert abs(a.weight() - b.weight()) <= 1
 
@@ -157,13 +172,13 @@ class TestBoundedDifferences:
             driving = DrivingSequence(coords, tuple(bits))
             u_new = int(gen.integers(1, n + 1))
             div = replay_divergence(q1(n), BitVector.random(n, gen), driving,
-                                    driving.replace_coord(i, u_new))
+                                    replace_coord(driving, i, u_new))
             assert div.weight_diff == 0
 
     def test_coord_change_same_coordinate_is_identity(self):
         driving = random_driving(q1(12), 10, seed=3)
         x0 = BitVector.zeros(12)
-        other = driving.replace_coord(5, driving.coords[4])
+        other = replace_coord(driving, 5, driving.coords[4])
         assert replay_divergence(q1(12), x0, driving, other).weight_diff == 0
 
     def test_random_coord_changes_bounded(self):
@@ -177,18 +192,19 @@ class TestBoundedDifferences:
             u_new = int(gen.integers(1, n + 1))
             div = replay_divergence(
                 q1(n), BitVector.random(n, gen), driving,
-                driving.replace_coord(i, u_new),
+                replace_coord(driving, i, u_new),
             )
             worst = max(worst, max(div.weight_diff, div.max_hamming))
         assert worst <= 2
 
     def test_validation(self):
         driving = random_driving(q1(6), 4, seed=1)
-        with pytest.raises(IndexError):
-            driving.flip_bit(5)
         with pytest.raises(ValueError):
             replay_divergence(q1(6), BitVector.zeros(6), driving,
-                              driving.replace_coord(1, 7))
+                              random_driving(q1(6), 5, seed=1))
+        with pytest.raises(ValueError):
+            replay_divergence(q1(6), BitVector.zeros(6), driving,
+                              replace_coord(driving, 1, 7))
 
 
 class TestEnsemble:
