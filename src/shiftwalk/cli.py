@@ -78,8 +78,9 @@ def _parse_state(value: str | None, n: int) -> BitVector:
     return state
 
 
-# The most times one ``profile`` reports: each takes a row, and a longer
-# range would be built before any of them is computed.
+# ``profile`` times lie below this bound, so one reports at most this many:
+# each time takes a row, and the exact sweep and the Monte Carlo buffers run
+# to the last one, so a far time would hang or exhaust memory.
 MAX_PROFILE_TIMES = 10**6
 
 
@@ -93,10 +94,9 @@ def _parse_t_range(value: str) -> range:
         lo = hi = int(value)
     if lo < 0:
         raise ValueError(f"times must be >= 0, got {value!r}")
-    if hi - lo >= MAX_PROFILE_TIMES:
+    if hi >= MAX_PROFILE_TIMES:
         raise ValueError(
-            f"time range {value!r} holds {hi - lo + 1} times, "
-            f"more than the {MAX_PROFILE_TIMES} a profile reports"
+            f"time {hi} is past {MAX_PROFILE_TIMES - 1}, the last time a profile reports"
         )
     return range(lo, hi + 1)
 
@@ -378,6 +378,10 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OSError) as exc:
         # Bad input or an unwritable --out: a usage error, not a failed check.
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        # Sizes the host cannot hold, e.g. many --samples over a long --t.
+        print(f"error: out of memory: {str(exc) or 'allocation failed'}", file=sys.stderr)
         return 2
 
 

@@ -6,6 +6,14 @@ exact kernel in pull form: each state gathers the mass of the states that
 shift onto it, with each possible pre-shift bit flip.  The kernel
 probabilities are dyadic (1/2 and 1/(2n)), so accumulation error stays far
 below the 1e-12 tolerances used by callers.
+
+Each step is reproducible bit for bit: every entry is 0.5 p plus its n
+flip terms w p (w = 1/(2n)), added in the order of the flipped bit.  The
+products w p are formed once per step and each flip adds a shifted view of
+them.  A product is one rounded operation, so its value does not depend on
+how often it is formed: every entry sees the same operations on the same
+values in the same order as when each term is formed where it is added,
+in n + 3 passes over the vector instead of 2n + 2.
 """
 from __future__ import annotations
 
@@ -30,9 +38,9 @@ __all__ = [
     "exact_tv_curve",
 ]
 
-# Evolving the oracle holds four 2**n-word arrays (the distribution, two
-# step buffers and the inverse shift index), about 512 MiB at n = 24;
-# beyond that the dense oracle stops being a desk-scale tool.
+# Evolving the oracle holds four 2**n-word arrays (the distribution, the
+# flip sum, the products w p and the inverse shift index), about 512 MiB
+# at n = 24; beyond that the dense oracle stops being a desk-scale tool.
 MAX_EXACT_N = 24
 
 
@@ -111,18 +119,21 @@ def _step(
     """One step of the kernel, in place in ``probs``; ``acc`` and ``tmp``
     are scratch buffers of the same size.
 
-    The new mass at y is 0.5 p[inv[y]] + sum_i p[inv[y] ^ 2**i] / (2n) on q1
-    and 0.5 (p[inv[y]] + p[inv[y] ^ 2**(m-1)]) on q2.  The bit-flip average
-    is formed at every x first and then gathered once through ``inv``;
-    since the gather is a permutation, each entry sees the same float
-    operations in the same order as the direct sum.
+    The new mass at y is 0.5 p[inv[y]] + sum_i w p[inv[y] ^ 2**i], with
+    w = 1/(2n), on q1 and 0.5 (p[inv[y]] + p[inv[y] ^ 2**(m-1)]) on q2.
+    The bit-flip average is formed at every x first and then gathered once
+    through ``inv``; since the gather is a permutation, each entry sees the
+    same float operations in the same order as the direct sum.  On q1 the
+    products w p are formed once into ``tmp``, and flip i adds its view of
+    them in place, for i = 0..n-1 (see the module docstring): n + 3 passes
+    over 2**n words, two multiplies, n adds and the gather.
     """
     if chain.kind == "q1":
-        w = 1.0 / (2 * chain.n)
         np.multiply(probs, 0.5, out=acc)
+        np.multiply(probs, 1.0 / (2 * chain.n), out=tmp)
         for i in range(chain.n):
-            np.multiply(_split(probs, i)[:, ::-1], w, out=_split(tmp, i))
-            np.add(acc, tmp, out=acc)
+            a = _split(acc, i)
+            np.add(a, _split(tmp, i)[:, ::-1], out=a)
     else:
         b = chain.middle - 1
         np.add(_split(probs, b), _split(probs, b)[:, ::-1], out=_split(acc, b))

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from shiftwalk import BitVector, DrivingSequence, q2, simulate
+from shiftwalk import BitVector, DrivingSequence, q2, simulate, weight_stats
 from shiftwalk.cli import MAX_PROFILE_TIMES, _parse_t_range, main
 
 
@@ -205,13 +205,41 @@ class TestProfile:
                                  "--t", "0..99999999999", "--seed", "1")
         assert code == 2
         assert out == ""
-        assert err.startswith("error:") and "100000000000 times" in err
+        assert err.startswith("error:") and "99999999999" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("--n", "4"),
+        ("--n", "2000", "--samples", "10"),
+    ])
+    def test_far_time_is_usage_error(self, capsys, argv):
+        # One far time would run the exact sweep or size the Monte Carlo
+        # buffers up to it.
+        code, out, err = run_cli(capsys, "profile", "--chain", "q1", *argv,
+                                 "--t", "99999999999", "--seed", "1")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "99999999999" in err and str(MAX_PROFILE_TIMES - 1) in err
+
+    def test_out_of_memory_is_usage_error(self, capsys, monkeypatch):
+        def exhausted(*args, **kwargs):
+            raise MemoryError("Unable to allocate 1.82 TiB")
+
+        monkeypatch.setattr(weight_stats, "sample_weights", exhausted)
+        code, out, err = run_cli(capsys, "profile", "--chain", "q1", "--n", "2000",
+                                 "--t", "5", "--samples", "10", "--seed", "1")
+        assert code == 2
+        assert out == ""
+        assert err == "error: out of memory: Unable to allocate 1.82 TiB\n"
 
     def test_range_bound(self):
         # A range object, so the longest accepted range is not built.
-        assert len(_parse_t_range(f"5..{MAX_PROFILE_TIMES + 4}")) == MAX_PROFILE_TIMES
-        with pytest.raises(ValueError):
-            _parse_t_range(f"5..{MAX_PROFILE_TIMES + 5}")
+        last = MAX_PROFILE_TIMES - 1
+        assert len(_parse_t_range(f"0..{last}")) == MAX_PROFILE_TIMES
+        assert _parse_t_range(str(last)) == range(last, last + 1)
+        for value in (str(MAX_PROFILE_TIMES), f"{last}..{MAX_PROFILE_TIMES}"):
+            with pytest.raises(ValueError):
+                _parse_t_range(value)
 
     def test_unwritable_output_is_usage_error(self, capsys, tmp_path):
         code, out, err = run_cli(capsys, "profile", "--chain", "q1", "--n", "4",

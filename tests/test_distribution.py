@@ -173,6 +173,15 @@ class TestAgainstReference:
                     reference_evolve(chain, d.probs, steps),
                 )
 
+    @pytest.mark.parametrize("chain", [q1(20), q2(20)], ids=lambda c: f"{c.kind}-n{c.n}")
+    def test_benchmark_size(self, chain):
+        # n = 20, as in the exact-n20 benchmark: 8 MiB arrays, past the L2.
+        d = DistributionVector(20, stream(77, 20).dirichlet(np.ones(1 << 20)))
+        assert np.array_equal(
+            evolve_exact(chain, d, 1).probs,
+            reference_step(chain, d.probs, reference_inverse_shift_index(20)),
+        )
+
     def test_curve_matches_reference(self):
         for chain in (q1(9), q2(10)):
             n = chain.n
