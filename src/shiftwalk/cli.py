@@ -78,9 +78,9 @@ def _parse_state(value: str | None, n: int) -> BitVector:
     return state
 
 
-# ``profile`` times lie below this bound, so one reports at most this many:
-# each time takes a row, and the exact sweep and the Monte Carlo buffers run
-# to the last one, so a far time would hang or exhaust memory.
+# ``profile`` times lie below this bound, which also caps the rows: the
+# exact sweep and the Monte Carlo buffers run to the last time, so a far one
+# would hang or exhaust memory.
 MAX_PROFILE_TIMES = 10**6
 
 

@@ -175,7 +175,7 @@ class TestAgainstReference:
 
     @pytest.mark.parametrize("chain", [q1(20), q2(20)], ids=lambda c: f"{c.kind}-n{c.n}")
     def test_benchmark_size(self, chain):
-        # n = 20, as in the exact-n20 benchmark: 8 MiB arrays, past the L2.
+        # n = 20, the size of the exact-n20 benchmark: 8 MiB arrays.
         d = DistributionVector(20, stream(77, 20).dirichlet(np.ones(1 << 20)))
         assert np.array_equal(
             evolve_exact(chain, d, 1).probs,
