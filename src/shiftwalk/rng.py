@@ -15,6 +15,9 @@ from __future__ import annotations
 from typing import Iterator
 
 import numpy as np
+# numpy 2 loads numpy.random on first use; load it with the package so the
+# set-up every CLI call pays includes it and the first draw does not.
+import numpy.random  # noqa: F401
 
 __all__ = ["stream", "stream_words", "bounded"]
 

@@ -9,10 +9,10 @@ total variation distance to uniform.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .distribution import DistributionVector
 from .gf2 import BitVector
@@ -29,8 +29,78 @@ __all__ = [
 ]
 
 
-def _log_binom(n: float, k: np.ndarray | float):
-    return gammaln(n + 1) - gammaln(k + 1) - gammaln(n - k + 1)
+# Cephes' lgam (the routine behind scipy.special.gammaln) for x >= 13:
+# log sqrt(2 pi) and the coefficients of its asymptotic correction for x < 1000.
+_LS2PI = 0.91893853320467274178
+_LGAM_A = (
+    8.11614167470508450300e-4,
+    -5.95061904284301438324e-4,
+    7.93650340457716943945e-4,
+    -2.77777777730099687205e-3,
+    8.33333333333331927722e-2,
+)
+_log_factorials = np.zeros(0)
+
+
+def _lgam(x: np.ndarray) -> np.ndarray:
+    """log Gamma(x) at positive integers x, bit for bit what cephes' lgam
+    (the routine behind scipy.special.gammaln) returns.
+
+    It follows lgam's operations in lgam's order: log((x-1)!) for x < 13,
+    otherwise (x - 0.5) log x - x + log sqrt(2 pi) plus a series in 1/x^2
+    (five terms for x < 1000, three up to 1e8, none above).  Each log x
+    comes from libm through ``math.log``; ``np.log`` differs from it in the
+    last bit at some integers.  The rest is elementwise numpy, one rounding
+    per operation as in C.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    log_x = np.fromiter(map(math.log, x.tolist()), np.float64, x.size)
+    out =(x - 0.5) * log_x - x + _LS2PI
+    small = x < 1000.0
+    xs = x[small]
+    p = 1.0 / (xs * xs)
+    poly = _LGAM_A[0]
+    for c in _LGAM_A[1:]:
+        poly = poly * p + c
+    out[small] += poly / xs
+    mid = ~small & (x <= 1e8)
+    xm = x[mid]
+    p = 1.0 / (xm * xm)
+    out[mid] += (
+        (7.9365079365079365079365e-4 * p - 2.7777777777777777777778e-3) * p
+        + 0.0833333333333333333333
+    ) / xm
+    for i in np.flatnonzero(x < 13.0):
+        out[i] = math.log(math.factorial(int(x[i]) - 1))
+    return out
+
+
+def _log_factorial_table(m_max: int) -> np.ndarray:
+    """log(m!) = lgam(m + 1) for m = 0..m_max at least.
+
+    Built once and grown geometrically; an entry never changes.
+    """
+    global _log_factorials
+    lo = len(_log_factorials)
+    if m_max >= lo:
+        hi = max(m_max + 1, 2 * lo, 16)
+        _log_factorials = np.concatenate(
+            (_log_factorials, _lgam(np.arange(lo + 1, hi + 1)))
+        )
+    return _log_factorials
+
+
+def _log_binom(n: int, k: np.ndarray | int) -> np.ndarray:
+    """log C(n, k), elementwise over integer-valued 0 <= k <= n."""
+    args = [np.asarray(v) for v in (n, k, np.subtract(n, k))]
+    for v in args:
+        if not np.all(np.isfinite(v) & (v >= 0) & (np.floor(v) == v)):
+            raise ValueError(
+                f"log C(n, k) needs integers 0 <= k <= n, got n={n}, k={k}"
+            )
+    table = _log_factorial_table(int(np.max(args[0])))
+    n, k, n_k = (v.astype(np.int64) for v in args)
+    return table[n] - table[k] - table[n_k]
 
 
 def weight_class_log_terms(

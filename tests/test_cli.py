@@ -1,9 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import shiftwalk
 from shiftwalk import BitVector, DrivingSequence, q2, simulate, weight_stats
 from shiftwalk.cli import MAX_PROFILE_TIMES, _parse_t_range, main
 
@@ -408,3 +413,19 @@ class TestVersionFlag:
         with pytest.raises(SystemExit) as exc:
             main(["--version"])
         assert exc.value.code == 0
+
+
+class TestImport:
+    def test_cli_import_loads_numpy_random_and_no_scipy(self):
+        code = (
+            "import sys, shiftwalk.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')); "
+            "print('numpy.random' in sys.modules)"
+        )
+        src = str(Path(shiftwalk.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": path}, timeout=60, check=True,
+        )
+        assert done.stdout.split("\n")[:2] == ["[]", "True"]

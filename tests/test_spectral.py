@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.special import gammaln
 
 from shiftwalk import (
     BitVector,
@@ -15,8 +16,10 @@ from shiftwalk import (
     fourier_sum,
     point_mass,
     q1,
+    spectral,
     stream,
     weight_class_term,
+    weight_stats,
 )
 
 
@@ -181,3 +184,65 @@ class TestFourierSum:
     def test_rejects_tiny_n(self):
         with pytest.raises(ValueError):
             fourier_sum(2)
+
+
+def log_binom_gammaln(n, k):
+    """The log-binomial as scipy's gammaln gives it, the table's reference."""
+    return gammaln(n + 1) - gammaln(k + 1) - gammaln(n - k + 1)
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+class TestLogFactorialTable:
+    def test_table_is_gammaln_bit_for_bit(self):
+        table = spectral._log_factorial_table(2**16)[: 2**16 + 1]
+        assert same_bits(table, gammaln(np.arange(1, 2**16 + 2, dtype=np.float64)))
+
+    def test_branch_edges_and_large_arguments_are_gammaln_bit_for_bit(self):
+        edges = [1, 2, 12, 13, 999, 1000, 10**8, 10**8 + 1]
+        spread = np.random.default_rng(13).integers(1, 10**12, size=10**4)
+        x = np.concatenate((edges, spread))
+        assert same_bits(spectral._lgam(x), gammaln(x.astype(np.float64)))
+
+    @pytest.mark.parametrize("n", [*range(3, 65), 1024, 2000, 2**14])
+    def test_callers_keep_the_gammaln_bits(self, n, monkeypatch):
+        k = np.arange(n + 1, dtype=np.float64)
+        inner = np.arange(2, n, dtype=np.float64)
+
+        def outputs():
+            return [
+                spectral._log_binom(n, k),
+                spectral.weight_class_log_terms(n, inner, lag=0),
+                spectral.weight_class_log_terms(n, inner, lag=1),
+                spectral.fourier_sum(n).total,
+                weight_stats.stationary_weight_pmf(n),
+            ]
+
+        table_values = outputs()
+        monkeypatch.setattr(spectral, "_log_binom", log_binom_gammaln)
+        monkeypatch.setattr(weight_stats, "_log_binom", log_binom_gammaln)
+        for got, expected in zip(table_values, outputs(), strict=True):
+            assert same_bits(got, expected)
+
+    def test_growing_in_steps_matches_one_build(self, monkeypatch):
+        monkeypatch.setattr(spectral, "_log_factorials", np.zeros(0))
+        for m in (10, 40, 5000):
+            stepped = spectral._log_factorial_table(m)
+        monkeypatch.setattr(spectral, "_log_factorials", np.zeros(0))
+        whole = spectral._log_factorial_table(5000)
+        assert len(stepped) == len(whole) == 5001
+        assert same_bits(stepped, whole)
+
+    @pytest.mark.parametrize(
+        "n, k",
+        [(5, 2.5), (5, -1), (5, 6), (4.5, 2), (-1, 0), (5, np.array([1.0, 2.5])),
+         (5, np.nan), (np.inf, 1)],
+    )
+    def test_rejects_non_integer_or_negative_arguments(self, n, k):
+        with pytest.raises(ValueError, match="integers 0 <= k <= n"):
+            spectral._log_binom(n, k)
+        with pytest.raises(ValueError, match="integers 0 <= k <= n"):
+            spectral.weight_class_log_terms(n, k)
