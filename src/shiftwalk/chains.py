@@ -165,7 +165,6 @@ def _draw_driving_blocks(
         ns = np.asarray(chain, dtype=np.int64)
     is_q1 = per_stream or chain.kind == "q1"
     n_coords = t if per_stream or (is_q1 and chain.n > 1) else 0
-    shifts = np.arange(7, 32, 8, dtype=np.uint32)  # the top bit of each byte
     for offset, words in rng.stream_words(
         seed, start, count, n_coords + (t + 3) // 4
     ):
@@ -175,13 +174,14 @@ def _draw_driving_blocks(
         if n_coords:
             n = ns[offset : offset + rows, None] if per_stream else chain.n
             values, rejected = rng.bounded(words[:, :t], n)
-            coords = values.astype(np.int64)
+            coords = values.view(np.int64)  # values < 2**32: the same numbers
             coords += 1
             redo = np.flatnonzero(rejected.any(axis=1))
         elif is_q1:
             coords = np.ones((rows, t), dtype=np.int64)
-        bytes_ = words[:, n_coords:, None] >> shifts
-        bits = (bytes_ & 1).astype(np.uint8).reshape(rows, -1)[:, :t]
+        # The little-endian words' bytes, low byte first; a bit is the top
+        # bit of its byte.
+        bits = words[:, n_coords:].view(np.uint8)[:, :t] >> 7
         for j in redo:
             row_chain = q1(int(n[j, 0])) if per_stream else chain
             coords[j], bits[j] = _draw_driving_arrays(

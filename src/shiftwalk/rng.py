@@ -22,10 +22,9 @@ import numpy.random  # noqa: F401
 __all__ = ["stream", "stream_words", "bounded"]
 
 _MASK64 = (1 << 64) - 1
-_MASK32 = np.uint64(0xFFFFFFFF)
 # Drawn 32-bit values per block of stream_words.  A block's temporaries
-# downstream (raw words, split halves, 64-bit products, masks) take about
-# 32 bytes per value, so a block stays near 1 MiB.
+# downstream (raw words, 64-bit products, rejection flags, bytes) take
+# about 12 bytes per value, so a block stays under 1/2 MiB.
 _BLOCK_VALUES = 1 << 15
 
 
@@ -88,6 +87,7 @@ def bounded(
     """
     k = np.asarray(k, dtype=np.uint64)
     m = values * k  # uint32 values widen to uint64
-    rejected = (m & _MASK32) < np.uint64(1 << 32) % k
+    low = m.astype("<u8", copy=False).view("<u4")[..., ::2]  # m mod 2**32
+    rejected = low < np.uint64(1 << 32) % k
     m >>= np.uint64(32)
     return m, rejected

@@ -55,7 +55,7 @@ def _lgam(x: np.ndarray) -> np.ndarray:
     """
     x = np.asarray(x, dtype=np.float64)
     log_x = np.fromiter(map(math.log, x.tolist()), np.float64, x.size)
-    out =(x - 0.5) * log_x - x + _LS2PI
+    out = (x - 0.5) * log_x - x + _LS2PI
     small = x < 1000.0
     xs = x[small]
     p = 1.0 / (xs * xs)
@@ -92,15 +92,19 @@ def _log_factorial_table(m_max: int) -> np.ndarray:
 
 def _log_binom(n: int, k: np.ndarray | int) -> np.ndarray:
     """log C(n, k), elementwise over integer-valued 0 <= k <= n."""
-    args = [np.asarray(v) for v in (n, k, np.subtract(n, k))]
-    for v in args:
-        if not np.all(np.isfinite(v) & (v >= 0) & (np.floor(v) == v)):
-            raise ValueError(
-                f"log C(n, k) needs integers 0 <= k <= n, got n={n}, k={k}"
-            )
-    table = _log_factorial_table(int(np.max(args[0])))
-    n, k, n_k = (v.astype(np.int64) for v in args)
-    return table[n] - table[k] - table[n_k]
+    n, k = np.asarray(n), np.asarray(k)
+    with np.errstate(invalid="ignore"):  # NaN and inf fail the checks below
+        n_int, k_int = n.astype(np.int64), k.astype(np.int64)
+    rest = n_int - k_int
+    if not (
+        (n_int == n).all() and (k_int == k).all()
+        and (k_int >= 0).all() and (rest >= 0).all()
+    ):
+        raise ValueError(
+            f"log C(n, k) needs integers 0 <= k <= n, got n={n}, k={k}"
+        )
+    table = _log_factorial_table(int(n_int.max()))
+    return table[n_int] - table.take(k_int) - table.take(rest)
 
 
 def weight_class_log_terms(
