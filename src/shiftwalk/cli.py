@@ -188,11 +188,10 @@ def _build_profile(args: argparse.Namespace, seed: int) -> dict:
 
     if args.samples:
         pmf = weight_stats.stationary_weight_pmf(n)
-        snapshots = weight_stats.sample_weights(chain, x0, ts, args.samples, seed)
+        counts = weight_stats.weight_counts(chain, x0, ts, args.samples, seed)
         for row in rows:
-            counts = np.bincount(snapshots[row.t], minlength=n + 1)
             row.tv_lower_emp, row.tv_lower_emp_se = weight_stats.histogram_tv(
-                counts, pmf
+                counts[row.t], pmf
             )
 
     return {

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import asdict, dataclass, field
+from typing import Iterator
 
 import numpy as np
 
@@ -266,54 +267,71 @@ _BLOCK_TRIALS = 1024
 _BLOCK_STEPS = 1 << 18
 
 
-def _bounded_diff_block(
-    seed: int, first: int, count: int, trials: int, n_max: int
-) -> tuple[int, int, int, int, int]:
-    """Trials first .. first+count-1 of the bounded-diff suite, replayed
-    together; returns (max bit-flip weight difference, max coordinate-change
+def _bounded_diff_blocks(
+    seed: int, trials: int, n_max: int
+) -> Iterator[tuple[int, int, int, int, int]]:
+    """The trials of the bounded-diff suite, replayed together in blocks;
+    yields per block (max bit-flip weight difference, max coordinate-change
     weight difference, max Hamming distance, zero-bit violations,
     same-coordinate violations).
+
+    Every block is decoded into the same buffers, allocated once: the
+    drawn coordinates (1-based) and bits trial-major, the coordinates
+    again in replay order, and the pairs' step-major copies.  The
+    coordinates are ``uint32`` (n <= n_max <= 2**32).
     """
-    j = np.arange(first, first + count)
-    n = 2 + j * (n_max - 1) // trials
-    blocks = list(_draw_driving_blocks(n, 2 * n_max + 3, seed, first, count))
-    coords = np.concatenate([c for _, c, _ in blocks])
-    bits = np.concatenate([b for _, _, b in blocks])
-    times = coords[:, [2 * n_max, 2 * n_max + 2]]
-    i, t = times.min(axis=1), times.max(axis=1)
-    u_new = coords[:, 2 * n_max + 1]
-    # The start: coordinate c is the bit of step n_max + c, packed into
-    # words of 64 coordinates, as many as the block's largest n needs.
-    width = int(n.max())
-    start = bits[:, n_max : n_max + width] & (np.arange(width) < n[:, None])
-    packed = np.zeros((count, 8 * ((width + 63) // 64)), dtype=np.uint8)
-    packed[:, : (width + 7) // 8] = np.packbits(start, axis=1, bitorder="little")
-    x0 = packed.view("<u8").T
+    steps = 2 * n_max + 3
+    rows = max(1, min(_BLOCK_TRIALS, _BLOCK_STEPS // n_max))
+    drawn = np.empty((rows, steps), dtype=np.uint32)
+    bits_drawn = np.empty((rows, steps), dtype=np.uint8)
+    ordered = np.empty((rows, steps), dtype=np.uint32)
+    pair_coords = np.empty((steps, 2, rows), dtype=np.uint32)
+    pair_bits = np.empty((steps, 2, rows), dtype=np.uint8)
+    for first in range(0, trials, rows):
+        count = min(rows, trials - first)
+        j = np.arange(first, first + count)
+        n = 2 + j * (n_max - 1) // trials
+        for i, c, b in _draw_driving_blocks(n, steps, seed, first, count):
+            drawn[i : i + len(b)] = c
+            bits_drawn[i : i + len(b)] = b
+        coords, bits = drawn[:count], bits_drawn[:count]
+        times = coords[:, [2 * n_max, 2 * n_max + 2]].astype(np.int64)
+        i, t = times.min(axis=1), times.max(axis=1)
+        u_new = coords[:, 2 * n_max + 1]
+        # The start: coordinate c is the bit of step n_max + c, packed into
+        # words of 64 coordinates, as many as the block's largest n needs.
+        width = int(n.max())
+        start = bits[:, n_max : n_max + width] & (np.arange(width) < n[:, None])
+        packed = np.zeros((count, 8 * ((width + 63) // 64)), dtype=np.uint8)
+        packed[:, : (width + 7) // 8] = np.packbits(start, axis=1, bitorder="little")
+        x0 = packed.view("<u8").T
 
-    order = np.argsort(-t, kind="stable")
-    n, t, i, u_new, x0 = n[order], t[order], i[order], u_new[order], x0[:, order]
-    coords = coords[order, : t[0]].T
-    bits = bits[order, : t[0]].T
+        order = np.argsort(-t, kind="stable")
+        n, t, i, u_new, x0 = n[order], t[order], i[order], u_new[order], x0[:, order]
+        coords.take(order, axis=0, out=ordered[:count])
+        # 0-based coordinates for the replay, which widens them per step.
+        replayed = pair_coords[: t[0], :, :count]
+        np.subtract(ordered[:count, : t[0]].T, 1, out=replayed[:, 0])
+        replayed[:, 1] = replayed[:, 0]
+        replayed_bits = pair_bits[: t[0], :, :count]
+        replayed_bits[:, 0] = bits[order, : t[0]].T
+        replayed_bits[:, 1] = replayed_bits[:, 0]
 
-    rows = np.arange(count)
-    at = i - 1
-    flip = j[order] % 2 == 1
-    # Narrow 0-based copies (n <= n_max <= 2**32); the replay widens them
-    # per step.
-    pair_coords = np.repeat((coords - 1)[:, None, :].astype(np.uint32), 2, axis=1)
-    pair_bits = np.repeat(bits[:, None, :], 2, axis=1)
-    pair_bits[at[flip], 1, rows[flip]] ^= 1
-    pair_coords[at[~flip], 1, rows[~flip]] = u_new[~flip] - 1
+        block_rows = np.arange(count)
+        at = i - 1
+        flip = j[order] % 2 == 1
+        replayed_bits[at[flip], 1, block_rows[flip]] ^= 1
+        replayed[at[~flip], 1, block_rows[~flip]] = u_new[~flip] - 1
 
-    diff, hamming = weight_stats._replay_pairs(n, t, x0, pair_coords, pair_bits)
-    changed = ~flip & (diff != 0)
-    return (
-        int(diff[flip].max(initial=0)),
-        int(diff[~flip].max(initial=0)),
-        int(hamming.max()),
-        int(np.count_nonzero(changed & (bits[at, rows] == 0))),
-        int(np.count_nonzero(changed & (coords[at, rows] == u_new))),
-    )
+        diff, hamming = weight_stats._replay_pairs(n, t, x0, replayed, replayed_bits)
+        changed = ~flip & (diff != 0)
+        yield (
+            int(diff[flip].max(initial=0)),
+            int(diff[~flip].max(initial=0)),
+            int(hamming.max()),
+            int(np.count_nonzero(changed & (replayed_bits[at, 0, block_rows] == 0))),
+            int(np.count_nonzero(changed & (ordered[block_rows, at] == u_new))),
+        )
 
 
 def suite_bounded_diff(
@@ -338,11 +356,9 @@ def suite_bounded_diff(
     half = trials // 2
     swept = n_max >= 2
     if swept and trials > 0:
-        rows = max(1, min(_BLOCK_TRIALS, _BLOCK_STEPS // n_max))
-        for first in range(0, trials, rows):
-            flip, coord, hamming, zero_bit, same_coord = _bounded_diff_block(
-                seed, first, min(rows, trials - first), trials, n_max
-            )
+        for flip, coord, hamming, zero_bit, same_coord in _bounded_diff_blocks(
+            seed, trials, n_max
+        ):
             max_flip = max(max_flip, flip)
             max_coord = max(max_coord, coord)
             max_hamming = max(max_hamming, hamming)

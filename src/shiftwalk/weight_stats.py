@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -33,6 +34,7 @@ __all__ = [
     "empirical_tv_lower_bound",
     "sample_weights",
     "stationary_weight_pmf",
+    "weight_counts",
 ]
 
 
@@ -162,6 +164,119 @@ def _replay_pairs(
     return np.abs(weight[0] - weight[1]), hamming
 
 
+# A Monte Carlo block's working set is at most _BLOCK_BYTES: per
+# trajectory its n+1 cells and its transposed driving arrays, about
+# (n+1) + 3 t_max bytes (uint8 cells and bits, uint16 q1 coordinates).  At
+# n = 1024 and t_max = n+1 a block holds about 2000 trajectories; blocks of
+# under 1500 there let the step loop's per-step overhead dominate, and at
+# n = 128 blocks of over 4000 ran slower, their cells falling out of cache.
+# Past 8 KiB a trajectory (t_max over about 2400 at n = 1024) the cap
+# would leave fewer than _MIN_BLOCK trajectories, too few to pay for that
+# overhead: blocks of 92 at t_max = 30000 ran at half the speed of one
+# block.  So a block holds at least _MIN_BLOCK trajectories (or all of
+# them); its memory then grows with t_max, but never with the samples.
+_BLOCK_BYTES = 8 << 20
+_MIN_BLOCK = 1024
+
+
+def _weight_blocks(
+    chain: ChainKind,
+    x0: BitVector,
+    ts: "list[int] | tuple[int, ...]",
+    samples: int,
+    seed: int,
+) -> Iterator[tuple[int, np.ndarray]]:
+    """The Monte Carlo kernel: steps ``samples`` trajectories in blocks and
+    yields ``(t, weights)`` for each block and each time t in ``ts``,
+    weights being the block's int64 Hamming weights at t in trajectory
+    order.  Blocks come in trajectory order.
+
+    Trajectory i consumes stream (seed, i).  The samples are split into
+    near-equal blocks (see ``_BLOCK_BYTES``), stepped one after another in
+    buffers allocated once.  Each trajectory is held
+    as the n+1 cells (x, parity of x), on which the shift is a rotation by
+    one cell (see ``gf2._shift_power``).  The buffer never moves: after s
+    steps coordinate u sits in cell (u-1+s) mod (n+1) and the parity in
+    cell (n+s) mod (n+1), so a step only toggles those two cells when its
+    bit is set.  Cells, bits and coordinates are stored step- or
+    cell-major, (rows, trajectories), so a step reads contiguous rows.
+    """
+    if x0.n != chain.n:
+        raise ValueError(f"start has length {x0.n}, chain has n={chain.n}")
+    if samples < 1:
+        raise ValueError(f"samples must be >= 1, got {samples}")
+    ts = sorted(set(int(t) for t in ts))
+    if ts and ts[0] < 0:
+        raise ValueError("snapshot times must be >= 0")
+    if not ts:
+        return
+    n = chain.n
+    m = n + 1
+    t_max = ts[-1]
+    blocks = -(-samples // max(_MIN_BLOCK, _BLOCK_BYTES // (m + 3 * t_max)))
+    width = -(-samples // blocks)
+
+    coords = None
+    if chain.kind == "q1":
+        coord_type = np.uint16 if n < 1 << 16 else np.int64
+        coords = np.empty((t_max, width), dtype=coord_type)
+        # Cell (u-1+s) mod (n+1) of coordinate u at step s+1 starts at
+        # row_starts[(s-1) mod (n+1) + u] of the flat cells.
+        row_starts = np.arange(2 * m, dtype=np.int64) % m * width
+    bits = np.empty((t_max, width), dtype=np.uint8)
+    cells = np.empty((m, width), dtype=np.uint8)
+    flat = cells.reshape(-1)
+    start_cells = np.array([*x0, x0.parity()], dtype=np.uint8)[:, None]
+    start_ones = x0.weight() + x0.parity()
+    snapshots = set(ts)
+
+    first = 0
+    for block in range(blocks):
+        b = samples // blocks + (block < samples % blocks)
+        for i, c, r in _draw_driving_blocks(chain, t_max, seed, first, b):
+            if coords is not None:
+                coords[:, i : i + len(r)] = c.astype(coords.dtype, copy=False).T
+            bits[:, i : i + len(r)] = r.T
+        cells[:, :b] = start_cells
+        # A set bit toggles two cells that held `both` ones, so the cells'
+        # ones change by 2 - 2 both.  `half` gathers -both at each step and
+        # the set bits up to each snapshot, where the weight is
+        # start_ones + 2 half - parity cell.
+        half = np.zeros(b, dtype=np.int64)
+        counted = 0  # the steps whose set bits half holds
+        columns = np.arange(b)
+        updated = np.empty(b, dtype=np.int64)
+        both = np.empty(b, dtype=np.uint8)
+        toggled = np.empty(b, dtype=np.uint8)
+        for s in range(t_max + 1):
+            parity = cells[(n + s) % m, :b]  # a view, toggled in place below
+            if s in snapshots:
+                half += bits[counted:s, :b].sum(axis=0, dtype=np.int64)
+                counted = s
+                weights = 2 * half
+                weights += start_ones
+                weights -= parity
+                yield s, weights
+            if s == t_max:
+                break
+            r = bits[s, :b]
+            if coords is None:
+                cell = cells[(chain.middle - 1 + s) % m, :b]
+                np.add(cell, parity, out=both)
+                cell ^= r
+            else:
+                row_starts[(s - 1) % m :].take(coords[s, :b], out=updated, mode="clip")
+                updated += columns
+                flat.take(updated, out=both, mode="clip")
+                np.bitwise_xor(both, r, out=toggled)
+                flat[updated] = toggled
+                both += parity
+            parity ^= r
+            both *= r
+            half -= both
+        first += b
+
+
 def sample_weights(
     chain: ChainKind,
     x0: BitVector,
@@ -173,64 +288,36 @@ def sample_weights(
     in ``ts``, returned as {t: int64 array of length samples}.
 
     Trajectory i consumes stream (seed, i); one pass serves all snapshot
-    times.  Each trajectory is held as the n+1 cells (x, parity of x), on
-    which the shift is a rotation by one cell (see ``gf2._shift_power``).
-    The buffer never moves: after s steps coordinate u sits in cell
-    (u-1+s) mod (n+1) and the parity in cell (n+s) mod (n+1), so a step
-    only toggles those two cells when its bit is set, O(samples) work.
+    times.  The arrays are ``_weight_blocks``' blocks, concatenated;
+    ``weight_counts`` gives their histograms without holding them.
     """
-    if x0.n != chain.n:
-        raise ValueError(f"start has length {x0.n}, chain has n={chain.n}")
-    if samples < 1:
-        raise ValueError(f"samples must be >= 1, got {samples}")
-    ts = sorted(set(int(t) for t in ts))
-    if ts and ts[0] < 0:
-        raise ValueError("snapshot times must be >= 0")
-    n = chain.n
-    t_max = ts[-1] if ts else 0
+    parts: dict[int, list[np.ndarray]] = {}
+    for t, weights in _weight_blocks(chain, x0, ts, samples, seed):
+        parts.setdefault(t, []).append(weights)
+    return {t: np.concatenate(blocks) for t, blocks in parts.items()}
 
-    coords_all = None
-    if chain.kind == "q1":
-        # A quarter of the int64 footprint; the cell index is formed as
-        # u + (s-1) mod (n+1) <= 2n before its own mod, so it still fits.
-        coord_type = np.uint16 if 2 * n < 1 << 16 else np.int64
-        coords_all = np.empty((samples, t_max), dtype=coord_type)
-    bits_all = np.empty((samples, t_max), dtype=np.uint8)
-    for i, coords, bits in _draw_driving_blocks(chain, t_max, seed, 0, samples):
-        if coords_all is not None:
-            coords_all[i : i + len(bits)] = coords
-        bits_all[i : i + len(bits)] = bits
 
-    m = n + 1
-    cells = np.empty((samples, m), dtype=np.uint8)
-    cells[:, :n] = np.array(list(x0), dtype=np.uint8)
-    cells[:, n] = x0.parity()
-    flat = cells.reshape(-1)
-    row_starts = np.arange(0, samples * m, m)
-    ones = np.full(samples, x0.weight() + x0.parity(), dtype=np.int64)
+def weight_counts(
+    chain: ChainKind,
+    x0: BitVector,
+    ts: "list[int] | tuple[int, ...]",
+    samples: int,
+    seed: int,
+) -> dict[int, np.ndarray]:
+    """The histograms of ``sample_weights``: {t: int64 counts of the
+    weights 0..n at time t}.
 
-    out: dict[int, np.ndarray] = {}
-    wanted = set(ts)
-    for s in range(t_max + 1):
-        parity = cells[:, (n + s) % m]  # a view, toggled in place below
-        if s in wanted:
-            out[s] = ones - parity
-        if s == t_max:
-            break
-        r = bits_all[:, s]
-        if coords_all is None:
-            col = (chain.middle - 1 + s) % m
+    Each block of trajectories adds its counts and is dropped, so memory
+    does not grow with ``samples``.
+    """
+    counts: dict[int, np.ndarray] = {}
+    for t, weights in _weight_blocks(chain, x0, ts, samples, seed):
+        block_counts = np.bincount(weights, minlength=chain.n + 1)
+        if t in counts:
+            counts[t] += block_counts
         else:
-            col = coords_all[:, s] + (s - 1) % m
-            col %= m
-        updated = row_starts + col
-        both = flat[updated]
-        flat[updated] = both ^ r
-        both += parity
-        parity ^= r
-        # A set bit turns the `both` ones of the two cells into 2 - both.
-        ones += r * (2 - 2 * both.view(np.int8))
-    return out
+            counts[t] = block_counts
+    return counts
 
 
 MAX_PMF_N = 2**14
@@ -273,9 +360,7 @@ def empirical_tv_lower_bound(
     the chain from uniform at time t, since the weight is a function of
     the state.
     """
-    counts = np.bincount(
-        sample_weights(chain, x0, [t], samples, seed)[t], minlength=chain.n + 1
-    )
+    counts = weight_counts(chain, x0, [t], samples, seed)[t]
     return histogram_tv(counts, stationary_weight_pmf(chain.n))[0]
 
 

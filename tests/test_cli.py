@@ -230,7 +230,7 @@ class TestProfile:
         def exhausted(*args, **kwargs):
             raise MemoryError("Unable to allocate 1.82 TiB")
 
-        monkeypatch.setattr(weight_stats, "sample_weights", exhausted)
+        monkeypatch.setattr(weight_stats, "weight_counts", exhausted)
         code, out, err = run_cli(capsys, "profile", "--chain", "q1", "--n", "2000",
                                  "--t", "5", "--samples", "10", "--seed", "1")
         assert code == 2

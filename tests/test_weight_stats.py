@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -30,8 +31,10 @@ from shiftwalk import (
     variance_bound_check,
     weight_moments,
 )
+from shiftwalk import weight_stats
+from shiftwalk.chains import _draw_driving_blocks
 from shiftwalk.distribution import exact_laws
-from shiftwalk.weight_stats import histogram_tv
+from shiftwalk.weight_stats import histogram_tv, weight_counts
 
 
 def flip_bit(driving: DrivingSequence, i: int) -> DrivingSequence:
@@ -46,6 +49,49 @@ def replace_coord(driving: DrivingSequence, i: int, u: int) -> DrivingSequence:
     coords = list(driving.coords)
     coords[i - 1] = u
     return DrivingSequence(tuple(coords), driving.bits)
+
+
+def reference_sample_weights(chain, x0, ts, samples, seed):
+    """``sample_weights`` with every trajectory drawn and stepped at once,
+    (samples, n+1) cells and (samples, t_max) driving arrays: the kernel
+    the block-wise one replaced."""
+    ts = sorted(set(int(t) for t in ts))
+    n = chain.n
+    t_max = ts[-1] if ts else 0
+    coords_all = None
+    if chain.kind == "q1":
+        coords_all = np.empty((samples, t_max), dtype=np.int64)
+    bits_all = np.empty((samples, t_max), dtype=np.uint8)
+    for i, coords, bits in _draw_driving_blocks(chain, t_max, seed, 0, samples):
+        if coords_all is not None:
+            coords_all[i : i + len(bits)] = coords
+        bits_all[i : i + len(bits)] = bits
+    m = n + 1
+    cells = np.empty((samples, m), dtype=np.uint8)
+    cells[:, :n] = np.array(list(x0), dtype=np.uint8)
+    cells[:, n] = x0.parity()
+    flat = cells.reshape(-1)
+    row_starts = np.arange(0, samples * m, m)
+    ones = np.full(samples, x0.weight() + x0.parity(), dtype=np.int64)
+    out = {}
+    for s in range(t_max + 1):
+        parity = cells[:, (n + s) % m]
+        if s in ts:
+            out[s] = ones - parity
+        if s == t_max:
+            break
+        r = bits_all[:, s]
+        if coords_all is None:
+            col = (chain.middle - 1 + s) % m
+        else:
+            col = (coords_all[:, s] - 1 + s) % m
+        updated = row_starts + col
+        both = flat[updated]
+        flat[updated] = both ^ r
+        both += parity
+        parity ^= r
+        ones += r * (2 - 2 * both.view(np.int8))
+    return out
 
 
 class TestMeanFormulas:
@@ -209,8 +255,8 @@ class TestBoundedDifferences:
 
 class TestEnsemble:
     def test_matches_per_trajectory_replay(self):
-        # 32767 and 32768 sit on either side of the uint16 coordinate buffer.
-        for n in (12, 32767, 32768):
+        # 65535 and 65536 sit on either side of the uint16 coordinate buffer.
+        for n in (12, 65535, 65536):
             chain, t, samples, seed = q1(n), 12, 40, 99
             weights = sample_weights(chain, BitVector.zeros(n), [5, t], samples, seed)
             for i in range(samples):
@@ -258,6 +304,55 @@ class TestEnsemble:
             states = simulate(chain, x0, random_driving(chain, t_max, seed, i))
             for t, w in weights.items():
                 assert w[i] == states[t].weight()
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        data=st.data(),
+        n=st.integers(1, 70),
+        kind=st.sampled_from(["q1", "q2"]),
+        samples=st.integers(1, 30),
+        seed=st.integers(0, 2**64 - 1),
+    )
+    def test_property_blocks_change_nothing(self, data, n, kind, samples, seed):
+        if kind == "q2":
+            n += n % 2
+        chain = q1(n) if kind == "q1" else q2(n)
+        word = data.draw(st.one_of(st.just(0), st.integers(0, (1 << n) - 1)))
+        x0 = BitVector(n, word)
+        t_max = data.draw(st.integers(0, 3 * n + 2))
+        ts = data.draw(st.lists(st.integers(0, t_max), max_size=6))
+        ts = ts + [0, t_max] + ts[:2]
+        per_block = data.draw(st.sampled_from([1, 2, 7, samples + 1]))
+        reference = reference_sample_weights(chain, x0, ts, samples, seed)
+        with pytest.MonkeyPatch.context() as patch:
+            # A block's working set is about n + 1 + 3 t_max bytes a
+            # trajectory.
+            patch.setattr(weight_stats, "_BLOCK_BYTES", per_block * (n + 1 + 3 * t_max))
+            patch.setattr(weight_stats, "_MIN_BLOCK", 1)
+            weights = sample_weights(chain, x0, ts, samples, seed)
+            counts = weight_counts(chain, x0, ts, samples, seed)
+        assert sorted(weights) == sorted(counts) == sorted(reference)
+        for t, w in reference.items():
+            assert weights[t].dtype == np.int64
+            assert np.array_equal(weights[t], w)
+            assert np.array_equal(counts[t], np.bincount(w, minlength=n + 1))
+
+    def test_count_memory_does_not_grow_with_samples(self):
+        # At t_max = t, `small` trajectories of q1(256) fill one block, so
+        # both sample counts step blocks of `small`; the all-at-once
+        # kernel's peak grew from 8.1 to 161 MiB between the two.
+        n, small, large = 256, 2_000, 40_000
+        t = (weight_stats._BLOCK_BYTES // small - (n + 1)) // 3
+        peaks = []
+        for samples in (small, large):
+            tracemalloc.start()
+            try:
+                counts = weight_counts(q1(n), BitVector.zeros(n), [t], samples, 3)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert counts[t].sum() == samples
+        assert abs(peaks[1] - peaks[0]) < 2**20
 
 
 class TestVarianceBound:
