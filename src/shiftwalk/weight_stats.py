@@ -164,17 +164,15 @@ def _replay_pairs(
     return np.abs(weight[0] - weight[1]), hamming
 
 
-# A Monte Carlo block's working set is at most _BLOCK_BYTES: per
-# trajectory its n+1 cells and its transposed driving arrays, about
-# (n+1) + 3 t_max bytes (uint8 cells and bits, uint16 q1 coordinates).  At
-# n = 1024 and t_max = n+1 a block holds about 2000 trajectories; blocks of
-# under 1500 there let the step loop's per-step overhead dominate, and at
-# n = 128 blocks of over 4000 ran slower, their cells falling out of cache.
-# Past 8 KiB a trajectory (t_max over about 2400 at n = 1024) the cap
-# would leave fewer than _MIN_BLOCK trajectories, too few to pay for that
-# overhead: blocks of 92 at t_max = 30000 ran at half the speed of one
-# block.  So a block holds at least _MIN_BLOCK trajectories (or all of
-# them); its memory then grows with t_max, but never with the samples.
+# A Monte Carlo block's working set, about (n+1) + 3 t_max bytes a
+# trajectory (uint8 cells and bits, uint16 q1 coordinates), stays under
+# _BLOCK_BYTES: about 2000 trajectories at n = 1024, t_max = n+1, where
+# blocks under 1500 let the per-step overhead dominate, while at n = 128
+# blocks over 4000 ran slower as their cells left the cache.  A block
+# still holds at least _MIN_BLOCK trajectories (or all of them), since past
+# 8 KiB a trajectory the cap alone would leave too few to pay for that
+# overhead (blocks of 92 at t_max = 30000 ran at half speed); memory then
+# grows with t_max, never with the number of samples.
 _BLOCK_BYTES = 8 << 20
 _MIN_BLOCK = 1024
 
@@ -193,13 +191,13 @@ def _weight_blocks(
 
     Trajectory i consumes stream (seed, i).  The samples are split into
     near-equal blocks (see ``_BLOCK_BYTES``), stepped one after another in
-    buffers allocated once.  Each trajectory is held
-    as the n+1 cells (x, parity of x), on which the shift is a rotation by
-    one cell (see ``gf2._shift_power``).  The buffer never moves: after s
-    steps coordinate u sits in cell (u-1+s) mod (n+1) and the parity in
-    cell (n+s) mod (n+1), so a step only toggles those two cells when its
-    bit is set.  Cells, bits and coordinates are stored step- or
-    cell-major, (rows, trajectories), so a step reads contiguous rows.
+    buffers allocated once.  Each trajectory is held as the n+1 cells
+    (x, parity of x), on which the shift is a rotation by one cell (see
+    ``gf2._shift_power``).  The buffer never moves: after s steps
+    coordinate u sits in cell (u-1+s) mod (n+1) and the parity in cell
+    (n+s) mod (n+1), so a step only toggles those two cells when its bit
+    is set.  Cells, bits and coordinates are stored cell- or step-major,
+    (rows, trajectories), so a step reads contiguous rows.
     """
     if x0.n != chain.n:
         raise ValueError(f"start has length {x0.n}, chain has n={chain.n}")
@@ -265,6 +263,8 @@ def _weight_blocks(
                 np.add(cell, parity, out=both)
                 cell ^= r
             else:
+                # mode="clip" lets take write to `out` without a buffered
+                # copy; every index is in range.
                 row_starts[(s - 1) % m :].take(coords[s, :b], out=updated, mode="clip")
                 updated += columns
                 flat.take(updated, out=both, mode="clip")
