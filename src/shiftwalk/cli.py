@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import itertools
 import json
 import math
 import secrets
@@ -18,13 +17,13 @@ import sys
 import time
 from dataclasses import dataclass, fields
 from datetime import datetime, timezone
-from typing import ContextManager, Iterator, TextIO
+from typing import ContextManager, TextIO
 
 import numpy as np
 
 from . import __version__, distribution, spectral, suites, weight_stats
 from .chains import ChainKind, simulate_random, trajectory_rows
-from .exact_sampler import exact_samples, solve_driving
+from .exact_sampler import _sample_blocks, solve_driving
 from .gf2 import BitVector
 
 SCHEMA_VERSION = 1
@@ -244,24 +243,26 @@ def _cmd_profile(args: argparse.Namespace) -> int:
 
 # ---------------------------------------------------------------- sample
 
-# Lines per write of ``sample``: one write per line would cost more than
-# drawing the sample, and one write for all lets memory grow with --count.
-_SAMPLE_CHUNK = 2048
+_HEX_DIGITS = np.frombuffer(b"0123456789abcdef", dtype=np.uint8)
 
 
-def _sample_text(states: Iterator[BitVector], hex_digits: int) -> Iterator[str]:
-    """The lines of ``sample``, joined in chunks of ``_SAMPLE_CHUNK``;
-    no states give one empty line."""
-    if hex_digits:
-        lines = (format(state.word, f"0{hex_digits}x") for state in states)
+def _sample_text(bits: np.ndarray, hex_out: bool) -> str:
+    """The lines of ``sample`` for one (rows, n) block of sample bits:
+    coordinate 1 first, or with ``hex_out`` the state's word in hex, most
+    significant digit first."""
+    rows, n = bits.shape
+    if hex_out:
+        packed = np.packbits(bits, axis=1, bitorder="little")
+        # Digit k of the word, counted from the least significant, is the
+        # low (k even) or high (k odd) half of byte k // 2.
+        nibbles = np.stack((packed & 15, packed >> 4), axis=2).reshape(rows, -1)
+        chars = _HEX_DIGITS[nibbles[:, (n + 3) // 4 - 1 :: -1]]
     else:
-        lines = (state.to_string() for state in states)
-    empty = True
-    while chunk := list(itertools.islice(lines, _SAMPLE_CHUNK)):
-        empty = False
-        yield "\n".join(chunk) + "\n"
-    if empty:
-        yield "\n"
+        chars = bits + np.uint8(ord("0"))
+    text = np.empty((rows, chars.shape[1] + 1), dtype=np.uint8)
+    text[:, :-1] = chars
+    text[:, -1] = ord("\n")
+    return text.tobytes().decode("ascii")
 
 
 def _cmd_sample(args: argparse.Namespace) -> int:
@@ -269,12 +270,13 @@ def _cmd_sample(args: argparse.Namespace) -> int:
         raise ValueError(f"--count must be >= 0, got {args.count}")
     seed = _resolve_seed(args.seed)
     x0 = _parse_state(args.x0, args.n)
-    hex_digits = (args.n + 3) // 4 if args.hex else 0
-    chunks = _sample_text(exact_samples(x0, seed, 0, args.count), hex_digits)
-    first = next(chunks)  # an odd n fails here, before --out is opened
+    blocks = _sample_blocks(x0, seed, 0, args.count)  # an odd n fails here
     with _open_output(args.out) as fh:
-        fh.write(first)
-        fh.writelines(chunks)
+        # One write per block of draws, so memory does not grow with --count.
+        for bits in blocks:
+            fh.write(_sample_text(bits, args.hex))
+        if args.count == 0:
+            fh.write("\n")
     return 0
 
 

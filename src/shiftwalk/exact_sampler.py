@@ -7,10 +7,11 @@ has unit determinant for every m, so uniform bits give an exactly uniform
 state, and inverting B recovers the unique driving sequence that reaches
 any target.
 
-Sampling and solving apply B and its inverse in closed form on packed
-ints, a few word operations instead of an n-step walk or a GF(2)
-elimination.  ``chains.evolve_symbolic(q2(n), x0, n)`` gives the explicit
-map that the closed form is checked against.
+Sampling applies B to a whole block of streams at once: the block's update
+bits are a (rows, n) bit array, and B is two XORs of its halves.  Solving
+inverts B on a packed int in log2(m) shift-and-xor rounds.  Neither walks
+n steps or eliminates; ``chains.evolve_symbolic(q2(n), x0, n)`` gives the
+explicit map that both are checked against.
 """
 from __future__ import annotations
 
@@ -38,21 +39,13 @@ def build_offset(x: BitVector) -> BitVector:
     return BitVector(x.n, _shift_power(x.n, x.word, x.n))
 
 
-def _apply_transfer(m: int, r: int) -> int:
-    """``B @ R`` on a packed word: bit j of ``r`` is the update bit of step j.
-
-    With ``lo``/``hi`` the low and high m bits of R, the top block row
-    [I, C] gives ``lo ^ (hi >> 1)`` and the bottom row [I, I] ``lo ^ hi``.
-    """
-    lo = r & ((1 << m) - 1)
-    hi = r >> m
-    return (lo ^ (hi >> 1)) | ((lo ^ hi) << m)
-
-
 def _invert_transfer(m: int, v: int) -> int:
-    """The R with ``B @ R == v``, so ``_apply_transfer(m, R) == v``.
+    """The R with ``B @ R == v`` on packed words: bit j of R is the update
+    bit of step j, and bit i of v coordinate i+1 of the state.
 
-    XOR-ing the two halves of v leaves ``w = hi ^ (hi >> 1)``, so ``hi`` is
+    The top block row [I, C] of B gives ``lo ^ (hi >> 1)`` and the bottom
+    row [I, I] ``lo ^ hi``, with ``lo``/``hi`` the low and high m bits of
+    R.  XOR-ing the two halves of v leaves ``w = hi ^ (hi >> 1)``, so ``hi`` is
     the suffix XOR of w, taken in log2(m) shift-and-xor rounds; then
     ``lo = (v >> m) ^ hi``.
     """
@@ -64,6 +57,38 @@ def _invert_transfer(m: int, v: int) -> int:
     return ((v >> m) ^ hi) | (hi << m)
 
 
+def _sample_blocks(
+    x0: BitVector, seed: int, start: int, count: int
+) -> Iterator[np.ndarray]:
+    """The samples ``exact_sample(x0, seed, i)`` for i in
+    start..start+count-1, as one (rows, n) ``uint8`` bit array per block of
+    ``rng.stream_words``; column j holds coordinate j+1.
+
+    An odd n raises here, before the first block is drawn.
+    """
+    offset = np.array(build_offset(x0).bits, dtype=np.uint8)
+    n, m = x0.n, x0.n // 2
+
+    def blocks() -> Iterator[np.ndarray]:
+        for _, words in rng.stream_words(seed, start, count, n):
+            # Each draw is the default int64 integers(0, 2), which is
+            # (u * 2) >> 32, the top bit of the 32-bit value: 2 divides
+            # 2**32, so numpy never rejects one.  That bit is the top bit of
+            # the little-endian word's last byte.
+            r = words.view(np.uint8)[:, 3::4] >> 7
+            lo, hi = r[:, :m], r[:, m:]
+            out = np.empty_like(r)
+            # The top block row [I, C] of B: lo ^ (hi >> 1), where bit j of
+            # hi >> 1 is bit j+1 of hi.  The bottom row [I, I]: lo ^ hi.
+            np.bitwise_xor(lo[:, :-1], hi[:, 1:], out=out[:, : m - 1])
+            out[:, m - 1] = lo[:, -1]
+            np.bitwise_xor(lo, hi, out=out[:, m:])
+            out ^= offset
+            yield out
+
+    return blocks()
+
+
 def exact_samples(
     x0: BitVector, seed: int, start: int, count: int
 ) -> Iterator[BitVector]:
@@ -73,18 +98,10 @@ def exact_samples(
     sample reads the same draws as its own stream would.  Samples are
     yielded as they are made, so memory does not grow with ``count``.
     """
-    if x0.n % 2 != 0:
-        raise ValueError(f"expected even length, got {x0.n}")
     n = x0.n
-    offset = build_offset(x0).word
-    for _, words in rng.stream_words(seed, start, count, n):
-        # Each draw is the default int64 integers(0, 2): one 32-bit value
-        # per bit.  2 divides 2**32, so numpy never rejects one.
-        draws, _ = rng.bounded(words, 2)
-        packed = np.packbits(draws.astype(np.uint8), axis=1, bitorder="little")
-        for row in packed:
-            r = int.from_bytes(row.tobytes(), "little")
-            yield BitVector(n, _apply_transfer(n // 2, r) ^ offset)
+    for bits in _sample_blocks(x0, seed, start, count):
+        for row in np.packbits(bits, axis=1, bitorder="little"):
+            yield BitVector(n, int.from_bytes(row.tobytes(), "little"))
 
 
 def exact_sample(x0: BitVector, seed: int, stream_index: int = 0) -> BitVector:

@@ -1,15 +1,29 @@
+import contextlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import shiftwalk
-from shiftwalk import BitVector, DrivingSequence, q2, simulate, weight_stats
+from shiftwalk import (
+    BitVector,
+    DrivingSequence,
+    exact_sample,
+    exact_samples,
+    q2,
+    rng,
+    simulate,
+    weight_stats,
+)
 from shiftwalk.cli import MAX_PROFILE_TIMES, _parse_t_range, main
 
 
@@ -361,9 +375,7 @@ class TestSample:
     @pytest.mark.parametrize("hex_flag", [(), ("--hex",)])
     def test_chunked_output_is_one_text(self, capsys, monkeypatch, tmp_path,
                                         count, hex_flag):
-        from shiftwalk import cli, exact_samples
-
-        monkeypatch.setattr(cli, "_SAMPLE_CHUNK", 3)
+        monkeypatch.setattr(rng, "_BLOCK_VALUES", 30)  # 3 samples a block
         x0 = BitVector.from_string("0110010111")
         lines = [format(s.word, "03x") if hex_flag else s.to_string()
                  for s in exact_samples(x0, 5, 0, count)]
@@ -375,6 +387,51 @@ class TestSample:
         out_file = tmp_path / "samples.txt"
         code, _, _ = run_cli(capsys, *argv, "--out", str(out_file))
         assert code == 0 and out_file.read_text() == want
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        data=st.data(),
+        m=st.integers(1, 100),
+        rows=st.integers(1, 5),
+        seed=st.integers(0, 2**64 - 1),
+        hex_flag=st.booleans(),
+    )
+    def test_property_blocks_give_the_per_sample_lines(
+        self, tmp_path_factory, data, m, rows, seed, hex_flag
+    ):
+        # Blocks of `rows` streams, and up to about three of them.
+        n = 2 * m
+        x0 = BitVector(n, data.draw(st.integers(0, (1 << n) - 1)))
+        block_values = rows * n + data.draw(st.integers(0, n - 1))
+        count = data.draw(st.integers(0, 3 * rows + 1))
+        states = [exact_sample(x0, seed, i) for i in range(count)]
+        lines = [format(s.word, f"0{(n + 3) // 4}x") if hex_flag else s.to_string()
+                 for s in states]
+        want = "\n".join(lines) + "\n"
+        argv = ["sample", "--n", str(n), "--count", str(count), "--seed", str(seed),
+                "--x0", x0.to_string(), *(["--hex"] if hex_flag else [])]
+        out_file = tmp_path_factory.mktemp("sample") / "samples.txt"
+        stdout = io.StringIO()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(rng, "_BLOCK_VALUES", block_values)
+            with contextlib.redirect_stdout(stdout):
+                assert main(argv) == 0
+            assert main([*argv, "--out", str(out_file)]) == 0
+        assert stdout.getvalue() == want
+        assert out_file.read_text() == want
+
+    def test_memory_does_not_grow_with_count(self):
+        def peak(count):
+            tracemalloc.start()
+            try:
+                assert main(["sample", "--n", "64", "--count", str(count),
+                             "--seed", "1", "--out", os.devnull]) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        small, large = peak(2000), peak(40_000)
+        assert abs(large - small) < 2**20, (small, large)
 
     def test_missing_seed_is_drawn_and_printed(self, capsys):
         code, out, err = run_cli(capsys, "sample", "--n", "6")

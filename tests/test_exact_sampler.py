@@ -20,7 +20,9 @@ from shiftwalk import (
     solve_linear,
     stream,
 )
+from shiftwalk import rng
 from shiftwalk.chains import _step_word
+from shiftwalk.exact_sampler import _sample_blocks
 
 
 def reference_sample(x0, seed, stream_index=0):
@@ -30,6 +32,12 @@ def reference_sample(x0, seed, stream_index=0):
     for r in stream(seed, stream_index).integers(0, 2, size=n):
         word = _step_word(n, word, m, int(r))
     return BitVector(n, word)
+
+
+def kernel_lines(x0, seed, start, count):
+    """The block kernel's samples as strings, coordinate 1 first."""
+    return ["".join(map(str, row))
+            for block in _sample_blocks(x0, seed, start, count) for row in block]
 
 
 def reference_solve(x0, z, matrix):
@@ -67,6 +75,20 @@ class TestTransferMatrix:
                    for i in range(m)]
             bottom = [(1 << i) | (1 << (m + i)) for i in range(m)]
             assert transfer_map(m) == GF2Matrix(2 * m, 2 * m, tuple(top + bottom))
+
+    def test_kernel_applies_symbolic_map(self):
+        # Sample i is B @ R ^ offset, R the first n draws of stream (seed, i).
+        gen = stream(21, 0)
+        for m in range(1, 71):
+            n = 2 * m
+            x0 = BitVector.random(n, gen)
+            state = evolve_symbolic(q2(n), x0, n)
+            want = []
+            for i in range(5):
+                r = "".join(map(str, stream(13, i).integers(0, 2, size=n)))
+                want.append((state.map @ BitVector.from_string(r) ^ state.offset)
+                            .to_string())
+            assert kernel_lines(x0, 13, 0, 5) == want
 
     def test_replays_six_step_walk(self):
         chain = q2(6)
@@ -143,6 +165,23 @@ class TestSampleAgainstWalk:
         for x0 in (BitVector.zeros(n), BitVector.random(n, gen)):
             for i in range(50):
                 assert exact_sample(x0, 9, i) == reference_sample(x0, 9, i)
+
+    @pytest.mark.parametrize("m", range(1, 71))
+    def test_kernel_blocks(self, monkeypatch, m):
+        n = 2 * m
+        monkeypatch.setattr(rng, "_BLOCK_VALUES", 3 * n)  # 3 streams a block
+        x0 = BitVector.random(n, stream(32, n))
+        start = 2**64 - 4  # the indices wrap mod 2**64
+        blocks = list(_sample_blocks(x0, 9, start, 10))
+        assert [b.shape for b in blocks] == [(3, n)] * 3 + [(1, n)]
+        assert all(b.dtype == np.uint8 for b in blocks)
+        want = [reference_sample(x0, 9, (start + i) % 2**64).to_string()
+                for i in range(10)]
+        assert kernel_lines(x0, 9, start, 10) == want
+
+    def test_kernel_rejects_odd_length_before_drawing(self):
+        with pytest.raises(ValueError):
+            _sample_blocks(BitVector.zeros(5), 1, 0, 1)
 
     @settings(max_examples=200, deadline=None)
     @given(
