@@ -45,9 +45,9 @@ def _invert_transfer(m: int, v: int) -> int:
 
     The top block row [I, C] of B gives ``lo ^ (hi >> 1)`` and the bottom
     row [I, I] ``lo ^ hi``, with ``lo``/``hi`` the low and high m bits of
-    R.  XOR-ing the two halves of v leaves ``w = hi ^ (hi >> 1)``, so ``hi`` is
-    the suffix XOR of w, taken in log2(m) shift-and-xor rounds; then
-    ``lo = (v >> m) ^ hi``.
+    R.  XOR-ing the two halves of v leaves ``w = hi ^ (hi >> 1)``, so
+    ``hi`` is the suffix XOR of w, taken in log2(m) shift-and-xor rounds;
+    then ``lo = (v >> m) ^ hi``.
     """
     hi = (v ^ (v >> m)) & ((1 << m) - 1)
     s = 1

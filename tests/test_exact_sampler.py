@@ -14,13 +14,13 @@ from shiftwalk import (
     exact_sample,
     exact_samples,
     q2,
+    rng,
     shift_register,
     simulate,
     solve_driving,
     solve_linear,
     stream,
 )
-from shiftwalk import rng
 from shiftwalk.chains import _step_word
 from shiftwalk.exact_sampler import _sample_blocks
 
