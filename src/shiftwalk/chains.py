@@ -23,8 +23,8 @@ __all__ = [
     "q1",
     "q2",
     "simulate",
-    "random_driving",
     "simulate_random",
+    "random_driving",
     "evolve_symbolic",
     "trajectory_rows",
 ]

@@ -77,9 +77,9 @@ def _parse_state(value: str | None, n: int) -> BitVector:
     return state
 
 
-# ``profile`` times lie below this bound, which also caps the rows: the
-# exact sweep and the Monte Carlo buffers run to the last time, so a far one
-# would hang or exhaust memory.
+# ``profile`` and ``simulate`` times lie below this bound, which also caps
+# the rows: the exact sweep, the Monte Carlo buffers and the simulated
+# trajectory run to the last time, so a far one would hang or exhaust memory.
 MAX_PROFILE_TIMES = 10**6
 
 
@@ -104,10 +104,11 @@ def _parse_t_range(value: str) -> range:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     if args.suite == "all" and args.n_max is not None:
+        cap = suites.EXACT_SWEEP_N_MAX
         raise ValueError(
             "--n-max is for one suite, not 'all': matrix-order reads it as n <= 512, "
             "term-bounds and fourier 2000, bounded-diff 64, moments and variance "
-            "10 (at most 16), q2-exact 16 (at most 16), by default"
+            f"10 (at most {cap}), q2-exact 16 (at most {cap}), by default"
         )
     for flag, count in (("--trials", args.trials), ("--samples", args.samples)):
         if count is not None and count < 0:
@@ -295,6 +296,9 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 # -------------------------------------------------------------- simulate
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
+    if args.t >= MAX_PROFILE_TIMES:
+        raise ValueError(f"--t {args.t} is past {MAX_PROFILE_TIMES - 1}, "
+                         "the last time simulate reports")
     seed = _resolve_seed(args.seed)
     chain = ChainKind(args.chain, args.n)
     x0 = _parse_state(args.x0, args.n)

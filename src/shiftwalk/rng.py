@@ -19,7 +19,7 @@ import numpy as np
 # set-up every CLI call pays includes it and the first draw does not.
 import numpy.random  # noqa: F401
 
-__all__ = ["stream", "stream_words", "bounded"]
+__all__ = ["stream"]
 
 _MASK64 = (1 << 64) - 1
 # Drawn 32-bit values per block of stream_words.  A block's temporaries

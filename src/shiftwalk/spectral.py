@@ -20,7 +20,6 @@ from .gf2 import BitVector
 __all__ = [
     "FourierSummary",
     "WeightClassBoundReport",
-    "weight_class_log_terms",
     "weight_class_term",
     "check_weight_class_bounds",
     "fourier_coeff_closed_form",

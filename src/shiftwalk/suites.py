@@ -18,6 +18,8 @@ from .gf2 import BitVector, GF2Matrix, companion_power
 
 __all__ = ["CheckResult", "SUITES", "run_suite", "suite_names", "transform_max_diff"]
 
+EXACT_SWEEP_N_MAX = 16  # n_max cap of the exact-oracle sweeps, one evolution per n
+
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -198,7 +200,7 @@ def suite_moments(n_max: int = 10, **_: object) -> list[CheckResult]:
         )
     )
 
-    n_max = min(n_max, 16)  # exact-oracle sweep, one evolution per n
+    n_max = min(n_max, EXACT_SWEEP_N_MAX)
     worst_mean = 0.0
     worst_marginal = 0.0
     worst_terminal = 0.0
@@ -397,7 +399,7 @@ def suite_variance(
 ) -> list[CheckResult]:
     """Weight variance stays below 4t: exactly at small n, sampled at n = 128."""
     worst = -np.inf
-    n_max = min(n_max, 16)
+    n_max = min(n_max, EXACT_SWEEP_N_MAX)
     for n in range(2, n_max + 1):
         for t, d in distribution.exact_laws(q1(n), BitVector.zeros(n), n):
             _, var = distribution.weight_moments(d)
@@ -432,7 +434,7 @@ def suite_q2_exact(
     n_max: int = 16, seed: int = 0, starts: int = 16, **_: object
 ) -> list[CheckResult]:
     """The middle-coordinate walk is exactly uniform after n steps."""
-    n_max = min(n_max, 16)
+    n_max = min(n_max, EXACT_SWEEP_N_MAX)
     worst = 0.0
     for n in range(4, n_max + 1, 2):
         chain = q2(n)

@@ -20,7 +20,6 @@ from .spectral import _log_binom
 
 __all__ = [
     "LowerBoundParams",
-    "check_window",
     "DegenerateWindowError",
     "ReplayDivergence",
     "VarianceReport",
@@ -30,11 +29,9 @@ __all__ = [
     "replay_divergence",
     "variance_bound_check",
     "chebyshev_lower_bound",
-    "histogram_tv",
     "empirical_tv_lower_bound",
     "sample_weights",
     "stationary_weight_pmf",
-    "weight_counts",
 ]
 
 
@@ -360,8 +357,8 @@ def empirical_tv_lower_bound(
     the chain from uniform at time t, since the weight is a function of
     the state.
     """
-    counts = weight_counts(chain, x0, [t], samples, seed)[t]
-    return histogram_tv(counts, stationary_weight_pmf(chain.n))[0]
+    pmf = stationary_weight_pmf(chain.n)
+    return histogram_tv(weight_counts(chain, x0, [t], samples, seed)[t], pmf)[0]
 
 
 @dataclass(frozen=True)

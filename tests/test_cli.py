@@ -1,4 +1,5 @@
 import contextlib
+import inspect
 import io
 import json
 import math
@@ -24,6 +25,7 @@ from shiftwalk import (
     simulate,
     weight_stats,
 )
+from shiftwalk import cli, suites
 from shiftwalk.cli import MAX_PROFILE_TIMES, _parse_t_range, main
 
 
@@ -128,6 +130,17 @@ class TestVerify:
         for suite in ("matrix-order", "term-bounds", "fourier", "bounded-diff",
                       "moments", "variance", "q2-exact"):
             assert suite in err
+
+    def test_n_max_message_gives_each_default_and_the_cap(self, capsys):
+        """The message for 'all' is written by hand; it must follow the
+        suites' signatures and the exact sweeps' cap."""
+        _, _, err = run_cli(capsys, "verify", "all", "--n-max", "1", "--seed", "1")
+        for name, fn in suites.SUITES.items():
+            default = inspect.signature(fn).parameters["n_max"].default
+            # The first number after a suite's name is its default.
+            after = err[err.index(name) + len(name):].replace(",", " ").split()
+            assert next(w for w in after if w.isdigit()) == str(default), name
+        assert err.count(f"(at most {suites.EXACT_SWEEP_N_MAX})") == 2
 
     def test_strict_json_keeps_finite_reports(self):
         from shiftwalk.cli import _strict_json
@@ -463,6 +476,18 @@ class TestSolveAndSimulate:
         for line in out.strip().splitlines()[2:]:
             _, state, weight = line.split(",")
             assert state.count("1") == int(weight)
+
+    def test_simulate_rejects_t_at_the_bound_before_drawing(self, capsys, monkeypatch):
+        def unreachable(*args):
+            raise AssertionError("drew before checking --t")
+
+        monkeypatch.setattr(cli, "simulate_random", unreachable)
+        for t in (MAX_PROFILE_TIMES, 10**8):
+            code, out, err = run_cli(capsys, "simulate", "--chain", "q1", "--n", "8",
+                                     "--t", str(t), "--seed", "1")
+            assert code == 2 and out == ""
+            assert err.startswith("error:") and str(MAX_PROFILE_TIMES - 1) in err
+            assert "Traceback" not in err
 
 
 class TestVersionFlag:

@@ -255,8 +255,25 @@ class TestMoments:
     def test_marginal_bounds(self):
         d = uniform_law(4)
         assert coordinate_marginal(d, 1) == pytest.approx(0.5)
-        with pytest.raises(ValueError):
-            coordinate_marginal(d, 5)
+        for coord in (0, 5):
+            with pytest.raises(ValueError):
+                coordinate_marginal(d, coord)
+
+    def test_marginal_equals_masked_sum(self):
+        """Bit for bit equal to the sum over the states whose bit is set."""
+
+        def masked(d, coord):
+            idx = np.arange(1 << d.n, dtype=np.int64)
+            return float(d.probs[(idx >> (coord - 1)) & 1 == 1].sum())
+
+        for n in range(1, 11):
+            start = BitVector(n, 1)
+            laws = [(t, d.probs.copy()) for t, d in exact_laws(q1(n), start, n + 2)]
+            laws.append((-1, stream(9, n).dirichlet(np.ones(1 << n))))
+            for t, probs in laws:
+                d = DistributionVector(n, probs)
+                for coord in range(1, n + 1):
+                    assert coordinate_marginal(d, coord) == masked(d, coord), (n, t, coord)
 
 
 class TestCurve:

@@ -38,3 +38,10 @@ def test_exports_are_pinned_and_owned():
         owners = [m for m in modules if name in m.__all__]
         assert len(owners) == 1, (name, owners)
         assert getattr(owners[0], name) is getattr(shiftwalk, name), name
+
+
+def test_package_all_is_the_modules_all_lists():
+    modules = (gf2, chains, distribution, spectral, weight_stats, exact_sampler, rng)
+    joined = [name for m in modules for name in m.__all__]
+    assert shiftwalk.__all__ == ["__version__", *joined]
+    assert len(set(joined)) == len(joined)

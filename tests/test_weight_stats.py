@@ -448,6 +448,15 @@ class TestEmpiricalLowerBound:
         with pytest.raises(ValueError):
             stationary_weight_pmf(2**14 + 1)
 
+    def test_n_beyond_the_pmf_is_rejected_before_sampling(self, monkeypatch):
+        def unreachable(*args):
+            raise AssertionError("sampled before checking n")
+
+        monkeypatch.setattr(weight_stats, "weight_counts", unreachable)
+        n = 2**14 + 2
+        with pytest.raises(ValueError, match="stationary weight law"):
+            empirical_tv_lower_bound(q1(n), BitVector.zeros(n), 1, 10, seed=0)
+
     def test_histogram_rows(self):
         # The estimate is the TV of the histogram of the sampled weights.
         weights = sample_weights(q1(8), BitVector.zeros(8), [4], 300, seed=2)[4]
