@@ -23,10 +23,8 @@ __all__ = [
     "q1",
     "q2",
     "simulate",
-    "simulate_random",
     "random_driving",
     "evolve_symbolic",
-    "trajectory_rows",
 ]
 
 
@@ -112,19 +110,31 @@ def _validate_driving(chain: ChainKind, driving: DrivingSequence) -> None:
         raise ValueError(f"q2 driving must use coordinate {chain.middle} only")
 
 
+def _replay(
+    chain: ChainKind, x0: BitVector, driving: DrivingSequence
+) -> Iterator[int]:
+    """The packed states x_0..x_t of the deterministic replay, one at a time.
+
+    ``x0`` and the driving are checked when this is called, before any step.
+    """
+    if x0.n != chain.n:
+        raise ValueError(f"start has length {x0.n}, chain has n={chain.n}")
+    _validate_driving(chain, driving)
+
+    def states(n: int = chain.n, word: int = x0.word) -> Iterator[int]:
+        yield word
+        for u, r in zip(driving.coords, driving.bits):
+            word = _step_word(n, word, u, r)
+            yield word
+
+    return states()
+
+
 def simulate(
     chain: ChainKind, x0: BitVector, driving: DrivingSequence
 ) -> list[BitVector]:
     """Deterministic replay; returns the configuration sequence x_0..x_t."""
-    if x0.n != chain.n:
-        raise ValueError(f"start has length {x0.n}, chain has n={chain.n}")
-    _validate_driving(chain, driving)
-    states = [x0]
-    word = x0.word
-    for u, r in zip(driving.coords, driving.bits):
-        word = _step_word(chain.n, word, u, r)
-        states.append(BitVector(chain.n, word))
-    return states
+    return [BitVector(chain.n, word) for word in _replay(chain, x0, driving)]
 
 
 def _draw_driving_arrays(chain: ChainKind, t: int, seed: int, stream_index: int):
@@ -202,15 +212,8 @@ def random_driving(
     if coords is None:
         coord_tuple = (chain.middle,) * t
     else:
-        coord_tuple = tuple(int(u) for u in coords)
-    return DrivingSequence(coord_tuple, tuple(int(b) for b in bits))
-
-
-def simulate_random(
-    chain: ChainKind, x0: BitVector, t: int, seed: int, stream_index: int = 0
-) -> list[BitVector]:
-    """Simulate ``t`` random steps; identical seeds give identical paths."""
-    return simulate(chain, x0, random_driving(chain, t, seed, stream_index))
+        coord_tuple = tuple(coords.tolist())
+    return DrivingSequence(coord_tuple, tuple(bits.tolist()))
 
 
 def evolve_symbolic(
@@ -242,7 +245,3 @@ def evolve_symbolic(
         offset=BitVector(n, _shift_power(n, x0.word, t)),
     )
 
-
-def trajectory_rows(states: Sequence[BitVector]) -> list[tuple[int, str, int]]:
-    """CSV-ready rows (t, state bitstring, Hamming weight)."""
-    return [(t, x.to_string(), x.weight()) for t, x in enumerate(states)]

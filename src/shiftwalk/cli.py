@@ -22,7 +22,7 @@ from typing import ContextManager, TextIO
 import numpy as np
 
 from . import __version__, distribution, spectral, suites, weight_stats
-from .chains import ChainKind, simulate_random, trajectory_rows
+from .chains import ChainKind, _replay, random_driving
 from .exact_sampler import _sample_blocks, solve_driving
 from .gf2 import BitVector
 
@@ -78,8 +78,9 @@ def _parse_state(value: str | None, n: int) -> BitVector:
 
 
 # ``profile`` and ``simulate`` times lie below this bound, which also caps
-# the rows: the exact sweep, the Monte Carlo buffers and the simulated
-# trajectory run to the last time, so a far one would hang or exhaust memory.
+# the rows: the exact sweep, the Monte Carlo buffers and the driving of the
+# simulated trajectory run to the last time, so a far one would hang or
+# exhaust memory.
 MAX_PROFILE_TIMES = 10**6
 
 
@@ -286,8 +287,6 @@ def _cmd_sample(args: argparse.Namespace) -> int:
 def _cmd_solve(args: argparse.Namespace) -> int:
     start = BitVector.from_string(args.from_state)
     target = BitVector.from_string(args.to_state)
-    if args.n is not None and args.n != start.n:
-        raise ValueError(f"--n {args.n} does not match state length {start.n}")
     driving = solve_driving(start, target)
     print("".join(str(b) for b in driving.bits))
     return 0
@@ -302,14 +301,14 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     seed = _resolve_seed(args.seed)
     chain = ChainKind(args.chain, args.n)
     x0 = _parse_state(args.x0, args.n)
-    states = simulate_random(chain, x0, args.t, seed)
-    lines = [
-        f"# shiftwalk simulate schema_version={SCHEMA_VERSION} "
-        f"chain={chain.kind} n={args.n} seed={seed}",
-        "t,state,weight",
-    ]
-    lines.extend(f"{t},{s},{w}" for t, s, w in trajectory_rows(states))
-    _write_output("\n".join(lines) + "\n", args.out)
+    words = _replay(chain, x0, random_driving(chain, args.t, seed))
+    with _open_output(args.out) as fh:
+        # One row per step, written as it is stepped: only the driving is held.
+        fh.write(f"# shiftwalk simulate schema_version={SCHEMA_VERSION} "
+                 f"chain={chain.kind} n={args.n} seed={seed}\nt,state,weight\n")
+        for t, word in enumerate(words):
+            x = BitVector(chain.n, word)
+            fh.write(f"{t},{x.to_string()},{x.weight()}\n")
     return 0
 
 
@@ -361,7 +360,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="driving bits that steer one state to another")
     p.add_argument("--from", dest="from_state", required=True, metavar="BITS")
     p.add_argument("--to", dest="to_state", required=True, metavar="BITS")
-    p.add_argument("--n", type=int, default=None, help="optional length check")
     p.set_defaults(fn=_cmd_solve)
 
     p = sub.add_parser("simulate", help="dump one random trajectory as CSV")

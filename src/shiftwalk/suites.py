@@ -37,7 +37,7 @@ def _sweep_check(name: str, swept: bool, passed: bool, observed: dict) -> CheckR
 
 
 def suite_matrix_order(
-    n_max: int = 512, seed: int = 0, spot_n: int = 10_000, **_: object
+    n_max: int = 512, spot_n: int = 10_000, **_: object
 ) -> list[CheckResult]:
     """The shift map's matrix has order n+1: M^(n+1) = I."""
     failures = [

@@ -14,7 +14,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .chains import ChainKind, DrivingSequence, _draw_driving_blocks, _step_word
+from .chains import ChainKind, DrivingSequence, _draw_driving_blocks, _replay
 from .gf2 import BitVector
 from .spectral import _log_binom
 
@@ -94,21 +94,9 @@ def replay_divergence(
     """Jointly replay two driving sequences of equal length from ``x0``."""
     if len(driving_a) != len(driving_b):
         raise ValueError("driving sequences must have equal length")
-    if x0.n != chain.n:
-        raise ValueError(f"start has length {x0.n}, chain has n={chain.n}")
-    n = chain.n
-    a = b = x0.word
-    max_d = 0
-    for ua, ra, ub, rb in zip(
-        driving_a.coords, driving_a.bits, driving_b.coords, driving_b.bits
-    ):
-        if not (1 <= ua <= n and 1 <= ub <= n):
-            raise ValueError(f"update coordinate out of range 1..{n}")
-        a = _step_word(n, a, ua, ra)
-        b = _step_word(n, b, ub, rb)
-        d = (a ^ b).bit_count()
-        if d > max_d:
-            max_d = d
+    max_d = 0  # the replays start at x_0, so the loop binds a and b
+    for a, b in zip(_replay(chain, x0, driving_a), _replay(chain, x0, driving_b)):
+        max_d = max(max_d, (a ^ b).bit_count())
     return ReplayDivergence(
         weight_diff=abs(a.bit_count() - b.bit_count()), max_hamming=max_d
     )

@@ -11,9 +11,7 @@ from shiftwalk import (
     random_driving,
     shift_register,
     simulate,
-    simulate_random,
     stream,
-    trajectory_rows,
 )
 from shiftwalk.chains import _step_word
 
@@ -99,9 +97,9 @@ class TestSimulate:
             assert states[-1] == table_t6(bits)
 
     def test_weight_column_is_hamming_weight(self):
-        states = simulate_random(q1(6), BitVector.zeros(6), 10, seed=5)
-        for t, text, w in trajectory_rows(states):
-            assert BitVector.from_string(text).weight() == w
+        driving = random_driving(q1(6), 10, seed=5)
+        for x in simulate(q1(6), BitVector.zeros(6), driving):
+            assert BitVector.from_string(x.to_string()).weight() == x.weight()
 
     def test_driving_validation(self):
         with pytest.raises(ValueError):
@@ -116,11 +114,11 @@ class TestSimulate:
 
 class TestSimulateRandom:
     def test_deterministic_for_fixed_seed(self):
-        a = simulate_random(q1(8), BitVector.zeros(8), 20, seed=42)
-        b = simulate_random(q1(8), BitVector.zeros(8), 20, seed=42)
-        assert a == b
-        c = simulate_random(q1(8), BitVector.zeros(8), 20, seed=43)
-        assert a != c
+        def path(seed):
+            return simulate(q1(8), BitVector.zeros(8), random_driving(q1(8), 20, seed))
+
+        assert path(42) == path(42)
+        assert path(42) != path(43)
 
     def test_coordinate_frequencies(self):
         n, t = 8, 100_000
@@ -136,8 +134,8 @@ class TestSimulateRandom:
         n, trials = 6, 20_000
         ones = 0
         for i in range(trials):
-            x1 = simulate_random(q1(n), BitVector.zeros(n), 1, seed=77,
-                                 stream_index=i)[1]
+            driving = random_driving(q1(n), 1, seed=77, stream_index=i)
+            x1 = simulate(q1(n), BitVector.zeros(n), driving)[1]
             ones += x1.bit(n - 1)
         # exactly Bernoulli(1/2); 5 sigma band
         assert abs(ones - trials / 2) <= 5 * (trials * 0.25) ** 0.5

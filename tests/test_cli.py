@@ -20,7 +20,9 @@ from shiftwalk import (
     DrivingSequence,
     exact_sample,
     exact_samples,
+    q1,
     q2,
+    random_driving,
     rng,
     simulate,
     weight_stats,
@@ -481,13 +483,75 @@ class TestSolveAndSimulate:
         def unreachable(*args):
             raise AssertionError("drew before checking --t")
 
-        monkeypatch.setattr(cli, "simulate_random", unreachable)
+        monkeypatch.setattr(cli, "random_driving", unreachable)
         for t in (MAX_PROFILE_TIMES, 10**8):
             code, out, err = run_cli(capsys, "simulate", "--chain", "q1", "--n", "8",
                                      "--t", str(t), "--seed", "1")
             assert code == 2 and out == ""
             assert err.startswith("error:") and str(MAX_PROFILE_TIMES - 1) in err
             assert "Traceback" not in err
+
+
+class TestSimulateRows:
+    """``simulate`` prints the replay of its drawn driving, row by row."""
+
+    @pytest.mark.parametrize("kind, n, t", [
+        (kind, n, t)
+        for kind, ns in (("q1", (1, 2, 8, 63, 64, 65, 130)), ("q2", (2, 8, 64, 130)))
+        for n in ns for t in (0, 1, 200)
+    ])
+    def test_rows_are_the_replay_of_the_drawn_driving(self, capsys, tmp_path, kind, n, t):
+        seed = (0, 2**63 - 1, 12345)[t % 3]
+        x0 = BitVector.random(n, rng.stream(n, t))
+        chain = q1(n) if kind == "q1" else q2(n)
+        states = simulate(chain, x0, random_driving(chain, t, seed))
+        want = "".join(
+            [f"# shiftwalk simulate schema_version=1 chain={kind} n={n} seed={seed}\n",
+             "t,state,weight\n",
+             *(f"{s},{x.to_string()},{x.weight()}\n" for s, x in enumerate(states))]
+        )
+        argv = ("simulate", "--chain", kind, "--n", str(n), "--t", str(t),
+                "--seed", str(seed), "--x0", x0.to_string())
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out, err) == (0, want, "")
+        out_file = tmp_path / "rows.csv"
+        code, out, _ = run_cli(capsys, *argv, "--out", str(out_file))
+        assert (code, out) == (0, "")
+        assert out_file.read_text() == want
+
+    @pytest.mark.parametrize("argv", [
+        ("--chain", "q2", "--n", "7", "--t", "3"),
+        ("--chain", "q1", "--n", "8", "--t", "-1"),
+        ("--chain", "q1", "--n", "8", "--t", "3", "--x0", "0101"),
+        ("--chain", "q1", "--n", "8", "--t", str(MAX_PROFILE_TIMES)),
+    ])
+    def test_usage_errors_draw_nothing_and_write_no_file(
+        self, capsys, monkeypatch, tmp_path, argv
+    ):
+        def unreachable(*args):
+            raise AssertionError("drew a stream before the usage checks")
+
+        monkeypatch.setattr(rng, "stream", unreachable)
+        out_file = tmp_path / "rows.csv"
+        code, out, err = run_cli(capsys, "simulate", *argv, "--seed", "1",
+                                 "--out", str(out_file))
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "Traceback" not in err
+        assert not out_file.exists()
+
+    def test_memory_does_not_grow_with_t(self):
+        def peak(t):
+            tracemalloc.start()
+            try:
+                assert main(["simulate", "--chain", "q1", "--n", "8", "--t", str(t),
+                             "--seed", "1", "--out", os.devnull]) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        # Only the driving is held: a few tuple slots and array bytes a step.
+        small, large = peak(2000), peak(40_000)
+        assert large - small <= 64 * (40_000 - 2000), (small, large)
 
 
 class TestVersionFlag:

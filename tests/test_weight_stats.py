@@ -31,7 +31,7 @@ from shiftwalk import (
     variance_bound_check,
     weight_moments,
 )
-from shiftwalk import weight_stats
+from shiftwalk import chains, weight_stats
 from shiftwalk.chains import _draw_driving_blocks
 from shiftwalk.distribution import exact_laws
 from shiftwalk.weight_stats import histogram_tv, weight_counts
@@ -251,6 +251,39 @@ class TestBoundedDifferences:
         with pytest.raises(ValueError):
             replay_divergence(q1(6), BitVector.zeros(6), driving,
                               replace_coord(driving, 1, 7))
+
+    def test_validation_comes_before_any_step(self, monkeypatch):
+        def unreachable(*args):
+            raise AssertionError("stepped before checking the drivings")
+
+        monkeypatch.setattr(chains, "_step_word", unreachable)
+        driving = random_driving(q1(6), 4, seed=1)
+        for other in (random_driving(q1(6), 5, seed=1), replace_coord(driving, 4, 7)):
+            with pytest.raises(ValueError):
+                replay_divergence(q1(6), BitVector.zeros(6), driving, other)
+        # q2 replays only its middle coordinate, as simulate does.
+        middle = DrivingSequence((3, 3), (1, 0))
+        with pytest.raises(ValueError):
+            replay_divergence(q2(6), BitVector.zeros(6), middle,
+                              replace_coord(middle, 2, 2))
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 70))
+    def test_property_matches_two_simulated_paths(self, data, n):
+        t = data.draw(st.integers(0, 2 * n))
+        steps = st.lists(st.tuples(st.integers(1, n), st.integers(0, 1)),
+                         min_size=t, max_size=t)
+        a_steps, b_steps = data.draw(steps), data.draw(steps)
+        a_driving, b_driving = (
+            DrivingSequence(tuple(u for u, _ in p), tuple(r for _, r in p))
+            for p in (a_steps, b_steps)
+        )
+        x0 = BitVector(n, data.draw(st.integers(0, (1 << n) - 1)))
+        a = simulate(q1(n), x0, a_driving)
+        b = simulate(q1(n), x0, b_driving)
+        div = replay_divergence(q1(n), x0, a_driving, b_driving)
+        assert div.max_hamming == max((x ^ y).weight() for x, y in zip(a, b))
+        assert div.weight_diff == abs(a[-1].weight() - b[-1].weight())
 
 
 class TestEnsemble:
