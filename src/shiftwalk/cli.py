@@ -15,7 +15,7 @@ import math
 import secrets
 import sys
 import time
-from dataclasses import dataclass, fields
+from collections.abc import Iterator
 from datetime import datetime, timezone
 from typing import ContextManager, TextIO
 
@@ -151,51 +151,56 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 # --------------------------------------------------------------- profile
 
-@dataclass
-class ProfileRow:
-    t: int
-    tv_exact: float | None = None
-    tv_upper: float | None = None
-    tv_lower_emp: float | None = None
-    tv_lower_emp_se: float | None = None
-    chebyshev_lower: float | None = None
+_PROFILE_COLUMNS = (
+    "t", "tv_exact", "tv_upper", "tv_lower_emp", "tv_lower_emp_se", "chebyshev_lower",
+)
 
 
-def _build_profile(args: argparse.Namespace, seed: int) -> dict:
+def _profile(args: argparse.Namespace, seed: int) -> tuple[dict, Iterator[dict]]:
+    """The report's fields and its rows, each row a dict of its non-empty
+    columns.
+
+    Every argument is checked and every column computed before this
+    returns; the rows are then built one at a time as they are taken.
+    """
     weight_stats.check_window(args.alpha, args.c)
     chain = ChainKind(args.chain, args.n)
     n = args.n
     ts = _parse_t_range(args.t)
     x0 = _parse_state(args.x0, n)
-    rows = [ProfileRow(t=t) for t in ts]
 
+    curve = None
     if n <= distribution.MAX_EXACT_N:
-        curve = dict(distribution.exact_tv_curve(chain, x0, max(ts)))
-        for row in rows:
-            row.tv_exact = curve[row.t]
+        curve = distribution.exact_tv_curve(chain, x0, max(ts))
 
+    upper = window_t = window = None
     if chain.kind == "q1" and n >= 3:
-        bound = spectral.fourier_sum(n).tv_bound
-        for row in rows:
-            # Valid from t = n+1 on: distance to uniform is nonincreasing.
-            if row.t >= n + 1:
-                row.tv_upper = bound
+        upper = spectral.fourier_sum(n).tv_bound
         params = weight_stats.LowerBoundParams(n=n, alpha=args.alpha, c=args.c)
         if params.delta > 0:
-            value = weight_stats.chebyshev_lower_bound(params)
-            for row in rows:
-                if row.t == params.t:
-                    row.chebyshev_lower = value
+            window_t, window = params.t, weight_stats.chebyshev_lower_bound(params)
 
     if args.samples:
         pmf = weight_stats.stationary_weight_pmf(n)
         counts = weight_stats.weight_counts(chain, x0, ts, args.samples, seed)
-        for row in rows:
-            row.tv_lower_emp, row.tv_lower_emp_se = weight_stats.histogram_tv(
-                counts[row.t], pmf
-            )
 
-    return {
+    def rows() -> Iterator[dict]:
+        for t in ts:
+            row = {"t": t}
+            if curve is not None:
+                row["tv_exact"] = curve[t][1]
+            # Valid from t = n+1 on: distance to uniform is nonincreasing.
+            if upper is not None and t >= n + 1:
+                row["tv_upper"] = upper
+            if args.samples:
+                row["tv_lower_emp"], row["tv_lower_emp_se"] = weight_stats.histogram_tv(
+                    counts[t], pmf
+                )
+            if t == window_t:
+                row["chebyshev_lower"] = window
+            yield row
+
+    report = {
         "schema_version": SCHEMA_VERSION,
         "command": "profile",
         "chain": chain.kind,
@@ -207,39 +212,23 @@ def _build_profile(args: argparse.Namespace, seed: int) -> dict:
         "c": args.c,
         "timestamp": datetime.now(timezone.utc).isoformat(),
         "versions": _versions(),
-        "rows": [
-            {k: v for k, v in vars(row).items() if v is not None} for row in rows
-        ],
     }
-
-
-_PROFILE_COLUMNS = tuple(f.name for f in fields(ProfileRow))
-
-
-def _profile_csv(report: dict) -> str:
-    lines = [
-        f"# shiftwalk profile schema_version={report['schema_version']} "
-        f"chain={report['chain']} n={report['n']} seed={report['seed']} "
-        f"samples={report['samples']}",
-        ",".join(_PROFILE_COLUMNS),
-    ]
-    for row in report["rows"]:
-        lines.append(
-            ",".join(
-                "" if row.get(col) is None else str(row[col])
-                for col in _PROFILE_COLUMNS
-            )
-        )
-    return "\n".join(lines) + "\n"
+    return report, rows()
 
 
 def _cmd_profile(args: argparse.Namespace) -> int:
     seed = _resolve_seed(args.seed)
-    report = _build_profile(args, seed)
+    report, rows = _profile(args, seed)
     if args.format == "json":
-        _write_output(_strict_json(report), args.out)
-    else:
-        _write_output(_profile_csv(report), args.out)
+        _write_output(_strict_json({**report, "rows": list(rows)}), args.out)
+        return 0
+    with _open_output(args.out) as fh:
+        # One write per row, so memory does not grow with the time range.
+        fh.write(f"# shiftwalk profile schema_version={SCHEMA_VERSION} "
+                 f"chain={report['chain']} n={report['n']} seed={seed} "
+                 f"samples={report['samples']}\n{','.join(_PROFILE_COLUMNS)}\n")
+        for row in rows:
+            fh.write(",".join([str(row.get(col, "")) for col in _PROFILE_COLUMNS]) + "\n")
     return 0
 
 

@@ -11,9 +11,12 @@ Each step is reproducible bit for bit: every entry is 0.5 p plus its n
 flip terms w p (w = 1/(2n)), added in the order of the flipped bit.  The
 products w p are formed once per step and each flip adds a shifted view of
 them.  A product is one rounded operation, so its value does not depend on
-how often it is formed: every entry sees the same operations on the same
-values in the same order as when each term is formed where it is added,
-in n + 3 passes over the vector instead of 2n + 2.
+how often it is formed.  The flips of the low bits pair entries inside one
+aligned slab of 2**15 entries, so they are applied slab by slab while the
+slab is in cache; the flips of the high bits then go over the whole
+vector.  The entries of a step do not depend on each other, so the order
+of the passes is free: every entry still sees 0.5 p, then + w p[x ^ 2**i]
+for i = 0..n-1, the same operations on the same values in the same order.
 """
 from __future__ import annotations
 
@@ -41,6 +44,10 @@ __all__ = [
 # flip sum, the products w p and the inverse shift index), about 512 MiB
 # at n = 24; beyond that the dense oracle stops being a desk-scale tool.
 MAX_EXACT_N = 24
+
+# The flips of the bits below this one are applied slab by slab, 2**15
+# entries (256 KiB per array) at a time, so that they run in cache.
+_SLAB_BITS = 15
 
 
 def _check_guard(n: int) -> None:
@@ -108,6 +115,16 @@ def _split(a: np.ndarray, bit: int) -> np.ndarray:
     return a.reshape(-1, 2, 1 << bit)
 
 
+def _add_flip(acc: np.ndarray, tmp: np.ndarray, bit: int) -> None:
+    """acc[x] += tmp[x ^ 2**bit] at every x, in place."""
+    a, b = _split(acc, bit), _split(tmp, bit)[:, ::-1]
+    if bit < 2:
+        # The views' inner runs are 1 or 2 entries long: iterate with the
+        # long axis innermost instead.
+        a, b = a.T, b.T
+    np.add(a, b, out=a, order="C")
+
+
 def _step(
     chain: ChainKind,
     probs: np.ndarray,
@@ -123,16 +140,29 @@ def _step(
     The bit-flip average is formed at every x first and then gathered once
     through ``inv``; since the gather is a permutation, each entry sees the
     same float operations in the same order as the direct sum.  On q1 the
-    products w p are formed once into ``tmp``, and flip i adds its view of
-    them in place, for i = 0..n-1 (see the module docstring): n + 3 passes
-    over 2**n words, two multiplies, n adds and the gather.
+    average is formed in two phases (see the module docstring):
+
+    - slab phase: in each slab of 2**_SLAB_BITS entries, 0.5 p into
+      ``acc``, w p into ``tmp``, then flips i < _SLAB_BITS, whose partners
+      lie in the same slab, while the slab is in cache;
+    - high-bit phase: flips i = _SLAB_BITS..n-1 over the whole vector.
+
+    Flip i adds to each entry the product of its partner x ^ 2**i, and for
+    every entry the flips come in the order i = 0..n-1.
     """
     if chain.kind == "q1":
-        np.multiply(probs, 0.5, out=acc)
-        np.multiply(probs, 1.0 / (2 * chain.n), out=tmp)
-        for i in range(chain.n):
-            a = _split(acc, i)
-            np.add(a, _split(tmp, i)[:, ::-1], out=a)
+        n = chain.n
+        low = min(n, _SLAB_BITS)
+        w = 1.0 / (2 * n)
+        for lo in range(0, probs.size, 1 << low):
+            slab = slice(lo, lo + (1 << low))
+            a, b = acc[slab], tmp[slab]
+            np.multiply(probs[slab], 0.5, out=a)
+            np.multiply(probs[slab], w, out=b)
+            for i in range(low):
+                _add_flip(a, b, i)
+        for i in range(low, n):
+            _add_flip(acc, tmp, i)
     else:
         b = chain.middle - 1
         np.add(_split(probs, b), _split(probs, b)[:, ::-1], out=_split(acc, b))

@@ -27,8 +27,9 @@ from shiftwalk import (
     simulate,
     weight_stats,
 )
-from shiftwalk import cli, suites
+from shiftwalk import cli, spectral, suites
 from shiftwalk.cli import MAX_PROFILE_TIMES, _parse_t_range, main
+from test_distribution import reference_curve
 
 
 def run_cli(capsys, *argv):
@@ -337,6 +338,51 @@ class TestProfile:
         assert code == 2
         assert out == ""
         assert err.startswith("error:") and "Traceback" not in err
+
+
+    def test_csv_memory_does_not_grow_with_range(self):
+        def peak(t_max):
+            tracemalloc.start()
+            try:
+                assert main(["profile", "--chain", "q1", "--n", "30",
+                             "--t", f"0..{t_max}", "--seed", "1", "--out", os.devnull]) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        # Each row is written as it is built.
+        small, large = peak(20_000), peak(200_000)
+        assert large - small <= 64 * (200_000 - 20_000), (small, large)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_exact_column_is_the_reference_curve(self, capsys, fmt):
+        # The exact column across two slabs of the oracle step, against a
+        # render of the reference curve: a wrong digit fails here.
+        n = 17
+        curve = reference_curve(q1(n), BitVector.zeros(n), n + 1)
+        upper = spectral.fourier_sum(n).tv_bound
+        code, out, _ = run_cli(capsys, "profile", "--chain", "q1", "--n", str(n),
+                               "--t", f"0..{n + 1}", "--seed", "3", "--format", fmt)
+        assert code == 0
+        if fmt == "csv":
+            assert out == "".join([
+                f"# shiftwalk profile schema_version=1 chain=q1 n={n} seed=3 samples=0\n",
+                "t,tv_exact,tv_upper,tv_lower_emp,tv_lower_emp_se,chebyshev_lower\n",
+                *(f"{t},{tv},{upper if t > n else ''},,,\n" for t, tv in curve),
+            ])
+            return
+        report = json.loads(out)
+        assert report["rows"] == [
+            {"t": t, "tv_exact": tv, **({"tv_upper": upper} if t > n else {})}
+            for t, tv in curve
+        ]
+        cells = [line.split(": ")[1].rstrip(",")
+                 for line in out.splitlines() if '"tv_exact"' in line]
+        assert cells == [str(tv) for _, tv in curve]
+        assert {k: report[k] for k in ("command", "chain", "n", "x0", "seed", "samples")} == {
+            "command": "profile", "chain": "q1", "n": n, "x0": "0" * n, "seed": 3,
+            "samples": 0,
+        }
 
 
 class TestSample:

@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,6 +19,7 @@ from shiftwalk import (
     tv_to_uniform,
     weight_moments,
 )
+from shiftwalk import distribution
 from shiftwalk.chains import _step_word
 from shiftwalk.distribution import (
     DistributionVector,
@@ -57,6 +60,18 @@ def reference_evolve(chain, probs, steps):
     for _ in range(steps):
         probs = reference_step(chain, probs, inv)
     return probs
+
+
+def reference_curve(chain, x0, t_max):
+    """(t, TV to uniform) for t = 0..t_max, stepped by ``reference_step``."""
+    n = chain.n
+    inv = reference_inverse_shift_index(n)
+    probs = point_mass(n, x0).probs
+    curve = []
+    for t in range(t_max + 1):
+        curve.append((t, 0.5 * float(np.abs(probs - 2.0**-n).sum())))
+        probs = reference_step(chain, probs, inv)
+    return curve
 
 
 class TestConstruction:
@@ -184,15 +199,10 @@ class TestAgainstReference:
 
     def test_curve_matches_reference(self):
         for chain in (q1(9), q2(10)):
-            n = chain.n
-            x0 = BitVector(n, 1 << 2)
-            inv = reference_inverse_shift_index(n)
-            probs = point_mass(n, x0).probs
-            expected = []
-            for t in range(n + 2):
-                expected.append((t, 0.5 * float(np.abs(probs - 2.0**-n).sum())))
-                probs = reference_step(chain, probs, inv)
-            assert exact_tv_curve(chain, x0, n + 1) == expected
+            x0 = BitVector(chain.n, 1 << 2)
+            assert exact_tv_curve(chain, x0, chain.n + 1) == reference_curve(
+                chain, x0, chain.n + 1
+            )
 
     def test_law_sweep_matches_reference(self):
         for chain in (q1(9), q2(10)):
@@ -234,6 +244,39 @@ class TestAgainstReference:
         stepped = evolve_exact(chain, d, steps).probs
         assert abs(float(stepped.sum()) - 1.0) <= 1e-12
         assert np.array_equal(stepped, reference_evolve(chain, d.probs, steps))
+
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        n=st.integers(1, 12),
+        slab_bits=st.integers(1, 4),
+        kind=st.sampled_from(["q1", "q2"]),
+        point=st.booleans(),
+        steps=st.integers(1, 4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_property_small_slabs(self, n, slab_bits, kind, point, steps, seed):
+        # Slabs of 2 to 16 entries: the slab loop runs over many slabs and
+        # the high-bit phase over the whole vector, at sizes the reference
+        # steps fast.
+        if kind == "q2":
+            n += n % 2
+        chain = q1(n) if kind == "q1" else q2(n)
+        gen = stream(seed, n)
+        if point:
+            d = point_mass(n, BitVector.random(n, gen))
+        else:
+            d = DistributionVector(n, gen.dirichlet(np.ones(1 << n)))
+        with mock.patch.object(distribution, "_SLAB_BITS", slab_bits):
+            stepped = evolve_exact(chain, d, steps).probs
+        assert np.array_equal(stepped, reference_evolve(chain, d.probs, steps))
+
+    @pytest.mark.parametrize("n", [17, 18])
+    def test_curve_across_slabs(self, n):
+        # 2 and 4 slabs of 2**15 entries, then the high-bit phase.
+        chain = q1(n)
+        x0 = BitVector.random(n, stream(41, n))
+        assert exact_tv_curve(chain, x0, n + 1) == reference_curve(chain, x0, n + 1)
 
 
 class TestTV:
