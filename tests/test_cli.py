@@ -339,7 +339,6 @@ class TestProfile:
         assert out == ""
         assert err.startswith("error:") and "Traceback" not in err
 
-
     def test_csv_memory_does_not_grow_with_range(self):
         def peak(t_max):
             tracemalloc.start()

@@ -245,7 +245,6 @@ class TestAgainstReference:
         assert abs(float(stepped.sum()) - 1.0) <= 1e-12
         assert np.array_equal(stepped, reference_evolve(chain, d.probs, steps))
 
-
     @settings(max_examples=120, deadline=None)
     @given(
         n=st.integers(1, 12),
