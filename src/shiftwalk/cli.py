@@ -224,8 +224,8 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         return 0
     with _open_output(args.out) as fh:
         # One write per row, so memory does not grow with the time range.
-        fh.write(f"# shiftwalk profile schema_version={SCHEMA_VERSION} "
-                 f"chain={report['chain']} n={report['n']} seed={seed} "
+        fh.write(f"# shiftwalk profile schema_version={report['schema_version']} "
+                 f"chain={report['chain']} n={report['n']} seed={report['seed']} "
                  f"samples={report['samples']}\n{','.join(_PROFILE_COLUMNS)}\n")
         for row in rows:
             fh.write(",".join([str(row.get(col, "")) for col in _PROFILE_COLUMNS]) + "\n")
