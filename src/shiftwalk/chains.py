@@ -54,6 +54,11 @@ class ChainKind:
             raise ValueError("only q2 has a fixed update coordinate")
         return self.n // 2
 
+    def check_start(self, x0: BitVector) -> None:
+        """Raise ValueError unless the start ``x0`` has this chain's length."""
+        if x0.n != self.n:
+            raise ValueError(f"start has length {x0.n}, chain has n={self.n}")
+
 
 def q1(n: int) -> ChainKind:
     return ChainKind("q1", n)
@@ -103,10 +108,10 @@ def _step_word(n: int, word: int, u: int, r: int) -> int:
     return _shift_word(n, word)
 
 
-def _validate_driving(chain: ChainKind, driving: DrivingSequence) -> None:
-    if any(u > chain.n for u in driving.coords):
-        raise ValueError(f"update coordinate exceeds n={chain.n}")
-    if chain.kind == "q2" and any(u != chain.middle for u in driving.coords):
+def _validate_coords(chain: ChainKind, coords: Sequence[int]) -> None:
+    if any(not 1 <= u <= chain.n for u in coords):
+        raise ValueError(f"update coordinates must lie in 1..{chain.n}")
+    if chain.kind == "q2" and any(u != chain.middle for u in coords):
         raise ValueError(f"q2 driving must use coordinate {chain.middle} only")
 
 
@@ -117,9 +122,8 @@ def _replay(
 
     ``x0`` and the driving are checked when this is called, before any step.
     """
-    if x0.n != chain.n:
-        raise ValueError(f"start has length {x0.n}, chain has n={chain.n}")
-    _validate_driving(chain, driving)
+    chain.check_start(x0)
+    _validate_coords(chain, driving.coords)
 
     def states(n: int = chain.n, word: int = x0.word) -> Iterator[int]:
         yield word
@@ -154,48 +158,39 @@ def _draw_driving_arrays(chain: ChainKind, t: int, seed: int, stream_index: int)
 
 
 def _draw_driving_blocks(
-    chain: "ChainKind | np.ndarray", t: int, seed: int, start: int, count: int
+    chain: ChainKind, t: int, seed: int, start: int, count: int
 ) -> Iterator[tuple[int, np.ndarray | None, np.ndarray]]:
     """The driving arrays of streams start..start+count-1, in blocks.
 
-    ``chain`` is a ChainKind, or an integer array of q1 dimensions n >= 2,
-    one per stream.  Yields ``(offset, coords, bits)``; row j equals
-    ``_draw_driving_arrays(c, t, seed, start + offset + j)`` bit for bit,
-    c being ``chain`` or ``q1(chain[offset + j])``.  Both draws read one
-    32-bit value stream: a q1 coordinate takes one value (none at n = 1,
-    where the range has one element), and the bits take one byte each,
-    low byte first, starting at the next value.  A row whose coordinates
-    numpy would reject and redraw is drawn again through the per-stream
-    path.
+    Yields ``(offset, coords, bits)``; row j equals
+    ``_draw_driving_arrays(chain, t, seed, start + offset + j)`` bit for
+    bit.  Both draws read one 32-bit value stream: a q1 coordinate takes
+    one value (none at n = 1, where the range has one element), and the
+    bits take one byte each, low byte first, starting at the next value.
+    A row whose coordinates numpy would reject and redraw is drawn again
+    through ``_draw_driving_arrays``.
     """
     if t < 0:
         raise ValueError(f"trajectory length must be >= 0, got {t}")
-    per_stream = not isinstance(chain, ChainKind)
-    if per_stream:
-        ns = np.asarray(chain, dtype=np.int64)
-    is_q1 = per_stream or chain.kind == "q1"
-    n_coords = t if per_stream or (is_q1 and chain.n > 1) else 0
+    n_coords = t if chain.kind == "q1" and chain.n > 1 else 0
     for offset, words in rng.stream_words(
         seed, start, count, n_coords + (t + 3) // 4
     ):
-        rows = len(words)
         coords = None
         redo = ()
         if n_coords:
-            n = ns[offset : offset + rows, None] if per_stream else chain.n
-            values, rejected = rng.bounded(words[:, :t], n)
+            values, rejected = rng.bounded(words[:, :t], chain.n)
             coords = values.view(np.int64)  # values < 2**32: the same numbers
             coords += 1
             redo = np.flatnonzero(rejected.any(axis=1))
-        elif is_q1:
-            coords = np.ones((rows, t), dtype=np.int64)
+        elif chain.kind == "q1":
+            coords = np.ones((len(words), t), dtype=np.int64)
         # The little-endian words' bytes, low byte first; a bit is the top
         # bit of its byte.
         bits = words[:, n_coords:].view(np.uint8)[:, :t] >> 7
         for j in redo:
-            row_chain = q1(int(n[j, 0])) if per_stream else chain
             coords[j], bits[j] = _draw_driving_arrays(
-                row_chain, t, seed, start + offset + int(j)
+                chain, t, seed, start + offset + int(j)
             )
         yield offset, coords, bits
 
@@ -227,14 +222,13 @@ def evolve_symbolic(
     the image of the start, so replaying any concrete bits R reproduces
     ``map @ R ^ offset``.
     """
-    if x0.n != chain.n:
-        raise ValueError(f"start has length {x0.n}, chain has n={chain.n}")
+    chain.check_start(x0)
     if isinstance(coords, int):
         if chain.kind != "q2":
             raise ValueError("step count only implies coordinates for q2")
         coords = (chain.middle,) * coords
     coords = tuple(coords)
-    _validate_driving(chain, DrivingSequence(coords, (0,) * len(coords)))
+    _validate_coords(chain, coords)
     n, t = chain.n, len(coords)
     # X_t = A^t x0 ^ sum over s = 1..t of R_s A^(t-s+1) e_(u_s), A the shift.
     columns = [

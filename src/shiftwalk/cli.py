@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import itertools
 import json
 import math
 import secrets
@@ -219,11 +220,22 @@ def _profile(args: argparse.Namespace, seed: int) -> tuple[dict, Iterator[dict]]
 def _cmd_profile(args: argparse.Namespace) -> int:
     seed = _resolve_seed(args.seed)
     report, rows = _profile(args, seed)
-    if args.format == "json":
-        _write_output(_strict_json({**report, "rows": list(rows)}), args.out)
-        return 0
+    # The rows are written as they are built, so memory does not grow with
+    # the time range.
     with _open_output(args.out) as fh:
-        # One write per row, so memory does not grow with the time range.
+        if args.format == "json":
+            # _strict_json({**report, "rows": [*rows]}), 1000 rows at a
+            # time, each chunk indented one level deeper than on its own.
+            head = _strict_json({**report, "rows": []})
+            fh.write(head[: -len("]\n}")])
+            sep = "\n"
+            while chunk := list(itertools.islice(rows, 1000)):
+                fh.write(sep + "  " + _strict_json(chunk)[2:-2].replace("\n", "\n  "))
+                sep = ",\n"
+            fh.write(("\n  ]" if sep == ",\n" else "]") + "\n}")
+            if args.out is None:
+                fh.write("\n")
+            return 0
         fh.write(f"# shiftwalk profile schema_version={report['schema_version']} "
                  f"chain={report['chain']} n={report['n']} seed={report['seed']} "
                  f"samples={report['samples']}\n{','.join(_PROFILE_COLUMNS)}\n")

@@ -26,7 +26,6 @@ from .gf2 import BitVector, _shift_power
 __all__ = [
     "build_offset",
     "exact_sample",
-    "exact_samples",
     "solve_driving",
 ]
 
@@ -89,28 +88,15 @@ def _sample_blocks(
     return blocks()
 
 
-def exact_samples(
-    x0: BitVector, seed: int, start: int, count: int
-) -> Iterator[BitVector]:
-    """Yield ``exact_sample(x0, seed, i)`` for i in start..start+count-1.
-
-    The streams are drawn in blocks from one reused generator; each
-    sample reads the same draws as its own stream would.  Samples are
-    yielded as they are made, so memory does not grow with ``count``.
-    """
-    n = x0.n
-    for bits in _sample_blocks(x0, seed, start, count):
-        for row in np.packbits(bits, axis=1, bitorder="little"):
-            yield BitVector(n, int.from_bytes(row.tobytes(), "little"))
-
-
 def exact_sample(x0: BitVector, seed: int, stream_index: int = 0) -> BitVector:
     """The state after n middle-coordinate steps from ``x0``, driven by the
     first n draws of stream ``(seed, stream_index)``.
 
     The output is exactly uniform on {0,1}^n for even n, from any start.
     """
-    return next(exact_samples(x0, seed, stream_index, 1))
+    (bits,) = next(_sample_blocks(x0, seed, stream_index, 1))
+    packed = np.packbits(bits, bitorder="little").tobytes()
+    return BitVector(x0.n, int.from_bytes(packed, "little"))
 
 
 def solve_driving(x0: BitVector, z: BitVector) -> DrivingSequence:

@@ -71,23 +71,19 @@ def stream_words(
         yield offset, raw.astype("<u8", copy=False).view("<u4")[:, :k]
 
 
-def bounded(
-    values: np.ndarray, k: "int | np.ndarray"
-) -> tuple[np.ndarray, np.ndarray]:
+def bounded(values: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """numpy's Lemire step for ``integers(0, k)``, 1 <= k <= 2**32, on
     32-bit draws: returns ``((u * k) >> 32, rejected)`` as uint64 and bool
-    arrays of the shape of ``values``.  An array ``k`` broadcasts against
-    ``values``, giving each draw its own range.  At k = 1 it gives 0 and
-    never rejects, though numpy reads no value for that range.
+    arrays of the shape of ``values``.  At k = 1 it gives 0 and never
+    rejects, though numpy reads no value for that range.
 
     numpy discards a rejected draw and draws again, so from a rejected
     draw on, the stream's later values feed different outputs.  Rejection
     needs ``(u * k) mod 2**32 < 2**32 mod k``, which is impossible when k
     is a power of two.
     """
-    k = np.asarray(k, dtype=np.uint64)
-    m = values * k  # uint32 values widen to uint64
+    m = values * np.uint64(k)  # uint32 values widen to uint64
     low = m.astype("<u8", copy=False).view("<u4")[..., ::2]  # m mod 2**32
-    rejected = low < np.uint64(1 << 32) % k
+    rejected = low < (1 << 32) % k
     m >>= np.uint64(32)
     return m, rejected

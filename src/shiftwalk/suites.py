@@ -293,9 +293,13 @@ def _bounded_diff_blocks(
         count = min(rows, trials - first)
         j = np.arange(first, first + count)
         n = 2 + j * (n_max - 1) // trials
-        for i, c, b in _draw_driving_blocks(n, steps, seed, first, count):
-            drawn[i : i + len(b)] = c
-            bits_drawn[i : i + len(b)] = b
+        # n never decreases with j: decode each run of one n as one chain.
+        runs = np.flatnonzero(np.diff(n, prepend=-1, append=-1)).tolist()
+        for lo, hi in zip(runs[:-1], runs[1:]):
+            chain = q1(int(n[lo]))
+            for i, c, b in _draw_driving_blocks(chain, steps, seed, first + lo, hi - lo):
+                drawn[lo + i : lo + i + len(b)] = c
+                bits_drawn[lo + i : lo + i + len(b)] = b
         coords, bits = drawn[:count], bits_drawn[:count]
         times = coords[:, [2 * n_max, 2 * n_max + 2]].astype(np.int64)
         i, t = times.min(axis=1), times.max(axis=1)

@@ -136,12 +136,9 @@ def _replay_pairs(
         # The new word drops bit 0 and appends the parity, so its parity
         # is the dropped bit.
         np.bitwise_and(x[0], np.uint64(1), out=parity[:, :k])
-        if words > 1:
-            carry = x[1:] << np.uint64(63)
-            x >>= np.uint64(1)
-            x[:-1] |= carry
-        else:
-            x >>= np.uint64(1)
+        carry = x[1:] << np.uint64(63)
+        x >>= np.uint64(1)
+        x[:-1] |= carry
         x |= appended << top[:, :, :k]
         apart = np.bitwise_count(x[:, 0] ^ x[:, 1]).sum(axis=0, dtype=np.int64)
         np.maximum(hamming[:k], apart, out=hamming[:k])
@@ -184,8 +181,7 @@ def _weight_blocks(
     is set.  Cells, bits and coordinates are stored cell- or step-major,
     (rows, trajectories), so a step reads contiguous rows.
     """
-    if x0.n != chain.n:
-        raise ValueError(f"start has length {x0.n}, chain has n={chain.n}")
+    chain.check_start(x0)
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
     ts = sorted(set(int(t) for t in ts))

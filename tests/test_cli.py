@@ -19,7 +19,6 @@ from shiftwalk import (
     BitVector,
     DrivingSequence,
     exact_sample,
-    exact_samples,
     q1,
     q2,
     random_driving,
@@ -353,6 +352,69 @@ class TestProfile:
         small, large = peak(20_000), peak(200_000)
         assert large - small <= 64 * (200_000 - 20_000), (small, large)
 
+    def test_json_memory_does_not_grow_with_range(self):
+        def peak(t_max):
+            tracemalloc.start()
+            try:
+                assert main(["profile", "--chain", "q1", "--n", "30", "--t", f"0..{t_max}",
+                             "--seed", "1", "--format", "json", "--out", os.devnull]) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        # Rows are written 1000 at a time; a report held whole grows by
+        # about 1 KB a row.
+        small, large = peak(4_000), peak(40_000)
+        assert large - small <= 64 * (40_000 - 4_000), (small, large)
+
+    @pytest.mark.parametrize("argv", [
+        ("--chain", "q1", "--n", "10", "--t", "0..12"),
+        ("--chain", "q2", "--n", "12", "--t", "10..13"),
+        ("--chain", "q1", "--n", "10", "--t", "0..12", "--samples", "300"),
+        ("--chain", "q2", "--n", "12", "--t", "10..13", "--samples", "300"),
+        # The Chebyshev row: t = 748811 here, and t = 1 of 0..2500 below,
+        # whose 2501 rows are written in three chunks.
+        ("--chain", "q1", "--n", "1000000", "--t", "748811", "--alpha", "0.9",
+         "--c", "5"),
+        ("--chain", "q1", "--n", "30", "--t", "0..2500", "--alpha", "0.99",
+         "--c", "1e-300"),
+    ])
+    @pytest.mark.parametrize("to_file", [False, True])
+    def test_json_is_the_whole_report_rendered(self, capsys, monkeypatch, tmp_path,
+                                               argv, to_file):
+        built = []
+        profile = cli._profile
+
+        def spy(args, seed):
+            report, rows = profile(args, seed)
+            built.append((report, list(rows)))
+            return report, iter(built[-1][1])
+
+        monkeypatch.setattr(cli, "_profile", spy)
+        out_file = tmp_path / "profile.json"
+        code, out, _ = run_cli(capsys, "profile", *argv, "--seed", "4", "--format", "json",
+                               *(("--out", str(out_file)) if to_file else ()))
+        assert code == 0
+        (report, rows), = built
+        want = cli._strict_json({**report, "rows": rows})
+        if to_file:
+            assert out == "" and out_file.read_text(encoding="utf-8") == want
+        else:
+            assert out == want + "\n"
+
+    @pytest.mark.parametrize("rows", [
+        [], [{"t": 0, "tv_exact": math.nan}, {"t": 1, "tv_upper": -math.inf}],
+    ])
+    def test_json_rows_are_strict(self, capsys, monkeypatch, rows):
+        # No rows, and non-finite values, which become null.
+        report = {"command": "profile", "versions": {"numpy": "1"}, "c": math.inf}
+        monkeypatch.setattr(cli, "_profile", lambda args, seed: (report, iter(rows)))
+        code, out, _ = run_cli(capsys, "profile", "--chain", "q1", "--n", "4",
+                               "--t", "1", "--seed", "1", "--format", "json")
+        assert code == 0
+        assert out == cli._strict_json({**report, "rows": rows}) + "\n"
+        assert "NaN" not in out and "Infinity" not in out
+
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_exact_column_is_the_reference_curve(self, capsys, fmt):
         # The exact column across two slabs of the oracle step, against a
@@ -437,8 +499,8 @@ class TestSample:
                                         count, hex_flag):
         monkeypatch.setattr(rng, "_BLOCK_VALUES", 30)  # 3 samples a block
         x0 = BitVector.from_string("0110010111")
-        lines = [format(s.word, "03x") if hex_flag else s.to_string()
-                 for s in exact_samples(x0, 5, 0, count)]
+        states = [exact_sample(x0, 5, i) for i in range(count)]
+        lines = [format(s.word, "03x") if hex_flag else s.to_string() for s in states]
         want = "\n".join(lines) + "\n"
         argv = ("sample", "--n", "10", "--count", str(count), "--seed", "5",
                 "--x0", "0110010111", *hex_flag)

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from shiftwalk import BitVector, ChainKind, rng, stream
 from shiftwalk.chains import _draw_driving_arrays, _draw_driving_blocks
-from shiftwalk.exact_sampler import exact_sample, exact_samples
+from shiftwalk.exact_sampler import _sample_blocks, exact_sample
 
 SEEDS = (0, 1, 2**63 - 1, 2**64 - 1)
 NS = (1, 2, 3, 7, 64, 100, 128, 1000, 1024)
@@ -15,14 +15,9 @@ START = 5
 
 
 def reference(chain, t, seed, start, count):
-    """Stacked per-stream draws: the arrays the batched path must equal.
-    An array ``chain`` gives each stream its own q1 dimension."""
-    if isinstance(chain, ChainKind):
-        chains = [chain] * count
-    else:
-        chains = [ChainKind("q1", int(n)) for n in chain]
-    pairs = [_draw_driving_arrays(c, t, seed, start + i) for i, c in enumerate(chains)]
-    coords = None if chains[0].kind == "q2" else np.stack([c for c, _ in pairs])
+    """Stacked per-stream draws: the arrays the batched path must equal."""
+    pairs = [_draw_driving_arrays(chain, t, seed, start + i) for i in range(count)]
+    coords = None if chain.kind == "q2" else np.stack([c for c, _ in pairs])
     return coords, np.stack([b for _, b in pairs])
 
 
@@ -33,7 +28,7 @@ def batched(chain, t, seed, start, count):
         assert offset == sum(len(x) for x in bits)
         coords.append(c)
         bits.append(b)
-    if isinstance(chain, ChainKind) and chain.kind == "q2":
+    if chain.kind == "q2":
         assert all(c is None for c in coords)
         return None, np.concatenate(bits)
     return np.concatenate(coords), np.concatenate(bits)
@@ -168,19 +163,22 @@ class TestDrivingBlocks:
     @pytest.mark.parametrize("rows", [1, 7, 32])
     @pytest.mark.parametrize("t", [0, 1, 57])
     def test_q1_per_stream_n(self, monkeypatch, t, rows):
-        """Each stream with its own n, in blocks of ``rows`` streams.  At
-        2**31 + 1 and 3 * 2**30 numpy rejects about a half and a quarter
-        of the coordinate draws, so some rows take the per-stream path
-        with their own n."""
-        ns = np.array([2, 2**31 + 1, 3, 7, 3 * 2**30, 64, 1000, 1024] * 4)
+        """Streams with their own n, which never decreases, decoded as the
+        bounded-diff suite decodes them: one chain per run of one n, in
+        blocks of ``rows`` streams.  At 2**31 + 1 and 3 * 2**30 numpy
+        rejects about a half and a quarter of the coordinate draws, so
+        some rows take the per-stream path, also in blocks past the
+        first of their call."""
+        ns = [2, 3, 7, 64, 1000, 1024, 3 * 2**30, 2**31 + 1]
         k = t + (t + 3) // 4
         if t:
-            (_, words), = rng.stream_words(2, START, len(ns), k)
-            _, rejected = rng.bounded(words[:, :t], ns[:, None])
-            assert 0 < rejected.any(axis=1).sum() < len(ns)
+            (_, words), = rng.stream_words(2, START + 28, 4, k)
+            assert rng.bounded(words[:, :t], 2**31 + 1)[1].any()
         monkeypatch.setattr(rng, "_BLOCK_VALUES", rows * max(k, 1))
-        assert_same(batched(ns, t, 2, START, len(ns)),
-                    reference(ns, t, 2, START, len(ns)))
+        for i, n in enumerate(ns):
+            chain = ChainKind("q1", n)
+            assert_same(batched(chain, t, 2, START + 4 * i, 4),
+                        reference(chain, t, 2, START + 4 * i, 4))
 
     def test_rejects_negative_length(self):
         with pytest.raises(ValueError):
@@ -205,18 +203,21 @@ class TestDrivingBlocks:
 
 
 class TestExactSamples:
+    """The block kernel's samples against ``exact_sample``, one stream."""
+
     @pytest.mark.parametrize("n", [2, 4, 64, 66, 130])
     @pytest.mark.parametrize("seed", SEEDS)
     def test_equals_exact_sample(self, monkeypatch, n, seed):
         monkeypatch.setattr(rng, "_BLOCK_VALUES", 7 * n)
         x0 = BitVector.random(n, stream(seed, n))
         start = 2**64 - 10  # the indices wrap mod 2**64
-        got = list(exact_samples(x0, seed, start, 20))
+        got = [BitVector.from_string("".join(map(str, row)))
+               for block in _sample_blocks(x0, seed, start, 20) for row in block]
         assert got == [exact_sample(x0, seed, start + i) for i in range(20)]
 
     def test_empty_and_invalid(self):
-        assert list(exact_samples(BitVector.zeros(4), 1, 0, 0)) == []
+        assert list(_sample_blocks(BitVector.zeros(4), 1, 0, 0)) == []
         with pytest.raises(ValueError):
-            list(exact_samples(BitVector.zeros(4), 1, 0, -1))
+            list(_sample_blocks(BitVector.zeros(4), 1, 0, -1))
         with pytest.raises(ValueError):
-            list(exact_samples(BitVector.zeros(5), 1, 0, 1))
+            _sample_blocks(BitVector.zeros(5), 1, 0, 1)
