@@ -134,7 +134,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         "passed": passed,
         "elapsed_s": round(time.perf_counter() - start, 3),
         "checks": [
-            {"name": c.name, "passed": c.passed, "observed": c.observed}
+            {"name": c.name, "passed": c.passed, "elapsed_s": c.elapsed_s,
+             "observed": c.observed}
             for c in checks
         ],
     }

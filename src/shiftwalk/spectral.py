@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -39,6 +40,9 @@ _LGAM_A = (
     8.33333333333331927722e-2,
 )
 _log_factorials = np.zeros(0)
+# (n, k) entries per weight_class_log_terms call of a sweep over n: about
+# 64 KiB an array, so a sweep's memory does not grow with its range.
+_SWEEP_ENTRIES = 1 << 13
 
 
 def _lgam(x: np.ndarray) -> np.ndarray:
@@ -107,10 +111,10 @@ def _log_binom(n: int, k: np.ndarray | int) -> np.ndarray:
 
 
 def weight_class_log_terms(
-    n: int, k: np.ndarray | int, lag: int = 0
+    n: np.ndarray | int, k: np.ndarray | int, lag: int = 0
 ) -> np.ndarray:
     """log of C(n,k) (1-k/n)^(2n-2k+2 lag) ((k-lag)/n)^(2k), elementwise
-    over weights lag < k < n.
+    over weights lag < k < n, with integer n broadcast against k.
 
     ``lag = 0`` gives the envelope ``weight_class_term``; ``lag = 1`` the
     exact squared-coefficient class summed by ``fourier_sum``.
@@ -121,6 +125,30 @@ def weight_class_log_terms(
         + (2 * n - 2 * k + 2 * lag) * np.log1p(-k / n)
         + 2 * k * np.log((k - lag) / n)
     )
+
+
+def _weight_class_sweep(
+    n_lo: int, n_hi: int, lag: int
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """``weight_class_log_terms`` at k = 2..n-1 for n = n_lo..n_hi (n >= 3),
+    in runs of consecutive n.
+
+    Yields ``(ns, starts, log_terms)`` per run: n = ns[i] holds
+    log_terms[starts[i]:starts[i + 1]], its terms at k = 2..n-1 in order.
+    A run holds at most ``_SWEEP_ENTRIES`` terms, or a single n.  Each
+    entry is what the call for that n alone gives, bit for bit.
+    """
+    ns = np.arange(n_lo, n_hi + 1)
+    ends = np.cumsum(ns - 2)
+    i = 0
+    while i < len(ns):
+        base = int(ends[i - 1]) if i else 0
+        j = max(i + 1, int(np.searchsorted(ends, base + _SWEEP_ENTRIES, "right")))
+        run, sizes = ns[i:j], ns[i:j] - 2
+        starts = np.concatenate(([0], ends[i:j] - base))
+        k = np.arange(starts[-1]) - np.repeat(starts[:-1] - 2, sizes)
+        yield run, starts, weight_class_log_terms(np.repeat(run, sizes), k, lag)
+        i = j
 
 
 def weight_class_term(n: int, k: int) -> float:
@@ -150,20 +178,35 @@ class WeightClassBoundReport:
     passed: bool
 
 
+def _bound_ratios(
+    n_lo: int, n_hi: int
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
+    """The weight-class terms against their caps for n = n_lo..n_hi
+    (n >= 6), in the runs of ``_weight_class_sweep``.
+
+    Yields ``(ns, starts, interior, edge)`` per run: n = ns[i] holds the
+    ratios term * n^2 at k = 2..n-2 in interior[starts[i]:starts[i + 1]],
+    and edge[i] = term(n, n-1) * n.
+    """
+    for ns, starts, log_terms in _weight_class_sweep(n_lo, n_hi, lag=0):
+        last = starts[1:] - 1  # k = n-1 of each n
+        interior = np.delete(log_terms, last)
+        interior += np.repeat(2 * np.log(ns), ns - 3)
+        edge = np.exp(log_terms[last]) * ns
+        yield ns, starts - np.arange(len(starts)), np.exp(interior), edge
+
+
 def check_weight_class_bounds(n: int) -> WeightClassBoundReport:
     """Verify term(n,k) <= 1/n^2 for 2 <= k <= n-2 and term(n,n-1) <= 1/n."""
     if n <= 5:
         raise ValueError(f"bounds hold for n >= 6, got {n}")
-    k = np.arange(2, n, dtype=np.float64)  # the interior, then k = n-1
-    log_terms = weight_class_log_terms(n, k)
-    ratios = np.exp(log_terms[:-1] + 2 * np.log(n))
+    ((_, _, ratios, edges),) = _bound_ratios(n, n)
     i = int(np.argmax(ratios))
-    edge = float(np.exp(log_terms[-1])) * n
-    max_interior = float(ratios[i])
+    max_interior, edge = float(ratios[i]), float(edges[0])
     return WeightClassBoundReport(
         n=n,
         max_interior_ratio=max_interior,
-        argmax_interior_k=int(k[i]),
+        argmax_interior_k=i + 2,
         edge_ratio=edge,
         passed=bool(max_interior <= 1.0 and edge <= 1.0),
     )
@@ -208,10 +251,20 @@ class FourierSummary:
     tv_bound: float
 
 
+def _fourier_totals(n_lo: int, n_hi: int) -> Iterator[tuple[int, float]]:
+    """(n, S) for n = n_lo..n_hi (n >= 3), S the sum of the exact
+    squared-coefficient classes k = 2..n-1; each n's terms are summed
+    on their own, in one pairwise ``sum``."""
+    for ns, starts, log_terms in _weight_class_sweep(n_lo, n_hi, lag=1):
+        terms = np.exp(log_terms)
+        bounds = starts.tolist()
+        for n, lo, hi in zip(ns.tolist(), bounds, bounds[1:]):
+            yield n, float(terms[lo:hi].sum())
+
+
 def fourier_sum(n: int) -> FourierSummary:
     """Sum the exact squared-coefficient classes for k = 2..n-1 in log-space."""
     if n < 3:
         raise ValueError(f"n must be >= 3, got {n}")
-    terms = np.exp(weight_class_log_terms(n, np.arange(2, n), lag=1))
-    total = float(terms.sum())
+    ((_, total),) = _fourier_totals(n, n)
     return FourierSummary(n=n, total=total, tv_bound=float(np.sqrt(total) / 2.0))

@@ -7,7 +7,7 @@ machine readable and reruns are comparable.
 from __future__ import annotations
 
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from typing import Iterator
 
 import numpy as np
@@ -26,6 +26,7 @@ class CheckResult:
     name: str
     passed: bool
     observed: dict = field(default_factory=dict)
+    elapsed_s: float | None = None  # seconds its suite took; set by run_suite
 
 
 def _sweep_check(name: str, swept: bool, passed: bool, observed: dict) -> CheckResult:
@@ -36,13 +37,18 @@ def _sweep_check(name: str, swept: bool, passed: bool, observed: dict) -> CheckR
     return CheckResult(name, passed, observed)
 
 
+def _identity_rows(n: int) -> tuple[int, ...]:
+    """The rows of the n x n identity, as ``GF2Matrix.rows`` holds them."""
+    return tuple(1 << i for i in range(n))
+
+
 def suite_matrix_order(
     n_max: int = 512, spot_n: int = 10_000, **_: object
 ) -> list[CheckResult]:
     """The shift map's matrix has order n+1: M^(n+1) = I."""
     failures = [
         n for n in range(2, n_max + 1)
-        if companion_power(n, n + 1) != GF2Matrix.identity(n)
+        if companion_power(n, n + 1).rows != _identity_rows(n)
     ]
     results = [
         _sweep_check(
@@ -55,9 +61,9 @@ def suite_matrix_order(
     # Minimality is reported, not asserted: no smaller power should hit I.
     early = []
     for n in range(2, min(n_max, 64) + 1):
-        identity = GF2Matrix.identity(n)
+        identity = _identity_rows(n)
         early.extend(
-            (n, k) for k in range(1, n + 1) if companion_power(n, k) == identity
+            (n, k) for k in range(1, n + 1) if companion_power(n, k).rows == identity
         )
     results.append(
         CheckResult(
@@ -81,17 +87,19 @@ def suite_matrix_order(
 
 def suite_term_bounds(n_max: int = 2000, **_: object) -> list[CheckResult]:
     """Weight-class terms stay below 1/n^2 (interior) and 1/n (k = n-1)."""
-    worst_interior = (0.0, 0, 0)  # ratio, n, k
+    worst_interior = (0.0, 0, 0)  # ratio, n, k: the first maximum in (n, k) order
     worst_edge = (0.0, 0)
     failures = []
-    for n in range(6, n_max + 1):
-        rep = spectral.check_weight_class_bounds(n)
-        if not rep.passed:
-            failures.append(n)
-        if rep.max_interior_ratio > worst_interior[0]:
-            worst_interior = (rep.max_interior_ratio, n, rep.argmax_interior_k)
-        if rep.edge_ratio > worst_edge[0]:
-            worst_edge = (rep.edge_ratio, n)
+    for ns, starts, interior, edge in spectral._bound_ratios(6, n_max):
+        peaks = np.maximum.reduceat(interior, starts[:-1])
+        failures.extend(ns[~((peaks <= 1.0) & (edge <= 1.0))].tolist())
+        i = int(np.argmax(interior))
+        if interior[i] > worst_interior[0]:
+            j = int(np.searchsorted(starts, i, "right")) - 1
+            worst_interior = (float(interior[i]), int(ns[j]), i - int(starts[j]) + 2)
+        j = int(np.argmax(edge))
+        if edge[j] > worst_edge[0]:
+            worst_edge = (float(edge[j]), int(ns[j]))
     return [
         _sweep_check(
             f"term bounds hold for 6 <= n <= {n_max}",
@@ -158,8 +166,7 @@ def suite_fourier(n_max: int = 2000, **_: object) -> list[CheckResult]:
     )
 
     worst_ratio = 0.0
-    for n in range(6, n_max + 1):
-        s = spectral.fourier_sum(n).total
+    for n, s in spectral._fourier_totals(6, n_max):
         worst_ratio = max(worst_ratio, s * n / 2.0)
     results.append(
         _sweep_check(
@@ -472,13 +479,19 @@ def suite_names() -> list[str]:
     return [*SUITES, "all"]
 
 
+def _timed(suite, kwargs: dict) -> list[CheckResult]:
+    start = time.perf_counter()
+    checks = suite(**kwargs)
+    elapsed = round(time.perf_counter() - start, 3)
+    return [replace(c, elapsed_s=elapsed) for c in checks]
+
+
 def run_suite(name: str, **kwargs: object) -> list[CheckResult]:
-    """Run one suite (or every suite for ``all``), dropping unknown kwargs."""
+    """Run one suite (or every suite for ``all``), dropping unset kwargs;
+    each check carries the seconds its suite took, in ``elapsed_s``."""
+    kwargs = {k: v for k, v in kwargs.items() if v is not None}
     if name == "all":
-        out: list[CheckResult] = []
-        for fn in SUITES.values():
-            out.extend(fn(**{k: v for k, v in kwargs.items() if v is not None}))
-        return out
+        return [c for suite in SUITES.values() for c in _timed(suite, kwargs)]
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {suite_names()}")
-    return SUITES[name](**{k: v for k, v in kwargs.items() if v is not None})
+    return _timed(SUITES[name], kwargs)

@@ -164,7 +164,18 @@ class TestVerify:
         assert isinstance(elapsed, float)
         assert math.isfinite(elapsed) and elapsed >= 0
 
-    def test_all_suites_serialize(self, capsys, tmp_path):
+    def test_all_suites_serialize(self, capsys, monkeypatch, tmp_path):
+        counts = []  # checks per suite, in the order the suites ran
+
+        def counted(suite):
+            def run(**kwargs):
+                checks = suite(**kwargs)
+                counts.append(len(checks))
+                return checks
+            return run
+
+        for name, suite in list(suites.SUITES.items()):
+            monkeypatch.setitem(suites.SUITES, name, counted(suite))
         out_file = tmp_path / "all.json"
         code, _, _ = run_cli(capsys, "verify", "all",
                              "--trials", "500", "--samples", "500",
@@ -175,6 +186,16 @@ class TestVerify:
         names = [c["name"] for c in report["checks"]]
         assert len(names) == len(set(names)) and len(names) >= 15
         assert not any("vacuous" in name for name in names)
+        # Each check carries the seconds its suite took.
+        assert len(counts) == len(suites.SUITES) and sum(counts) == len(names)
+        times = [c["elapsed_s"] for c in report["checks"]]
+        assert all(isinstance(t, float) and math.isfinite(t) and t >= 0 for t in times)
+        per_suite, i = [], 0
+        for count in counts:
+            assert len(set(times[i : i + count])) == 1
+            per_suite.append(times[i])
+            i += count
+        assert sum(per_suite) <= report["elapsed_s"] + 0.01
 
 
 class TestProfile:

@@ -1,8 +1,11 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import gammaln
 
 from shiftwalk import (
@@ -21,6 +24,8 @@ from shiftwalk import (
     weight_class_term,
     weight_stats,
 )
+from shiftwalk.spectral import WeightClassBoundReport
+from shiftwalk.suites import _sweep_check, suite_fourier, suite_term_bounds
 
 
 def term_exact(n, k):
@@ -246,3 +251,145 @@ class TestLogFactorialTable:
             spectral._log_binom(n, k)
         with pytest.raises(ValueError, match="integers 0 <= k <= n"):
             spectral.weight_class_log_terms(n, k)
+
+
+# The per-n loops that term-bounds and fourier ran before the sweep, kept as
+# references: one weight_class_log_terms call per n.
+
+def reference_log_terms(n, lag):
+    return spectral.weight_class_log_terms(n, np.arange(2, n, dtype=np.float64), lag)
+
+
+def reference_bounds(n):
+    k = np.arange(2, n, dtype=np.float64)  # the interior, then k = n-1
+    log_terms = spectral.weight_class_log_terms(n, k)
+    ratios = np.exp(log_terms[:-1] + 2 * np.log(n))
+    i = int(np.argmax(ratios))
+    edge = float(np.exp(log_terms[-1])) * n
+    max_interior = float(ratios[i])
+    return WeightClassBoundReport(
+        n, max_interior, int(k[i]), edge, bool(max_interior <= 1.0 and edge <= 1.0)
+    )
+
+
+def reference_fourier_total(n):
+    terms = np.exp(spectral.weight_class_log_terms(n, np.arange(2, n), lag=1))
+    return float(terms.sum())
+
+
+def reference_term_bounds(n_max):
+    worst_interior = (0.0, 0, 0)
+    worst_edge = (0.0, 0)
+    failures = []
+    for n in range(6, n_max + 1):
+        rep = reference_bounds(n)
+        if not rep.passed:
+            failures.append(n)
+        if rep.max_interior_ratio > worst_interior[0]:
+            worst_interior = (rep.max_interior_ratio, n, rep.argmax_interior_k)
+        if rep.edge_ratio > worst_edge[0]:
+            worst_edge = (rep.edge_ratio, n)
+    return [
+        _sweep_check(
+            f"term bounds hold for 6 <= n <= {n_max}",
+            swept=n_max >= 6,
+            passed=not failures,
+            observed={
+                "failures": failures,
+                "max_interior_ratio": worst_interior[0],
+                "at_n": worst_interior[1],
+                "at_k": worst_interior[2],
+                "max_edge_ratio": worst_edge[0],
+                "edge_at_n": worst_edge[1],
+            },
+        )
+    ]
+
+
+def reference_fourier_mass(n_max):
+    worst_ratio = 0.0
+    for n in range(6, n_max + 1):
+        worst_ratio = max(worst_ratio, reference_fourier_total(n) * n / 2.0)
+    return _sweep_check(
+        f"coefficient mass stays below 2/n for 6 <= n <= {n_max}",
+        swept=n_max >= 6,
+        passed=worst_ratio <= 1.0,
+        observed={"max_of_total_times_n_over_2": worst_ratio},
+    )
+
+
+def assert_sweep_is_per_n(n_lo, n_hi):
+    """Every sweep over n_lo..n_hi gives each n the per-n call's bits, in
+    runs of consecutive n that respect the entry cap."""
+    cap = spectral._SWEEP_ENTRIES
+    for lag in (0, 1):
+        seen = []
+        for ns, starts, log_terms in spectral._weight_class_sweep(n_lo, n_hi, lag):
+            assert len(ns) == 1 or len(log_terms) <= cap
+            assert starts[0] == 0 and starts[-1] == len(log_terms)
+            for i, n in enumerate(ns.tolist()):
+                assert same_bits(log_terms[starts[i] : starts[i + 1]],
+                                 reference_log_terms(n, lag)), (n, lag)
+            seen.extend(ns.tolist())
+        assert seen == list(range(n_lo, n_hi + 1))
+    for ns, starts, interior, edge in spectral._bound_ratios(max(n_lo, 6), n_hi):
+        for i, n in enumerate(ns.tolist()):
+            ref = reference_bounds(n)
+            ratios = interior[starts[i] : starts[i + 1]]
+            assert len(ratios) == n - 3
+            assert ratios.max() == ref.max_interior_ratio and edge[i] == ref.edge_ratio
+            assert int(np.argmax(ratios)) + 2 == ref.argmax_interior_k
+    for n, total in spectral._fourier_totals(n_lo, n_hi):
+        assert total == reference_fourier_total(n), n
+
+
+class TestWeightClassSweep:
+    @pytest.mark.parametrize("cap", [1, 7, 300, spectral._SWEEP_ENTRIES])
+    @pytest.mark.parametrize("lag", [0, 1])
+    def test_log_terms_are_the_per_n_bits(self, cap, lag, monkeypatch):
+        monkeypatch.setattr(spectral, "_SWEEP_ENTRIES", cap)
+        got = {}
+        for ns, starts, log_terms in spectral._weight_class_sweep(6, 2100, lag):
+            assert len(ns) == 1 or len(log_terms) <= cap
+            for i, n in enumerate(ns.tolist()):
+                got[n] = log_terms[starts[i] : starts[i + 1]]
+        assert list(got) == list(range(6, 2101))
+        for n, terms in got.items():
+            assert same_bits(terms, reference_log_terms(n, lag)), n
+
+    @pytest.mark.parametrize("n", [*range(6, 40), 1000, 2000, 8193, 8194, 9000])
+    def test_one_n_is_the_per_n_call(self, n):
+        assert check_weight_class_bounds(n) == reference_bounds(n)
+        assert fourier_sum(n).total == reference_fourier_total(n)
+
+    @pytest.mark.parametrize("n_max", [-1, 5, 6, 7, 8, 100, 2000])
+    def test_suites_match_the_per_n_loops(self, n_max):
+        assert suite_term_bounds(n_max) == reference_term_bounds(n_max)
+        checks = suite_fourier(n_max)
+        assert checks[2] == reference_fourier_mass(n_max)
+        assert checks[1].observed["closed_form"] == reference_fourier_total(6)
+        assert checks[3].observed["tv_bound"] == float(
+            np.sqrt(reference_fourier_total(10)) / 2.0
+        )
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_property_any_range_and_cap(self, data):
+        n_hi = data.draw(st.integers(3, 400), label="n_hi")
+        n_lo = data.draw(st.integers(3, n_hi), label="n_lo")
+        cap = data.draw(st.integers(1, 500), label="cap")
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(spectral, "_SWEEP_ENTRIES", cap)
+            assert_sweep_is_per_n(n_lo, n_hi)
+            assert suite_term_bounds(n_hi) == reference_term_bounds(n_hi)
+
+    @pytest.mark.parametrize("suite", [suite_term_bounds, suite_fourier])
+    def test_memory_stays_small(self, suite):
+        # Flat arrays over all of n = 6..2000 would take about 16 MiB each.
+        tracemalloc.start()
+        try:
+            suite()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20, peak
