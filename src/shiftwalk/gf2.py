@@ -102,6 +102,11 @@ class BitVector:
         return self.to_string()
 
 
+def _identity_rows(n: int) -> tuple[int, ...]:
+    """The rows of the n x n identity, as ``GF2Matrix.rows`` holds them."""
+    return tuple(1 << i for i in range(n))
+
+
 def _validate_square(m: GF2Matrix) -> None:
     if m.n_rows != m.n_cols:
         raise ValueError(f"matrix must be square, got {m.n_rows}x{m.n_cols}")
@@ -127,7 +132,7 @@ class GF2Matrix:
 
     @classmethod
     def identity(cls, n: int) -> GF2Matrix:
-        return cls(n, n, tuple(1 << i for i in range(n)))
+        return cls(n, n, _identity_rows(n))
 
     @classmethod
     def from_columns(cls, n_rows: int, columns: Sequence[int]) -> GF2Matrix:

@@ -147,10 +147,7 @@ def _weight_class_sweep(
         run, sizes = ns[i:j], ns[i:j] - 2
         starts = np.concatenate(([0], ends[i:j] - base))
         k = np.arange(starts[-1]) - np.repeat(starts[:-1] - 2, sizes)
-        # One n goes in as a scalar: an n array's temporaries raised the
-        # peak RSS of a profile (one fourier_sum call) by about 0.1 MiB.
-        n = np.repeat(run, sizes) if j - i > 1 else int(run[0])
-        yield run, starts, weight_class_log_terms(n, k, lag)
+        yield run, starts, weight_class_log_terms(np.repeat(run, sizes), k, lag)
         i = j
 
 

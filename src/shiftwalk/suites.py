@@ -14,7 +14,7 @@ import numpy as np
 
 from . import distribution, rng, spectral, weight_stats
 from .chains import _draw_driving_blocks, q1, q2
-from .gf2 import BitVector, GF2Matrix, companion_power
+from .gf2 import BitVector, GF2Matrix, _identity_rows, companion_power
 
 __all__ = ["CheckResult", "SUITES", "run_suite", "suite_names", "transform_max_diff"]
 
@@ -35,11 +35,6 @@ def _sweep_check(name: str, swept: bool, passed: bool, observed: dict) -> CheckR
     if not swept:
         return CheckResult(f"{name} [vacuous: empty range]", False, observed)
     return CheckResult(name, passed, observed)
-
-
-def _identity_rows(n: int) -> tuple[int, ...]:
-    """The rows of the n x n identity, as ``GF2Matrix.rows`` holds them."""
-    return tuple(1 << i for i in range(n))
 
 
 def suite_matrix_order(
