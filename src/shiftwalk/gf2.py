@@ -6,7 +6,6 @@ values are immutable after construction and safe to share across tasks.
 """
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -18,7 +17,6 @@ __all__ = [
     "SingularMatrixError",
     "shift_register",
     "companion_matrix",
-    "companion_power",
     "mat_pow",
     "det_gf2",
     "solve_linear",
@@ -102,11 +100,6 @@ class BitVector:
         return self.to_string()
 
 
-def _identity_rows(n: int) -> tuple[int, ...]:
-    """The rows of the n x n identity, as ``GF2Matrix.rows`` holds them."""
-    return tuple(1 << i for i in range(n))
-
-
 def _validate_square(m: GF2Matrix) -> None:
     if m.n_rows != m.n_cols:
         raise ValueError(f"matrix must be square, got {m.n_rows}x{m.n_cols}")
@@ -132,7 +125,7 @@ class GF2Matrix:
 
     @classmethod
     def identity(cls, n: int) -> GF2Matrix:
-        return cls(n, n, _identity_rows(n))
+        return cls(n, n, tuple(_power_rows(n, 0)))
 
     @classmethod
     def from_columns(cls, n_rows: int, columns: Sequence[int]) -> GF2Matrix:
@@ -217,24 +210,23 @@ def companion_matrix(n: int) -> GF2Matrix:
     return GF2Matrix(n, n, tuple(rows))
 
 
-def companion_power(n: int, k: int) -> GF2Matrix:
-    """``companion_matrix(n) ** k`` in O(n) row moves, for any k >= 0.
+def _power_rows(n: int, k: int) -> Iterator[int]:
+    """The rows of ``companion_matrix(n) ** k``, one at a time, for k >= 0.
 
     ``M @ X`` keeps rows 2..n of X and appends the XOR of all of X's rows;
     after that step the XOR of all rows is the row just dropped.  So one
     power step rotates the n+1 rows (rows of X, their XOR) left by one,
     and the rows of M^k are the first n of the cycle e_1, ..., e_n,
-    (1, ..., 1) rotated left by k mod (n+1).  Requires n >= 2.
+    (1, ..., 1) rotated left by k mod (n+1).  At k = 0 they are the rows
+    of the identity, for any n >= 1.
     """
-    if n < 2:
-        raise ValueError(f"companion matrix needs n >= 2, got {n}")
-    if k < 0:
-        raise ValueError(f"exponent must be >= 0, got {k}")
-    cycle = deque(1 << i for i in range(n))
-    cycle.append((1 << n) - 1)
-    cycle.rotate(-(k % (n + 1)))
-    cycle.pop()
-    return GF2Matrix(n, n, tuple(cycle))
+    s = k % (n + 1)
+    for i in range(s, n):
+        yield 1 << i
+    if s:
+        yield (1 << n) - 1
+        for i in range(s - 1):
+            yield 1 << i
 
 
 def mat_pow(m: GF2Matrix, k: int) -> GF2Matrix:

@@ -44,6 +44,12 @@ class TestVerify:
         assert code == 0
         assert "[PASS]" in out and "FAIL" not in out
 
+    def test_matrix_order_names_the_scanned_range(self, capsys):
+        code, out, _ = run_cli(capsys, "verify", "matrix-order",
+                               "--n-max", "10", "--seed", "1")
+        assert code == 0
+        assert "[PASS] no smaller power is the identity (n <= 10, informational)" in out
+
     def test_json_report(self, capsys, tmp_path):
         out_file = tmp_path / "report.json"
         code, _, _ = run_cli(capsys, "verify", "q2-exact", "--n-max", "8",
@@ -89,7 +95,7 @@ class TestVerify:
     @pytest.mark.parametrize("argv, vacuous", [
         (("variance", "--n-max", "1", "--samples", "200"), 1),
         (("term-bounds", "--n-max", "5"), 1),
-        (("matrix-order", "--n-max", "1"), 1),
+        (("matrix-order", "--n-max", "1"), 2),
         (("fourier", "--n-max", "5"), 1),
         (("moments", "--n-max", "1"), 3),
         (("q2-exact", "--n-max", "3"), 1),

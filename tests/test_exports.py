@@ -20,8 +20,8 @@ EXPORTS = [
     "LowerBoundParams", "MAX_EXACT_N", "ReplayDivergence",
     "SingularMatrixError", "VarianceReport", "WeightClassBoundReport",
     "__version__", "build_offset", "chebyshev_lower_bound",
-    "check_weight_class_bounds", "companion_matrix", "companion_power",
-    "coordinate_marginal", "det_gf2", "empirical_tv_lower_bound",
+    "check_weight_class_bounds", "companion_matrix", "coordinate_marginal",
+    "det_gf2", "empirical_tv_lower_bound",
     "evolve_exact", "evolve_symbolic", "exact_sample",
     "exact_tv_curve", "fourier_bruteforce", "fourier_coeff_closed_form",
     "fourier_sum", "mat_pow", "mean_weight_closed_form",

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,7 +10,6 @@ from shiftwalk import (
     GF2Matrix,
     SingularMatrixError,
     companion_matrix,
-    companion_power,
     det_gf2,
     evolve_symbolic,
     mat_pow,
@@ -17,7 +18,7 @@ from shiftwalk import (
     solve_linear,
     stream,
 )
-from shiftwalk.gf2 import _shift_power, _shift_word
+from shiftwalk.gf2 import _power_rows, _shift_power, _shift_word
 from shiftwalk.suites import CheckResult, suite_matrix_order
 
 
@@ -205,27 +206,38 @@ def reference_matrix_order(n_max, spot_n):
 
 
 class TestCompanionPower:
+    """``gf2._power_rows``, M^k's rows in closed form, against ``mat_pow``."""
+
     def test_equals_mat_pow(self):
         for n in range(2, 41):
             a = companion_matrix(n)
             for k in range(0, 2 * n + 4):
-                assert companion_power(n, k) == mat_pow(a, k), (n, k)
+                assert tuple(_power_rows(n, k)) == mat_pow(a, k).rows, (n, k)
 
-    def test_rejects_bad_args(self):
-        for n in (1, 0, -3):
-            with pytest.raises(ValueError):
-                companion_power(n, 2)
-        with pytest.raises(ValueError):
-            companion_power(3, -1)
+    def test_identity_is_power_zero(self):
+        for n in (1, 2, 3, 64, 1000):
+            rows = tuple(1 << i for i in range(n))
+            assert GF2Matrix.identity(n).rows == tuple(_power_rows(n, 0)) == rows
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())
     def test_order_is_n_plus_one(self, data):
         n = data.draw(st.integers(2, 2000), label="n")
         k = data.draw(st.integers(1, n), label="k")
-        identity = GF2Matrix.identity(n)
-        assert companion_power(n, n + 1) == identity
-        assert companion_power(n, k) != identity
+        identity = [1 << i for i in range(n)]
+        assert list(_power_rows(n, n + 1)) == identity
+        assert list(_power_rows(n, k)) != identity
+
+    def test_suite_holds_no_matrix(self):
+        # Each row is read and dropped: no n-row tuple of the spot check
+        # (about 6 MiB at n = 10^4) is ever held.
+        tracemalloc.start()
+        try:
+            suite_matrix_order(n_max=64, spot_n=10_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, peak
 
     def test_suite_matches_square_and_multiply(self):
         got = suite_matrix_order(n_max=64, spot_n=300)
