@@ -47,13 +47,6 @@ def _open_output(out: str | None) -> ContextManager[TextIO]:
     return open(out, "w", encoding="utf-8")
 
 
-def _write_output(text: str, out: str | None) -> None:
-    with _open_output(out) as fh:
-        fh.write(text)
-        if out is None and not text.endswith("\n"):
-            fh.write("\n")
-
-
 def _strict_json(report: dict) -> str:
     """The report as strict JSON: non-finite floats become null."""
 
@@ -67,6 +60,22 @@ def _strict_json(report: dict) -> str:
         return value
 
     return json.dumps(finite(report), indent=2, default=float, allow_nan=False)
+
+
+def _write_json(report: dict, key: str, items: Iterator[dict], out: str | None) -> None:
+    """Write ``_strict_json({**report, key: [*items]})`` to ``out`` (to stdout,
+    with a final newline, if None), rendering the items 1000 at a time, each
+    chunk indented one level deeper than on its own."""
+    with _open_output(out) as fh:
+        head = _strict_json({**report, key: []})
+        fh.write(head[: -len("]\n}")])
+        sep = "\n"
+        while chunk := list(itertools.islice(items, 1000)):
+            fh.write(sep + "  " + _strict_json(chunk)[2:-2].replace("\n", "\n  "))
+            sep = ",\n"
+        fh.write(("\n  ]" if sep == ",\n" else "]") + "\n}")
+        if out is None:
+            fh.write("\n")
 
 
 def _parse_state(value: str | None, n: int) -> BitVector:
@@ -133,14 +142,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         "versions": _versions(),
         "passed": passed,
         "elapsed_s": round(time.perf_counter() - start, 3),
-        "checks": [
-            {"name": c.name, "passed": c.passed, "elapsed_s": c.elapsed_s,
-             "observed": c.observed}
-            for c in checks
-        ],
     }
     if args.format == "json" or args.out:
-        _write_output(_strict_json(report), args.out)
+        entries = ({"name": c.name, "passed": c.passed, "elapsed_s": c.elapsed_s,
+                    "observed": c.observed} for c in checks)
+        _write_json(report, "checks", entries, args.out)
     if args.format != "json":
         for c in checks:
             tag = "PASS" if c.passed else "FAIL"
@@ -173,7 +179,12 @@ def _profile(args: argparse.Namespace, seed: int) -> tuple[dict, Iterator[dict]]
 
     curve = None
     if n <= distribution.MAX_EXACT_N:
-        curve = distribution.exact_tv_curve(chain, x0, max(ts))
+        # 2^n words a step: at most the work of the largest n over t = 0..n+1.
+        cap = distribution.MAX_EXACT_N
+        if (1 << n) * (ts[-1] + 1) > (1 << cap) * (cap + 2):
+            raise ValueError(f"the exact column at n = {n} up to t = {ts[-1]} is past "
+                             f"the work of n = {cap} up to t = {cap + 1}; shorten --t")
+        curve = distribution.exact_tv_curve(chain, x0, ts[-1])
 
     upper = window_t = window = None
     if chain.kind == "q1" and n >= 3:
@@ -223,20 +234,10 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     report, rows = _profile(args, seed)
     # The rows are written as they are built, so memory does not grow with
     # the time range.
+    if args.format == "json":
+        _write_json(report, "rows", rows, args.out)
+        return 0
     with _open_output(args.out) as fh:
-        if args.format == "json":
-            # _strict_json({**report, "rows": [*rows]}), 1000 rows at a
-            # time, each chunk indented one level deeper than on its own.
-            head = _strict_json({**report, "rows": []})
-            fh.write(head[: -len("]\n}")])
-            sep = "\n"
-            while chunk := list(itertools.islice(rows, 1000)):
-                fh.write(sep + "  " + _strict_json(chunk)[2:-2].replace("\n", "\n  "))
-                sep = ",\n"
-            fh.write(("\n  ]" if sep == ",\n" else "]") + "\n}")
-            if args.out is None:
-                fh.write("\n")
-            return 0
         fh.write(f"# shiftwalk profile schema_version={report['schema_version']} "
                  f"chain={report['chain']} n={report['n']} seed={report['seed']} "
                  f"samples={report['samples']}\n{','.join(_PROFILE_COLUMNS)}\n")

@@ -18,6 +18,7 @@ import shiftwalk
 from shiftwalk import (
     BitVector,
     DrivingSequence,
+    distribution,
     exact_sample,
     q1,
     q2,
@@ -159,6 +160,42 @@ class TestVerify:
         odd = {"a": [math.inf, (np.float64(-np.inf),)], "b": {"c": math.nan}}
         assert json.loads(_strict_json(odd)) == {"a": [None, [None]], "b": {"c": None}}
 
+    @pytest.mark.parametrize("suite, n_max", [
+        *((name, n_max) for name in suites.SUITES for n_max in (None, "1")), ("all", None),
+    ])
+    @pytest.mark.parametrize("to_file", [False, True])
+    def test_json_is_the_whole_report_rendered(self, capsys, monkeypatch, tmp_path,
+                                               suite, n_max, to_file):
+        # At each suite's default --n-max, and at one that empties its sweeps.
+        ran = []
+        run_suite = suites.run_suite
+
+        def spy(*args, **kwargs):
+            ran.append(run_suite(*args, **kwargs))
+            return ran[-1]
+
+        monkeypatch.setattr(suites, "run_suite", spy)
+        out_file = tmp_path / "verify.json"
+        code, out, _ = run_cli(capsys, "verify", suite, "--trials", "300", "--samples", "300",
+                               "--seed", "4", "--format", "json",
+                               *(("--n-max", n_max) if n_max else ()),
+                               *(("--out", str(out_file)) if to_file else ()))
+        (checks,) = ran
+        text = out_file.read_text(encoding="utf-8") if to_file else out
+        report = {
+            "schema_version": 1, "command": "verify", "suite": suite, "seed": 4,
+            "versions": cli._versions(), "passed": all(c.passed for c in checks),
+            "elapsed_s": json.loads(text)["elapsed_s"],
+            "checks": [{"name": c.name, "passed": c.passed, "elapsed_s": c.elapsed_s,
+                        "observed": c.observed} for c in checks],
+        }
+        assert code == (0 if report["passed"] else 1)
+        want = cli._strict_json(report)
+        if to_file:
+            assert out == "" and text == want
+        else:
+            assert out == want + "\n"
+
     def test_report_times_the_whole_run(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "moments", "--n-max", "8",
                                "--seed", "1", "--format", "json")
@@ -281,6 +318,28 @@ class TestProfile:
         assert out == ""
         assert err.startswith("error:") and err.count("\n") == 1
         assert "99999999999" in err and str(MAX_PROFILE_TIMES - 1) in err
+
+    @pytest.mark.parametrize("chain, n, t, allowed", [
+        # The bound is 2^24 * 26 word-steps, the work of n = 24 over t = 0..25.
+        ("q1", 24, 25, True), ("q2", 24, 26, False), ("q1", 9, 851_967, True),
+        ("q1", 9, 851_968, False), ("q1", 10, 999_999, False),
+    ])
+    def test_exact_work_past_the_bound_is_usage_error(self, capsys, monkeypatch,
+                                                      chain, n, t, allowed):
+        def stub(chain, x0, t_max):
+            if not allowed:
+                raise AssertionError("evolved before checking the work")
+            return [(s, 0.5) for s in range(t_max + 1)]
+
+        monkeypatch.setattr(distribution, "exact_tv_curve", stub)
+        code, out, err = run_cli(capsys, "profile", "--chain", chain, "--n", str(n),
+                                 "--t", str(t), "--seed", "1")
+        if allowed:
+            assert code == 0 and out.splitlines()[-1].startswith(f"{t},0.5,")
+            return
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert f"n = {n} up to t = {t}" in err and "n = 24 up to t = 25" in err
 
     def test_out_of_memory_is_usage_error(self, capsys, monkeypatch):
         def exhausted(*args, **kwargs):

@@ -12,6 +12,7 @@ from shiftwalk import (
     BitVector,
     DistributionVector,
     check_weight_class_bounds,
+    distribution,
     evolve_exact,
     exact_tv_curve,
     fourier_bruteforce,
@@ -25,7 +26,12 @@ from shiftwalk import (
     weight_stats,
 )
 from shiftwalk.spectral import WeightClassBoundReport
-from shiftwalk.suites import _sweep_check, suite_fourier, suite_term_bounds
+from shiftwalk.suites import (
+    _sweep_check,
+    suite_fourier,
+    suite_term_bounds,
+    transform_max_diff,
+)
 
 
 def term_exact(n, k):
@@ -150,6 +156,33 @@ class TestBruteForce:
             sign = -1.0 if (x0.word & y.word).bit_count() & 1 else 1.0
             assert fourier_bruteforce(d, y) == \
                 pytest.approx(sign * mags[y.weight()], abs=1e-12)
+
+    def test_fourier_suite_evaluates_each_oracle_law_once(self, monkeypatch):
+        # The laws at t = n+1 for n = 6, 8, 10 are each evolved once and
+        # transformed once at each of their 2^n frequencies, and every check
+        # that needs them reads those values.
+        calls = {"evolutions": 0, "transforms": 0}
+        evolution, transform = distribution._evolution, spectral.fourier_bruteforce
+
+        def counted(key, fn):
+            def call(*args):
+                calls[key] += 1
+                return fn(*args)
+            return call
+
+        monkeypatch.setattr(distribution, "_evolution", counted("evolutions", evolution))
+        monkeypatch.setattr(spectral, "fourier_bruteforce", counted("transforms", transform))
+        checks = suite_fourier()
+        assert calls == {"evolutions": 3, "transforms": 64 + 256 + 1024}
+        # The values each check evaluated on its own before the laws were shared.
+        assert checks[0].observed["max_abs_diff"] == transform_max_diff()
+        d = evolved(6)
+        assert checks[1].observed["exhaustive"] == sum(
+            fourier_bruteforce(d, BitVector(6, w)) ** 2 for w in range(1, 64)
+        )
+        curve = exact_tv_curve(q1(10), BitVector.zeros(10), 11)
+        assert checks[3].observed["exact_tv"] == curve[11][1]
+        assert all(c.passed for c in checks)
 
 
 class TestFourierSum:
