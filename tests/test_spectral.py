@@ -174,7 +174,7 @@ class TestBruteForce:
         monkeypatch.setattr(spectral, "fourier_bruteforce", counted("transforms", transform))
         checks = suite_fourier()
         assert calls == {"evolutions": 3, "transforms": 64 + 256 + 1024}
-        # The values each check evaluated on its own before the laws were shared.
+        # Each value is what the check's own evaluation of its law gives.
         assert checks[0].observed["max_abs_diff"] == transform_max_diff()
         d = evolved(6)
         assert checks[1].observed["exhaustive"] == sum(
