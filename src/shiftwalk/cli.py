@@ -35,9 +35,14 @@ def _versions() -> dict:
 
 
 def _resolve_seed(seed: int | None) -> int:
+    """The given seed, or one drawn and printed to stderr.  Streams are
+    keyed by the seed mod 2**64, so a seed outside 0..2**64-1 would name
+    another seed's streams; it is rejected."""
     if seed is None:
         seed = secrets.randbits(63)
         print(f"seed: {seed}", file=sys.stderr)
+    elif not 0 <= seed < 2**64:
+        raise ValueError(f"--seed must be in 0..2**64-1, got {seed}")
     return seed
 
 

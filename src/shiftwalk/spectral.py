@@ -107,7 +107,26 @@ def _log_binom(n: int, k: np.ndarray | int) -> np.ndarray:
             f"log C(n, k) needs integers 0 <= k <= n, got n={n}, k={k}"
         )
     table = _log_factorial_table(int(n_int.max()))
-    return table[n_int] - table.take(k_int) - table.take(rest)
+    return _log_binom_from(table, table[n_int], k_int, rest)
+
+
+def _log_binom_from(
+    table: np.ndarray, log_n_factorial: np.ndarray, k: np.ndarray, rest: np.ndarray
+) -> np.ndarray:
+    """log n! - log k! - log (n-k)!, from the log-factorial table, for int64
+    arrays k and rest = n - k that are known to be in range."""
+    return log_n_factorial - table.take(k) - table.take(rest)
+
+
+def _with_powers(
+    log_binom: np.ndarray, n: np.ndarray | int, k: np.ndarray, lag: int
+) -> np.ndarray:
+    """``weight_class_log_terms`` from its log C(n, k) and float64 k."""
+    return (
+        log_binom
+        + (2 * n - 2 * k + 2 * lag) * np.log1p(-k / n)
+        + 2 * k * np.log((k - lag) / n)
+    )
 
 
 def weight_class_log_terms(
@@ -120,11 +139,7 @@ def weight_class_log_terms(
     exact squared-coefficient class summed by ``fourier_sum``.
     """
     k = np.asarray(k, dtype=np.float64)
-    return (
-        _log_binom(n, k)
-        + (2 * n - 2 * k + 2 * lag) * np.log1p(-k / n)
-        + 2 * k * np.log((k - lag) / n)
-    )
+    return _with_powers(_log_binom(n, k), n, k, lag)
 
 
 def _weight_class_sweep(
@@ -136,18 +151,22 @@ def _weight_class_sweep(
     Yields ``(ns, starts, log_terms)`` per run: n = ns[i] holds
     log_terms[starts[i]:starts[i + 1]], its terms at k = 2..n-1 in order.
     A run holds at most ``_SWEEP_ENTRIES`` terms, or a single n.  Each
-    entry is what the call for that n alone gives, bit for bit.
+    entry is what the call for that n alone gives, bit for bit.  The
+    sweep builds its integer grids itself, so it skips their checks.
     """
     ns = np.arange(n_lo, n_hi + 1)
     ends = np.cumsum(ns - 2)
+    table = _log_factorial_table(n_hi)
     i = 0
     while i < len(ns):
         base = int(ends[i - 1]) if i else 0
         j = max(i + 1, int(np.searchsorted(ends, base + _SWEEP_ENTRIES, "right")))
         run, sizes = ns[i:j], ns[i:j] - 2
         starts = np.concatenate(([0], ends[i:j] - base))
+        n = np.repeat(run, sizes)
         k = np.arange(starts[-1]) - np.repeat(starts[:-1] - 2, sizes)
-        yield run, starts, weight_class_log_terms(np.repeat(run, sizes), k, lag)
+        log_binom = _log_binom_from(table, np.repeat(table[run], sizes), k, n - k)
+        yield run, starts, _with_powers(log_binom, n, k.astype(np.float64), lag)
         i = j
 
 

@@ -647,6 +647,37 @@ class TestSample:
         assert err.startswith("seed: ")
 
 
+class TestSeedRange:
+    COMMANDS = {
+        "verify": ("verify", "moments"),
+        "profile": ("profile", "--chain", "q1", "--n", "6", "--t", "0..2"),
+        "sample": ("sample", "--n", "4", "--count", "2"),
+        "simulate": ("simulate", "--chain", "q1", "--n", "4", "--t", "3"),
+    }
+
+    @pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 1, -(2**64)])
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_seed_outside_64_bits_is_usage_error(self, capsys, tmp_path, command, seed):
+        """Streams are keyed by the seed mod 2**64: 2**64 would print seed
+        0's samples under another name."""
+        argv = (*self.COMMANDS[command], "--seed", str(seed))
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "--seed" in err
+        out_file = tmp_path / "out.txt"
+        code, _, _ = run_cli(capsys, *argv, "--out", str(out_file))
+        assert code == 2 and not out_file.exists()
+
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1])
+    def test_seed_at_either_end_is_used(self, capsys, seed):
+        code, out, _ = run_cli(capsys, "sample", "--n", "4", "--count", "2",
+                               "--seed", str(seed))
+        x0 = BitVector.zeros(4)
+        assert code == 0
+        assert out == "".join(exact_sample(x0, seed, i).to_string() + "\n"
+                              for i in range(2))
+
+
 class TestSolveAndSimulate:
     def test_solve_round_trip(self, capsys):
         code, out, _ = run_cli(capsys, "solve", "--from", "000000",

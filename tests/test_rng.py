@@ -1,4 +1,6 @@
 """Batched stream draws against the per-stream generators they replace."""
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +11,12 @@ from shiftwalk.chains import _draw_driving_arrays, _draw_driving_blocks
 from shiftwalk.exact_sampler import _sample_blocks, exact_sample
 
 SEEDS = (0, 1, 2**63 - 1, 2**64 - 1)
+# Constants that send every block of rng.stream_words down one path: the
+# numpy rounds, or one Philox reset per stream.
+PATHS = {
+    "rounds": {"_ROUND_MAX_BLOCKS": 2**31, "_ROUND_MIN_ROWS": 0},
+    "resets": {"_ROUND_MAX_BLOCKS": 0},
+}
 NS = (1, 2, 3, 7, 64, 100, 128, 1000, 1024)
 TS = (0, 1, 2, 3, 4, 5, 127, 128, 1025)
 START = 5
@@ -93,6 +101,74 @@ class TestStreamWords:
         assert list(rng.stream_words(1, 0, 0, 8)) == []
         with pytest.raises(ValueError):
             list(rng.stream_words(1, 0, -1, 8))
+
+
+class TestStreamWordsRounds(TestStreamWords):
+    """The cases above with every block on the numpy rounds."""
+
+    @pytest.fixture(autouse=True)
+    def _path(self, monkeypatch):
+        for name, value in PATHS["rounds"].items():
+            monkeypatch.setattr(rng, name, value)
+
+
+class TestStreamWordsResets(TestStreamWords):
+    """The cases above with every block on the per-stream resets."""
+
+    @pytest.fixture(autouse=True)
+    def _path(self, monkeypatch):
+        for name, value in PATHS["resets"].items():
+            monkeypatch.setattr(rng, name, value)
+
+
+class TestStreamWordPaths:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 2**64 - 1),
+        start=st.one_of(st.integers(0, 2**64 - 1), st.integers(2**64 - 30, 2**64 - 1)),
+        count=st.integers(0, 30),
+        k=st.integers(0, 300),
+        max_blocks=st.sampled_from([0, rng._ROUND_MAX_BLOCKS, 2**31]),
+        min_rows=st.integers(0, 12),
+        block=st.integers(1, 1500),
+        pairs=st.integers(1, 80),
+    )
+    def test_property(self, seed, start, count, k, max_blocks, min_rows, block, pairs):
+        """Either path, and a call that mixes them (a short last block under
+        a row minimum), hands out numpy's values, in blocks of any size and
+        batches of rounds of any size, across the index's wrap."""
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(rng, "_ROUND_MAX_BLOCKS", max_blocks)
+            patch.setattr(rng, "_ROUND_MIN_ROWS", min_rows)
+            patch.setattr(rng, "_BLOCK_VALUES", block)
+            patch.setattr(rng, "_ROUND_PAIRS", pairs)
+            blocks = list(rng.stream_words(seed, start, count, k))
+        rows = max(1, block // max(k, 1))
+        assert [o for o, _ in blocks] == list(range(0, count, rows))
+        assert sum(len(b) for _, b in blocks) == count
+        for offset, words in blocks:
+            assert words.dtype == np.uint32 and words.shape[1] == k
+            for j, row in enumerate(words):
+                index = (start + offset + j) % 2**64
+                assert np.array_equal(row, reference_words(seed, index, k))
+
+    @pytest.mark.parametrize("path", sorted(PATHS))
+    def test_memory_does_not_grow_with_count(self, monkeypatch, path):
+        for name, value in PATHS[path].items():
+            monkeypatch.setattr(rng, name, value)
+
+        def peak(count):
+            tracemalloc.start()
+            try:
+                for _ in rng.stream_words(1, 0, count, 64):
+                    pass
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        small, large = peak(10**4), peak(10**5)
+        assert abs(large - small) <= 4096, (small, large)
+        assert large < 2**20, large
 
 
 class TestBounded:
