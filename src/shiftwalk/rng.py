@@ -47,7 +47,8 @@ _LOW32, _32 = np.uint64(0xFFFFFFFF), np.uint64(32)
 # from about 384 streams a block.
 _ROUND_MAX_BLOCKS = 10
 _ROUND_MIN_ROWS = 384
-# (stream, counter) pairs per batch of rounds: 32 KiB an array.
+# (stream, counter) pairs per batch of rounds, to within a factor of 1.5:
+# about 32 KiB an array.
 _ROUND_PAIRS = 1 << 12
 
 
@@ -93,7 +94,9 @@ def _philox_rounds(seed: int, first: int, out: np.ndarray) -> None:
     lanes = out.reshape(rows, blocks, 4)
     counters = np.arange(1, blocks + 1, dtype=np.uint64)
     zero = np.zeros(1, dtype=np.uint64)
-    step = max(1, _ROUND_PAIRS // max(blocks, 1))
+    # Rows split into equal batches, so that no batch is a short remainder.
+    batches = max(1, round(rows * blocks / _ROUND_PAIRS))
+    step = -(-rows // batches)
     for lo in range(0, rows, step):
         size = min(step, rows - lo)
         # numpy warns when a uint64 scalar overflows, not when an array does.
