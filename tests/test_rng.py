@@ -11,15 +11,20 @@ from shiftwalk.chains import _draw_driving_arrays, _draw_driving_blocks
 from shiftwalk.exact_sampler import _sample_blocks, exact_sample
 
 SEEDS = (0, 1, 2**63 - 1, 2**64 - 1)
+NS = (1, 2, 3, 7, 64, 100, 128, 1000, 1024)
+TS = (0, 1, 2, 3, 4, 5, 127, 128, 1025)
+START = 5
 # Constants that send every block of rng.stream_words down one path: the
 # numpy rounds, or one Philox reset per stream.
 PATHS = {
     "rounds": {"_ROUND_MAX_BLOCKS": 2**31, "_ROUND_MIN_ROWS": 0},
     "resets": {"_ROUND_MAX_BLOCKS": 0},
 }
-NS = (1, 2, 3, 7, 64, 100, 128, 1000, 1024)
-TS = (0, 1, 2, 3, 4, 5, 127, 128, 1025)
-START = 5
+
+
+def force_path(monkeypatch, path):
+    for name, value in PATHS[path].items():
+        monkeypatch.setattr(rng, name, value)
 
 
 def reference(chain, t, seed, start, count):
@@ -108,8 +113,7 @@ class TestStreamWordsRounds(TestStreamWords):
 
     @pytest.fixture(autouse=True)
     def _path(self, monkeypatch):
-        for name, value in PATHS["rounds"].items():
-            monkeypatch.setattr(rng, name, value)
+        force_path(monkeypatch, "rounds")
 
 
 class TestStreamWordsResets(TestStreamWords):
@@ -117,8 +121,7 @@ class TestStreamWordsResets(TestStreamWords):
 
     @pytest.fixture(autouse=True)
     def _path(self, monkeypatch):
-        for name, value in PATHS["resets"].items():
-            monkeypatch.setattr(rng, name, value)
+        force_path(monkeypatch, "resets")
 
 
 class TestStreamWordPaths:
@@ -154,8 +157,7 @@ class TestStreamWordPaths:
 
     @pytest.mark.parametrize("path", sorted(PATHS))
     def test_memory_does_not_grow_with_count(self, monkeypatch, path):
-        for name, value in PATHS[path].items():
-            monkeypatch.setattr(rng, name, value)
+        force_path(monkeypatch, path)
 
         def peak(count):
             tracemalloc.start()
