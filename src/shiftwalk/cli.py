@@ -176,6 +176,8 @@ def _profile(args: argparse.Namespace, seed: int) -> tuple[dict, Iterator[dict]]
     Every argument is checked and every column computed before this
     returns; the rows are then built one at a time as they are taken.
     """
+    if args.samples < 0:
+        raise ValueError(f"--samples must be >= 0, got {args.samples}")
     weight_stats.check_window(args.alpha, args.c)
     chain = ChainKind(args.chain, args.n)
     n = args.n
@@ -193,7 +195,9 @@ def _profile(args: argparse.Namespace, seed: int) -> tuple[dict, Iterator[dict]]
 
     upper = window_t = window = None
     if chain.kind == "q1" and n >= 3:
-        upper = spectral.fourier_sum(n).tv_bound
+        # A row reports the bound only from t = n+1 on, so n < --t's bound.
+        if ts[-1] >= n + 1:
+            upper = spectral.fourier_sum(n).tv_bound
         params = weight_stats.LowerBoundParams(n=n, alpha=args.alpha, c=args.c)
         if params.delta > 0:
             window_t, window = params.t, weight_stats.chebyshev_lower_bound(params)

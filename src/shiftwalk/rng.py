@@ -15,7 +15,8 @@ as easy as 1, 2, 3", SC 2011).  Stream (seed, index) has the key
 rounds over the counter (j, 0, 0, 0), j counting from 1.  A short stream
 is cheapest computed from that definition, in numpy over all the
 (stream, counter) pairs of a block at once; a long one by resetting a
-numpy Philox to the stream's key and drawing.
+numpy Philox to the stream's key and drawing.  The stream's length alone
+picks the path.
 """
 from __future__ import annotations
 
@@ -37,19 +38,12 @@ _BLOCK_VALUES = 1 << 15
 _M0, _M1 = 0xD2E7470EE14C6C93, 0xCA5A826395121157
 _W0, _W1 = 0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B
 _LOW32, _32 = np.uint64(0xFFFFFFFF), np.uint64(32)
-# Streams of at most _ROUND_MAX_BLOCKS Philox blocks (k <= 80 values), in
-# blocks of at least _ROUND_MIN_ROWS streams, take the rounds in numpy; the
-# rest reset one Philox per stream.  The rounds cost about 6x numpy's C
-# loop per output and about 0.3 ms per block of streams, and save the
-# reset, about 2 us a stream.  Both constants are measured crossovers (2
-# shared vCPUs, numpy 2.4): over 10^4 streams the rounds were faster up to
-# k = 80 and slower from k = 88, and at k = 64 and 80 they were faster
-# from about 384 streams a block.
+# Streams of at most _ROUND_MAX_BLOCKS Philox blocks (k <= 80 values) take
+# the rounds in numpy; longer ones reset one Philox per stream.  The rounds
+# cost about 6x numpy's C loop per output and save the reset, about 2 us a
+# stream.  A measured crossover (2 shared vCPUs, numpy 2.4): over 10^4
+# streams the rounds were faster up to k = 80 and slower from k = 88.
 _ROUND_MAX_BLOCKS = 10
-_ROUND_MIN_ROWS = 384
-# (stream, counter) pairs per batch of rounds, to within a factor of 1.5:
-# about 32 KiB an array.
-_ROUND_PAIRS = 1 << 12
 
 
 def stream(seed: int, index: int = 0) -> np.random.Generator:
@@ -84,34 +78,29 @@ def _philox_rounds(seed: int, first: int, out: np.ndarray) -> None:
     """Fill the (rows, 4 * blocks) uint64 ``out``: row j with the first
     ``4 * blocks`` outputs of stream ``first + j``.
 
-    Each batch runs the ten rounds over its streams' counters 1..blocks at
-    once.  A round takes the lanes (x0, x1, x2, x3) under the key (k0, k1)
-    to (hi(M1 x2) ^ x1 ^ k0, lo(M1 x2), hi(M0 x0) ^ x3 ^ k1, lo(M0 x0)),
-    and the key then steps by (W0, W1).  The lanes start as broadcast
-    rows, so the first two rounds multiply only one full-size lane each.
+    The ten rounds run over every stream's counters 1..blocks at once.  A
+    round takes the lanes (x0, x1, x2, x3) under the key (k0, k1) to
+    (hi(M1 x2) ^ x1 ^ k0, lo(M1 x2), hi(M0 x0) ^ x3 ^ k1, lo(M0 x0)), and
+    the key then steps by (W0, W1).  The lanes start as broadcast rows, so
+    the first two rounds multiply only one full-size lane each.
     """
     rows, blocks = out.shape[0], out.shape[1] // 4
     lanes = out.reshape(rows, blocks, 4)
     counters = np.arange(1, blocks + 1, dtype=np.uint64)
     zero = np.zeros(1, dtype=np.uint64)
-    # Rows split into equal batches, so that no batch is a short remainder.
-    batches = max(1, round(rows * blocks / _ROUND_PAIRS))
-    step = -(-rows // batches)
-    for lo in range(0, rows, step):
-        size = min(step, rows - lo)
-        # numpy warns when a uint64 scalar overflows, not when an array does.
-        k0 = seed & _MASK64
-        k1 = np.arange(size, dtype=np.uint64)[:, None]
-        k1 += np.uint64((first + lo) & _MASK64)
-        x0, x1, x2, x3 = counters, zero, zero, zero
-        for _ in range(10):
-            hi0, lo0 = _mulhilo(x0, _M0)
-            hi1, lo1 = _mulhilo(x2, _M1)
-            x0, x1, x2, x3 = hi1 ^ x1 ^ np.uint64(k0), lo1, hi0 ^ x3 ^ k1, lo0
-            k0 = (k0 + _W0) & _MASK64
-            k1 += np.uint64(_W1)
-        for i, x in enumerate((x0, x1, x2, x3)):
-            lanes[lo : lo + size, :, i] = x
+    # numpy warns when a uint64 scalar overflows, not when an array does.
+    k0 = seed & _MASK64
+    k1 = np.arange(rows, dtype=np.uint64)[:, None]
+    k1 += np.uint64(first & _MASK64)
+    x0, x1, x2, x3 = counters, zero, zero, zero
+    for _ in range(10):
+        hi0, lo0 = _mulhilo(x0, _M0)
+        hi1, lo1 = _mulhilo(x2, _M1)
+        x0, x1, x2, x3 = hi1 ^ x1 ^ np.uint64(k0), lo1, hi0 ^ x3 ^ k1, lo0
+        k0 = (k0 + _W0) & _MASK64
+        k1 += np.uint64(_W1)
+    for i, x in enumerate((x0, x1, x2, x3)):
+        lanes[:, :, i] = x
 
 
 def stream_words(
@@ -126,10 +115,10 @@ def stream_words(
     paths with the same bits:
 
     * the rounds, run in numpy over every (stream, counter) pair of the
-      block at once, for streams of at most 10 Philox blocks (k <= 80) in
-      blocks of at least 384 streams, where they measured faster;
-    * otherwise one Philox reset per stream, rather than built, since
-      building one seeds it from system entropy that the key then
+      block in one pass, for streams of at most 10 Philox blocks
+      (k <= 80), where they measured faster;
+    * for longer streams, one Philox reset per stream, rather than built,
+      since building one seeds it from system entropy that the key then
       overwrites.
 
     numpy hands out each 64-bit output low half first, which a
@@ -154,7 +143,7 @@ def stream_words(
     for offset in range(0, count, rows):
         size = min(rows, count - offset)
         raw = np.empty((size, 4 * blocks), dtype=np.uint64)
-        if blocks <= _ROUND_MAX_BLOCKS and size >= _ROUND_MIN_ROWS:
+        if blocks <= _ROUND_MAX_BLOCKS:
             _philox_rounds(seed, start + offset, raw)
         else:
             for j in range(size):

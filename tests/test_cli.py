@@ -352,6 +352,37 @@ class TestProfile:
         assert out == ""
         assert err == "error: out of memory: Unable to allocate 1.82 TiB\n"
 
+    def test_negative_samples_is_usage_error_before_any_column(self, capsys,
+                                                               monkeypatch):
+        def unreachable(*args):
+            raise AssertionError("computed a column before checking --samples")
+
+        monkeypatch.setattr(distribution, "exact_tv_curve", unreachable)
+        code, out, err = run_cli(capsys, "profile", "--chain", "q1", "--n", "10",
+                                 "--t", "0..12", "--samples", "-1", "--seed", "1")
+        assert code == 2
+        assert out == ""
+        assert err == "error: --samples must be >= 0, got -1\n"
+
+    @pytest.mark.parametrize("n, t, called", [(10_000_000, 0, False), (1024, 1025, True)])
+    def test_spectral_bound_only_when_a_row_reports_it(self, capsys, monkeypatch,
+                                                       n, t, called):
+        # The bound needs a sweep over n; rows report it from t = n+1 on.
+        calls = []
+        fourier_sum = spectral.fourier_sum
+
+        def spy(m):
+            calls.append(m)
+            return fourier_sum(m)
+
+        monkeypatch.setattr(spectral, "fourier_sum", spy)
+        code, out, _ = run_cli(capsys, "profile", "--chain", "q1", "--n", str(n),
+                               "--t", str(t), "--seed", "1")
+        assert code == 0
+        assert calls == ([n] if called else [])
+        upper = str(fourier_sum(n).tv_bound) if called else ""
+        assert out.splitlines()[-1].split(",")[2] == upper
+
     def test_range_bound(self):
         # A range object, so the longest accepted range is not built.
         last = MAX_PROFILE_TIMES - 1

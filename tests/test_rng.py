@@ -14,17 +14,13 @@ SEEDS = (0, 1, 2**63 - 1, 2**64 - 1)
 NS = (1, 2, 3, 7, 64, 100, 128, 1000, 1024)
 TS = (0, 1, 2, 3, 4, 5, 127, 128, 1025)
 START = 5
-# Constants that send every block of rng.stream_words down one path: the
-# numpy rounds, or one Philox reset per stream.
-PATHS = {
-    "rounds": {"_ROUND_MAX_BLOCKS": 2**31, "_ROUND_MIN_ROWS": 0},
-    "resets": {"_ROUND_MAX_BLOCKS": 0},
-}
+# Values of rng._ROUND_MAX_BLOCKS that send every block of rng.stream_words
+# down one path: the numpy rounds, or one Philox reset per stream.
+PATHS = {"rounds": 2**31, "resets": 0}
 
 
 def force_path(monkeypatch, path):
-    for name, value in PATHS[path].items():
-        monkeypatch.setattr(rng, name, value)
+    monkeypatch.setattr(rng, "_ROUND_MAX_BLOCKS", PATHS[path])
 
 
 def reference(chain, t, seed, start, count):
@@ -132,19 +128,14 @@ class TestStreamWordPaths:
         count=st.integers(0, 30),
         k=st.integers(0, 300),
         max_blocks=st.sampled_from([0, rng._ROUND_MAX_BLOCKS, 2**31]),
-        min_rows=st.integers(0, 12),
         block=st.integers(1, 1500),
-        pairs=st.integers(1, 80),
     )
-    def test_property(self, seed, start, count, k, max_blocks, min_rows, block, pairs):
-        """Either path, and a call that mixes them (a short last block under
-        a row minimum), hands out numpy's values, in blocks of any size and
-        batches of rounds of any size, across the index's wrap."""
+    def test_property(self, seed, start, count, k, max_blocks, block):
+        """Either path hands out numpy's values, in blocks of any size,
+        across the index's wrap."""
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(rng, "_ROUND_MAX_BLOCKS", max_blocks)
-            patch.setattr(rng, "_ROUND_MIN_ROWS", min_rows)
             patch.setattr(rng, "_BLOCK_VALUES", block)
-            patch.setattr(rng, "_ROUND_PAIRS", pairs)
             blocks = list(rng.stream_words(seed, start, count, k))
         rows = max(1, block // max(k, 1))
         assert [o for o, _ in blocks] == list(range(0, count, rows))
@@ -155,22 +146,45 @@ class TestStreamWordPaths:
                 index = (start + offset + j) % 2**64
                 assert np.array_equal(row, reference_words(seed, index, k))
 
-    @pytest.mark.parametrize("path", sorted(PATHS))
-    def test_memory_does_not_grow_with_count(self, monkeypatch, path):
+    @pytest.mark.parametrize("k, rounds", [(64, True), (80, True), (88, False)])
+    @pytest.mark.parametrize("count", [1, 272, 512])
+    def test_stream_length_alone_picks_the_path(self, monkeypatch, count, k, rounds):
+        """Up to 10 Philox blocks a stream (k <= 80) every block takes the
+        rounds, short ones included; from k = 88 none does."""
+        sizes = []
+        philox_rounds = rng._philox_rounds
+
+        def spy(seed, first, out):
+            sizes.append(len(out))
+            philox_rounds(seed, first, out)
+
+        monkeypatch.setattr(rng, "_philox_rounds", spy)
+        blocks = [len(words) for _, words in rng.stream_words(1, 0, count, k)]
+        assert sum(blocks) == count
+        assert sizes == (blocks if rounds else [])
+
+    # The tracemalloc peaks measured (numpy 2.4): at k = 1 a block is 32768
+    # streams, and one pass of rounds over them peaks at 5.0 MiB; at k = 64
+    # the rounds peak at 649 KiB and the resets at 258 KiB.  The resets,
+    # which k = 1 never takes, would spend about 30 s on these counts.
+    @pytest.mark.parametrize("path, k", [("rounds", 1), ("rounds", 64), ("resets", 64)])
+    def test_memory_does_not_grow_with_count(self, monkeypatch, path, k):
         force_path(monkeypatch, path)
+        # The smaller count spans at least three blocks.
+        count, cap = {1: (10**5, 6 * 2**20), 64: (10**4, 2**20)}[k]
 
         def peak(count):
             tracemalloc.start()
             try:
-                for _ in rng.stream_words(1, 0, count, 64):
+                for _ in rng.stream_words(1, 0, count, k):
                     pass
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
 
-        small, large = peak(10**4), peak(10**5)
+        small, large = peak(count), peak(10 * count)
         assert abs(large - small) <= 4096, (small, large)
-        assert large < 2**20, large
+        assert large < cap, large
 
 
 class TestBounded:
