@@ -195,7 +195,8 @@ def _profile(args: argparse.Namespace, seed: int) -> tuple[dict, Iterator[dict]]
 
     upper = window_t = window = None
     if chain.kind == "q1" and n >= 3:
-        # A row reports the bound only from t = n+1 on, so n < --t's bound.
+        # Rows report the bound from t = n+1 on; so its sweep over n runs
+        # only for n below --t's bound.
         if ts[-1] >= n + 1:
             upper = spectral.fourier_sum(n).tv_bound
         params = weight_stats.LowerBoundParams(n=n, alpha=args.alpha, c=args.c)

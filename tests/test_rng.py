@@ -171,7 +171,7 @@ class TestStreamWordPaths:
     def test_memory_does_not_grow_with_count(self, monkeypatch, path, k):
         force_path(monkeypatch, path)
         # The smaller count spans at least three blocks.
-        count, cap = {1: (10**5, 6 * 2**20), 64: (10**4, 2**20)}[k]
+        smaller, cap = {1: (10**5, 6 * 2**20), 64: (10**4, 2**20)}[k]
 
         def peak(count):
             tracemalloc.start()
@@ -182,7 +182,7 @@ class TestStreamWordPaths:
             finally:
                 tracemalloc.stop()
 
-        small, large = peak(count), peak(10 * count)
+        small, large = peak(smaller), peak(10 * smaller)
         assert abs(large - small) <= 4096, (small, large)
         assert large < cap, large
 
