@@ -228,7 +228,7 @@ def _profile(args: argparse.Namespace, seed: int) -> tuple[dict, Iterator[dict]]
         "command": "profile",
         "chain": chain.kind,
         "n": n,
-        "x0": x0.to_string(),
+        "x0": x0.to_string() if args.format == "json" else None,  # CSV never prints it
         "seed": seed,
         "samples": args.samples,
         "alpha": args.alpha,

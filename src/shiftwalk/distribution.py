@@ -17,6 +17,7 @@ slab is in cache; the flips of the high bits then go over the whole
 vector.  The entries of a step do not depend on each other, so the order
 of the passes is free: every entry still sees 0.5 p, then + w p[x ^ 2**i]
 for i = 0..n-1, the same operations on the same values in the same order.
+The evolution holds two 2**n-word buffers, which a q1 step swaps.
 """
 from __future__ import annotations
 
@@ -40,13 +41,12 @@ __all__ = [
     "exact_tv_curve",
 ]
 
-# Evolving the oracle holds four 2**n-word arrays (the distribution, the
-# flip sum, the products w p and the inverse shift index), about 512 MiB
-# at n = 24; beyond that the dense oracle stops being a desk-scale tool.
+# Evolving the oracle holds two 2**n-word arrays, about 256 MiB at n = 24;
+# beyond that the dense oracle stops being a desk-scale tool.
 MAX_EXACT_N = 24
 
-# The flips of the bits below this one are applied slab by slab, 2**15
-# entries (256 KiB per array) at a time, so that they run in cache.
+# The flips of the bits below this one, and the inverse shift, run slab by
+# slab, 2**15 entries (256 KiB per array) at a time, so that they run in cache.
 _SLAB_BITS = 15
 
 
@@ -91,21 +91,6 @@ def point_mass(n: int, x: BitVector) -> DistributionVector:
     return DistributionVector(n, probs)
 
 
-def _inverse_shift_index(n: int) -> np.ndarray:
-    """Index array P with P[y] = the state whose shift-register image is y.
-
-    The shift sends x to (x >> 1) | (parity(x) << (n - 1)), so its inverse
-    restores the low bit of x as the parity of y: P[y] = (y << 1) mod 2**n
-    | parity(y).
-    """
-    inv = np.arange(1 << n, dtype=np.intp)
-    parity = np.bitwise_count(inv) & 1
-    np.left_shift(inv, 1, out=inv)
-    np.bitwise_and(inv, (1 << n) - 1, out=inv)
-    np.bitwise_or(inv, parity, out=inv)
-    return inv
-
-
 def _split(a: np.ndarray, bit: int) -> np.ndarray:
     """View of ``a`` with axes (higher bits, ``bit``, lower bits).
 
@@ -125,26 +110,52 @@ def _add_flip(acc: np.ndarray, tmp: np.ndarray, bit: int) -> None:
     np.add(a, b, out=a, order="C")
 
 
+def _unshift_index(n: int) -> np.ndarray:
+    """``_unshift``'s index: the inverse shift on min(n, _SLAB_BITS + 1) bits."""
+    m = min(n, _SLAB_BITS + 1)
+    idx = np.arange(1 << m, dtype=np.intp)
+    parity = np.bitwise_count(idx) & 1
+    np.left_shift(idx, 1, out=idx)
+    np.bitwise_and(idx, (1 << m) - 1, out=idx)
+    np.bitwise_or(idx, parity, out=idx)
+    return idx
+
+
+def _unshift(src: np.ndarray, out: np.ndarray, idx: np.ndarray) -> None:
+    """out[y] = src[x] at every y, with x the state that shifts onto y.
+
+    That is x = 2y + parity(y) for y < 2**(n-1), and x ^ 1 for y + 2**(n-1);
+    so piece j of s = idx.size / 2 outputs and the piece 2**(n-1) after it
+    read src[2js:2(j+1)s], in cache, through the halves of ``idx`` (swapped
+    if parity(j) is 1)."""
+    # mode="clip" writes straight into ``out``; "raise" would buffer a copy.
+    size, half = idx.size >> 1, out.size >> 1
+    if size == half:  # n <= _SLAB_BITS + 1: ``idx`` is the whole inverse shift
+        np.take(src, idx, out=out, mode="clip")
+        return
+    pieces = idx[:size], idx[size:]
+    for lo in range(0, half, size):
+        seg, odd = src[2 * lo:2 * (lo + size)], (lo // size).bit_count() & 1
+        np.take(seg, pieces[odd], out=out[lo:lo + size], mode="clip")
+        np.take(seg, pieces[odd ^ 1], out=out[half + lo:half + lo + size], mode="clip")
+
+
 def _step(
-    chain: ChainKind,
-    probs: np.ndarray,
-    acc: np.ndarray,
-    tmp: np.ndarray,
-    inv: np.ndarray,
-) -> None:
-    """One step of the kernel, in place in ``probs``; ``acc`` and ``tmp``
-    are scratch buffers of the same size.
+    chain: ChainKind, probs: np.ndarray, other: np.ndarray, idx: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """One step of the kernel on ``probs``, with ``other`` a buffer of the
+    same size; returns (law, scratch), the two buffers in their new roles.
 
-    The new mass at y is 0.5 p[inv[y]] + sum_i w p[inv[y] ^ 2**i], with
-    w = 1/(2n), on q1 and 0.5 (p[inv[y]] + p[inv[y] ^ 2**(m-1)]) on q2.
-    The bit-flip average is formed at every x first and then gathered once
-    through ``inv``; since the gather is a permutation, each entry sees the
-    same float operations in the same order as the direct sum.  On q1 the
-    average is formed in two phases (see the module docstring):
+    The new mass at y is 0.5 p[x] + sum_i w p[x ^ 2**i], with w = 1/(2n)
+    and x the state that shifts onto y, on q1, and 0.5 (p[x] + p[x ^
+    2**(m-1)]) on q2.  The bit-flip average is formed at every x first, then
+    gathered into the other buffer by ``_unshift``, a permutation, so each
+    entry sees the same float operations in the same order as the direct
+    sum.  q2 averages into ``other`` and gathers back; q1 averages in
+    ``probs``, in two phases (see the module docstring):
 
-    - slab phase: in each slab of 2**_SLAB_BITS entries, 0.5 p into
-      ``acc``, w p into ``tmp``, then flips i < _SLAB_BITS, whose partners
-      lie in the same slab, while the slab is in cache;
+    - slab phase: in each slab of 2**_SLAB_BITS entries, w p into
+      ``other``, then p *= 0.5 and flips i < _SLAB_BITS in place;
     - high-bit phase: flips i = _SLAB_BITS..n-1 over the whole vector.
 
     Flip i adds to each entry the product of its partner x ^ 2**i, and for
@@ -156,19 +167,20 @@ def _step(
         w = 1.0 / (2 * n)
         for lo in range(0, probs.size, 1 << low):
             slab = slice(lo, lo + (1 << low))
-            a, b = acc[slab], tmp[slab]
-            np.multiply(probs[slab], 0.5, out=a)
-            np.multiply(probs[slab], w, out=b)
+            a, b = probs[slab], other[slab]
+            np.multiply(a, w, out=b)
+            np.multiply(a, 0.5, out=a)
             for i in range(low):
                 _add_flip(a, b, i)
         for i in range(low, n):
-            _add_flip(acc, tmp, i)
-    else:
-        b = chain.middle - 1
-        np.add(_split(probs, b), _split(probs, b)[:, ::-1], out=_split(acc, b))
-        np.multiply(acc, 0.5, out=acc)
-    # mode="clip" writes straight into ``out``; "raise" would buffer a copy.
-    np.take(acc, inv, out=probs, mode="clip")
+            _add_flip(probs, other, i)
+        _unshift(probs, other, idx)
+        return other, probs
+    b = chain.middle - 1
+    np.add(_split(probs, b), _split(probs, b)[:, ::-1], out=_split(other, b))
+    np.multiply(other, 0.5, out=other)
+    _unshift(other, probs, idx)
+    return probs, other
 
 
 def _evolution(
@@ -176,16 +188,14 @@ def _evolution(
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Yield (distribution, scratch) after 0, 1, 2, ... steps.
 
-    Evolves ``probs`` in place, so the caller hands over an array it owns.
-    The index and both step buffers are built once; the scratch buffer is
-    free for the caller's use until it advances the iterator.
+    Evolves in ``probs``, so the caller hands over an array it owns, and
+    in one more buffer of its size; a q1 step swaps the two.  The scratch
+    buffer is free for the caller's use until it advances the iterator.
     """
-    inv = _inverse_shift_index(chain.n)
-    acc = np.empty_like(probs)
-    tmp = np.empty_like(probs)
+    idx, other = _unshift_index(chain.n), np.empty_like(probs)
     while True:
-        yield probs, tmp
-        _step(chain, probs, acc, tmp, inv)
+        yield probs, other
+        probs, other = _step(chain, probs, other, idx)
 
 
 def evolve_exact(

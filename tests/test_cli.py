@@ -383,6 +383,16 @@ class TestProfile:
         upper = str(fourier_sum(n).tv_bound) if called else ""
         assert out.splitlines()[-1].split(",")[2] == upper
 
+    def test_csv_does_not_render_the_start(self, capsys, monkeypatch):
+        # x0 is n characters, and only the JSON report prints it.
+        def refuse(self):
+            raise AssertionError("to_string called")
+
+        monkeypatch.setattr(BitVector, "to_string", refuse)
+        code, out, _ = run_cli(capsys, "profile", "--chain", "q1", "--n", str(10**6),
+                               "--t", "0", "--seed", "1")
+        assert code == 0 and out.splitlines()[-1].startswith("0,")
+
     def test_range_bound(self):
         # A range object, so the longest accepted range is not built.
         last = MAX_PROFILE_TIMES - 1

@@ -1,3 +1,4 @@
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -23,7 +24,8 @@ from shiftwalk import distribution
 from shiftwalk.chains import _step_word
 from shiftwalk.distribution import (
     DistributionVector,
-    _inverse_shift_index,
+    _unshift,
+    _unshift_index,
     exact_laws,
 )
 
@@ -167,11 +169,30 @@ class TestAgainstReference:
 
     CHAINS = [q1(n) for n in range(1, 17)] + [q2(n) for n in range(2, 17, 2)]
 
-    def test_inverse_shift_index(self):
-        for n in range(1, 21):
-            assert np.array_equal(
-                _inverse_shift_index(n), reference_inverse_shift_index(n)
-            )
+    @pytest.mark.parametrize("slab_bits", [1, 2, 3, 4, distribution._SLAB_BITS])
+    def test_piecewise_inverse_shift(self, slab_bits):
+        # Gathering the states themselves gives the inverse shift: pieces of
+        # the module's own size up to n = 20, and of 2 to 16 entries (up to
+        # 2^15 piece pairs) up to n = 16.
+        top = 20 if slab_bits == distribution._SLAB_BITS else 16
+        with mock.patch.object(distribution, "_SLAB_BITS", slab_bits):
+            for n in range(1, top + 1):
+                out = np.empty(1 << n, dtype=np.int64)
+                _unshift(np.arange(1 << n), out, _unshift_index(n))
+                assert np.array_equal(out, reference_inverse_shift_index(n)), n
+
+    @pytest.mark.parametrize("n", [16, 18])
+    def test_memory_is_two_buffers(self, n):
+        # Two 2^n-word buffers, the index (2^16 words) and numpy's ufunc
+        # buffer, which the flips of bits 2..12 take, with 16 KiB to spare:
+        # a third buffer would not fit, nor at n = 18 a 2^n index.
+        tracemalloc.start()
+        try:
+            exact_tv_curve(q1(n), BitVector.zeros(n), 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**n * 8 + 2**16 * 8 + np.getbufsize() * 8 + 16 * 1024
 
     @pytest.mark.parametrize("chain", CHAINS, ids=lambda c: f"{c.kind}-n{c.n}")
     def test_point_mass_and_random_vector(self, chain):
