@@ -193,15 +193,13 @@ def _profile(args: argparse.Namespace, seed: int) -> tuple[dict, Iterator[dict]]
                              f"the work of n = {cap} up to t = {cap + 1}; shorten --t")
         curve = distribution.exact_tv_curve(chain, x0, ts[-1])
 
-    upper = window_t = window = None
+    upper = window = None
     if chain.kind == "q1" and n >= 3:
         # Rows report the bound from t = n+1 on; so its sweep over n runs
         # only for n below --t's bound.
         if ts[-1] >= n + 1:
             upper = spectral.fourier_sum(n).tv_bound
-        params = weight_stats.LowerBoundParams(n=n, alpha=args.alpha, c=args.c)
-        if params.delta > 0:
-            window_t, window = params.t, weight_stats.chebyshev_lower_bound(params)
+        window = weight_stats.chebyshev_window(n, args.alpha, args.c)
 
     if args.samples:
         pmf = weight_stats.stationary_weight_pmf(n)
@@ -219,8 +217,8 @@ def _profile(args: argparse.Namespace, seed: int) -> tuple[dict, Iterator[dict]]
                 row["tv_lower_emp"], row["tv_lower_emp_se"] = weight_stats.histogram_tv(
                     counts[t], pmf
                 )
-            if t == window_t:
-                row["chebyshev_lower"] = window
+            if window is not None and t == window[0]:
+                row["chebyshev_lower"] = window[1]
             yield row
 
     report = {
@@ -391,8 +389,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ValueError, OSError) as exc:
-        # Bad input or an unwritable --out: a usage error, not a failed check.
+    except (ValueError, OSError, OverflowError) as exc:
+        # Bad input, a size past what a float or an index can hold, or an
+        # unwritable --out: a usage error, not a failed check.
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MemoryError as exc:

@@ -130,9 +130,6 @@ def _unshift(src: np.ndarray, out: np.ndarray, idx: np.ndarray) -> None:
     if parity(j) is 1)."""
     # mode="clip" writes straight into ``out``; "raise" would buffer a copy.
     size, half = idx.size >> 1, out.size >> 1
-    if size == half:  # n <= _SLAB_BITS + 1: ``idx`` is the whole inverse shift
-        np.take(src, idx, out=out, mode="clip")
-        return
     pieces = idx[:size], idx[size:]
     for lo in range(0, half, size):
         seg, odd = src[2 * lo:2 * (lo + size)], (lo // size).bit_count() & 1

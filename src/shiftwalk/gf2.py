@@ -42,7 +42,7 @@ class BitVector:
     def __post_init__(self) -> None:
         if self.n < 1:
             raise ValueError(f"dimension must be >= 1, got {self.n}")
-        if not 0 <= self.word < (1 << self.n):
+        if self.word < 0 or self.word.bit_length() > self.n:  # builds no 1 << n
             raise ValueError(f"word {self.word} out of range for n={self.n}")
 
     @classmethod

@@ -19,8 +19,6 @@ from .gf2 import BitVector
 from .spectral import _log_binom
 
 __all__ = [
-    "LowerBoundParams",
-    "DegenerateWindowError",
     "ReplayDivergence",
     "VarianceReport",
     "mean_weight_closed_form",
@@ -28,15 +26,11 @@ __all__ = [
     "prob_first_coord_one",
     "replay_divergence",
     "variance_bound_check",
-    "chebyshev_lower_bound",
+    "chebyshev_window",
     "empirical_tv_lower_bound",
     "sample_weights",
     "stationary_weight_pmf",
 ]
-
-
-class DegenerateWindowError(ValueError):
-    """The concentration window is nonpositive, the bound is vacuous."""
 
 
 def _check_time(n: int, t: int) -> None:
@@ -388,55 +382,30 @@ def variance_bound_check(n: int, t: int, samples: int, seed: int) -> VarianceRep
 
 def check_window(alpha: float, c: float | None) -> None:
     """Raise ValueError unless 1/2 < alpha < 1 and c, when given, is finite
-    and > 0: the window parameters of ``LowerBoundParams``."""
+    and > 0: the window parameters of ``chebyshev_window``."""
     if not 0.5 < alpha < 1.0:  # also rejects NaN and infinities
         raise ValueError(f"alpha must be in (1/2, 1), got {alpha}")
     if c is not None and not (math.isfinite(c) and c > 0):
         raise ValueError(f"c must be finite and > 0, got {c}")
 
 
-@dataclass(frozen=True)
-class LowerBoundParams:
-    """Window parameters for the distinguishing-statistic lower bound.
-
-    ``t`` is round(n - n^alpha); ``delta`` = n^(alpha-1/2)/(2e) - c must be
-    positive for the bound to say anything.  ``c`` defaults to log n when
-    None is given.
+def chebyshev_window(
+    n: int, alpha: float = 0.75, c: float | None = None
+) -> tuple[int, float] | None:
+    """(t, bound) for the distinguishing-statistic window at t = round(n -
+    n^alpha): bound = max(0, 1 - 1/(4c^2) - 4/delta^2) is a rigorous lower
+    bound on the distance to uniform at t, with delta = n^(alpha-1/2)/(2e)
+    - c and c = log n when None.  None when delta <= 0: the bound is vacuous.
     """
-
-    n: int
-    alpha: float = 0.75
-    c: float | None = None
-
-    def __post_init__(self) -> None:
-        if self.n < 2:
-            raise ValueError(f"n must be >= 2, got {self.n}")
-        if self.c is None:
-            object.__setattr__(self, "c", math.log(self.n))
-        check_window(self.alpha, self.c)
-
-    @property
-    def t(self) -> int:
-        return round(self.n - self.n**self.alpha)
-
-    @property
-    def delta(self) -> float:
-        return self.n ** (self.alpha - 0.5) / (2.0 * math.e) - self.c
-
-
-def chebyshev_lower_bound(params: LowerBoundParams) -> float:
-    """max(0, 1 - 1/(4c^2) - 4/delta^2): a rigorous lower bound on the
-    distance to uniform at time round(n - n^alpha).
-
-    Raises DegenerateWindowError when delta <= 0 (the bound is vacuous).
-    """
-    delta = params.delta
+    if n < 2:
+        raise ValueError(f"n must be >= 2, got {n}")
+    if c is None:
+        c = math.log(n)
+    check_window(alpha, c)
+    delta = n ** (alpha - 0.5) / (2.0 * math.e) - c
     if delta <= 0:
-        raise DegenerateWindowError(
-            f"delta = {delta:.4g} <= 0 for n={params.n}, alpha={params.alpha}, "
-            f"c={params.c:.4g}; the window bound is vacuous"
-        )
-    if params.c <= 0.5:
-        # 1/(4c^2) >= 1 already, so the max is 0; a tiny c^2 would be 0.
-        return 0.0
-    return max(0.0, 1.0 - 1.0 / (4.0 * params.c**2) - 4.0 / delta**2)
+        return None
+    # For c <= 1/2, 1/(4c^2) >= 1 already, so the max is 0; a tiny c^2
+    # would be 0.
+    bound = 0.0 if c <= 0.5 else max(0.0, 1.0 - 1.0 / (4.0 * c**2) - 4.0 / delta**2)
+    return round(n - n**alpha), bound

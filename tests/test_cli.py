@@ -719,6 +719,27 @@ class TestSeedRange:
                               for i in range(2))
 
 
+class TestOversizedIntegers:
+    @pytest.mark.parametrize("argv", [
+        ("simulate", "--chain", "q1", "--n", str(10**30), "--t", "0"),
+        ("sample", "--n", str(10**30), "--count", "0"),
+        ("verify", "bounded-diff", "--trials", str(10**30)),
+        # n ** alpha overflows a float in the window.
+        ("profile", "--chain", "q1", "--n", str(10**400), "--t", "0"),
+    ])
+    def test_overflow_is_usage_error(self, capsys, argv):
+        code, _, err = run_cli(capsys, *argv, "--seed", "1")
+        assert code == 2
+        assert err.startswith("error:") and "Traceback" not in err
+
+    def test_profile_at_a_huge_n_builds_no_power_of_two(self, capsys):
+        # The start is checked by its bit length, not against 1 << n.
+        code, out, err = run_cli(capsys, "profile", "--chain", "q1",
+                                 "--n", str(10**30), "--t", "0", "--seed", "1")
+        assert code == 0 and err == ""
+        assert out.splitlines()[-1] == "0,,,,,"
+
+
 class TestSolveAndSimulate:
     def test_solve_round_trip(self, capsys):
         code, out, _ = run_cli(capsys, "solve", "--from", "000000",

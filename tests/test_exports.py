@@ -15,11 +15,11 @@ from shiftwalk import (
 )
 
 EXPORTS = [
-    "AffineState", "BitVector", "ChainKind", "DegenerateWindowError",
+    "AffineState", "BitVector", "ChainKind",
     "DistributionVector", "DrivingSequence", "FourierSummary", "GF2Matrix",
-    "LowerBoundParams", "MAX_EXACT_N", "ReplayDivergence",
+    "MAX_EXACT_N", "ReplayDivergence",
     "SingularMatrixError", "VarianceReport", "WeightClassBoundReport",
-    "__version__", "build_offset", "chebyshev_lower_bound",
+    "__version__", "build_offset", "chebyshev_window",
     "check_weight_class_bounds", "companion_matrix", "coordinate_marginal",
     "det_gf2", "empirical_tv_lower_bound",
     "evolve_exact", "evolve_symbolic", "exact_sample",

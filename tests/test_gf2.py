@@ -65,7 +65,20 @@ class TestBitVector:
         with pytest.raises(ValueError):
             BitVector(3, 8)
         with pytest.raises(ValueError):
+            BitVector(3, -1)
+        with pytest.raises(ValueError):
             BitVector.from_string("10x")
+        assert BitVector(3, 7).weight() == 3
+
+    def test_range_check_builds_no_power_of_two(self):
+        # 1 << n alone would be 12.5 MB at n = 10^8.
+        tracemalloc.start()
+        try:
+            BitVector.zeros(10**8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 << 10, peak
 
     def test_random_is_reproducible(self):
         a = BitVector.random(130, stream(5, 0))

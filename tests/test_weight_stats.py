@@ -9,10 +9,8 @@ from hypothesis import strategies as st
 
 from shiftwalk import (
     BitVector,
-    DegenerateWindowError,
     DrivingSequence,
-    LowerBoundParams,
-    chebyshev_lower_bound,
+    chebyshev_window,
     coordinate_marginal,
     empirical_tv_lower_bound,
     evolve_exact,
@@ -414,30 +412,35 @@ class TestVarianceBound:
 
 class TestChebyshev:
     def test_formula_value(self):
-        params = LowerBoundParams(n=10**6, alpha=0.9, c=5.0)
-        assert params.delta == pytest.approx(41.203568835493634, rel=1e-12)
-        assert chebyshev_lower_bound(params) == \
-            pytest.approx(0.987643918422881, rel=1e-12)
+        # delta = 41.2035688354936 here.
+        t, bound = chebyshev_window(10**6, alpha=0.9, c=5.0)
+        assert t == 748811
+        assert bound == pytest.approx(0.987643918422881, rel=1e-12)
 
     def test_default_c_is_log_n(self):
-        params = LowerBoundParams(n=1000)
-        assert params.c == pytest.approx(math.log(1000))
+        for n, alpha in ((10**6, 0.9), (10**9, 0.75)):
+            window = chebyshev_window(n, alpha)
+            assert window is not None
+            assert window == chebyshev_window(n, alpha, c=math.log(n))
 
     def test_t_is_rounded(self):
-        assert LowerBoundParams(n=1024, alpha=0.75).t == 843
+        # n - n^alpha = 842.98 and delta = 0.54 > 0.
+        assert chebyshev_window(1024, alpha=0.75, c=0.5) == (843, 0.0)
 
     def test_degenerate_window(self):
         # at n = 10^6, alpha = 0.75, c = log n the window is negative
-        params = LowerBoundParams(n=10**6, alpha=0.75)
-        assert params.delta < 0
-        with pytest.raises(DegenerateWindowError):
-            chebyshev_lower_bound(params)
+        assert chebyshev_window(10**6, alpha=0.75) is None
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            LowerBoundParams(n=100, alpha=0.4)
+            chebyshev_window(100, alpha=0.4)
         with pytest.raises(ValueError):
-            LowerBoundParams(n=100, alpha=0.75, c=-1.0)
+            chebyshev_window(100, alpha=0.75, c=-1.0)
+        with pytest.raises(ValueError):
+            chebyshev_window(100, alpha=0.75, c=0.0)
+        for n in (1, 0, -5):
+            with pytest.raises(ValueError):
+                chebyshev_window(n, alpha=0.75, c=1.0)
 
     @pytest.mark.parametrize("alpha, c", [
         (math.nan, None), (math.inf, None), (0.75, math.nan), (0.75, math.inf),
@@ -445,14 +448,13 @@ class TestChebyshev:
     ])
     def test_rejects_non_finite(self, alpha, c):
         with pytest.raises(ValueError):
-            LowerBoundParams(n=100, alpha=alpha, c=c)
+            chebyshev_window(100, alpha=alpha, c=c)
 
     def test_tiny_c_gives_zero(self):
         # 1/(4c^2) exceeds 1 for c <= 1/2; at c = 1e-300 c^2 underflows to 0.
         for c in (1e-300, 1e-160, 0.5):
-            params = LowerBoundParams(n=10**6, alpha=0.9, c=c)
-            assert params.delta > 0
-            assert chebyshev_lower_bound(params) == 0.0
+            t, bound = chebyshev_window(10**6, alpha=0.9, c=c)
+            assert t == 748811 and bound == 0.0
 
 
 class TestEmpiricalLowerBound:
