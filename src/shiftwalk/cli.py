@@ -312,12 +312,15 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     seed = _resolve_seed(args.seed)
     chain = ChainKind(args.chain, args.n)
     x0 = _parse_state(args.x0, args.n)
+    # Row 0 first: an n too large to print fails before any draw or write.
+    row0 = f"0,{x0.to_string()},{x0.weight()}\n"
     words = _replay(chain, x0, random_driving(chain, args.t, seed))
+    next(words)  # x_0, whose row is formed
     with _open_output(args.out) as fh:
         # One row per step, written as it is stepped: only the driving is held.
         fh.write(f"# shiftwalk simulate schema_version={SCHEMA_VERSION} "
-                 f"chain={chain.kind} n={args.n} seed={seed}\nt,state,weight\n")
-        for t, word in enumerate(words):
+                 f"chain={chain.kind} n={args.n} seed={seed}\nt,state,weight\n{row0}")
+        for t, word in enumerate(words, 1):
             x = BitVector(chain.n, word)
             fh.write(f"{t},{x.to_string()},{x.weight()}\n")
     return 0

@@ -119,8 +119,7 @@ class GF2Matrix:
             raise ValueError("matrix dimensions must be positive")
         if len(self.rows) != self.n_rows:
             raise ValueError(f"expected {self.n_rows} rows, got {len(self.rows)}")
-        limit = 1 << self.n_cols
-        if any(not 0 <= r < limit for r in self.rows):
+        if any(r < 0 or r.bit_length() > self.n_cols for r in self.rows):  # no 1 << n_cols
             raise ValueError("row word out of range for column count")
 
     @classmethod

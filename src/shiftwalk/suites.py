@@ -274,75 +274,55 @@ _BLOCK_TRIALS = 1024
 _BLOCK_STEPS = 1 << 18
 
 
-def _bounded_diff_blocks(
+def _bounded_diff_stats(
     seed: int, trials: int, n_max: int
-) -> Iterator[tuple[int, int, int, int, int]]:
-    """The trials of the bounded-diff suite, replayed together in blocks;
-    yields per block (max bit-flip weight difference, max coordinate-change
-    weight difference, max Hamming distance, zero-bit violations,
-    same-coordinate violations).
-
-    Every block is decoded into the same buffers, allocated once: the
-    drawn coordinates (1-based) and bits trial-major, the coordinates
-    again in replay order, and the pairs' step-major copies.  The
-    coordinates are ``uint32`` (n <= n_max <= 2**32).
-    """
+) -> tuple[int, int, int, int, int]:
+    """The trials of the bounded-diff suite, replayed together in blocks:
+    the largest bit-flip and coordinate-change weight differences, the
+    largest Hamming distance, and the zero-bit and same-coordinate
+    violations.  Coordinates are ``uint32`` (n <= n_max <= 2**32)."""
     steps = 2 * n_max + 3
     rows = max(1, min(_BLOCK_TRIALS, _BLOCK_STEPS // n_max))
-    drawn = np.empty((rows, steps), dtype=np.uint32)
-    bits_drawn = np.empty((rows, steps), dtype=np.uint8)
-    ordered = np.empty((rows, steps), dtype=np.uint32)
-    pair_coords = np.empty((steps, 2, rows), dtype=np.uint32)
-    pair_bits = np.empty((steps, 2, rows), dtype=np.uint8)
+    max_flip = max_coord = max_hamming = zero_bit = same_coord = 0
     for first in range(0, trials, rows):
         count = min(rows, trials - first)
         j = np.arange(first, first + count)
         n = 2 + j * (n_max - 1) // trials
+        coords = np.empty((count, steps), dtype=np.uint32)
+        bits = np.empty((count, steps), dtype=np.uint8)
         # n never decreases with j: decode each run of one n as one chain.
         runs = np.flatnonzero(np.diff(n, prepend=-1, append=-1)).tolist()
         for lo, hi in zip(runs[:-1], runs[1:]):
             chain = q1(int(n[lo]))
             for i, c, b in _draw_driving_blocks(chain, steps, seed, first + lo, hi - lo):
-                drawn[lo + i : lo + i + len(b)] = c
-                bits_drawn[lo + i : lo + i + len(b)] = b
-        coords, bits = drawn[:count], bits_drawn[:count]
+                coords[lo + i : lo + i + len(b)] = c
+                bits[lo + i : lo + i + len(b)] = b
         times = coords[:, [2 * n_max, 2 * n_max + 2]].astype(np.int64)
         i, t = times.min(axis=1), times.max(axis=1)
         u_new = coords[:, 2 * n_max + 1]
-        # The start: coordinate c is the bit of step n_max + c, packed into
-        # words of 64 coordinates, as many as the block's largest n needs.
-        width = int(n.max())
-        start = bits[:, n_max : n_max + width] & (np.arange(width) < n[:, None])
-        packed = np.zeros((count, 8 * ((width + 63) // 64)), dtype=np.uint8)
-        packed[:, : (width + 7) // 8] = np.packbits(start, axis=1, bitorder="little")
-        x0 = packed.view("<u8").T
 
         order = np.argsort(-t, kind="stable")
-        n, t, i, u_new, x0 = n[order], t[order], i[order], u_new[order], x0[:, order]
-        coords.take(order, axis=0, out=ordered[:count])
-        # 0-based coordinates for the replay, which widens them per step.
-        replayed = pair_coords[: t[0], :, :count]
-        np.subtract(ordered[:count, : t[0]].T, 1, out=replayed[:, 0])
-        replayed[:, 1] = replayed[:, 0]
-        replayed_bits = pair_bits[: t[0], :, :count]
-        replayed_bits[:, 0] = bits[order, : t[0]].T
-        replayed_bits[:, 1] = replayed_bits[:, 0]
-
+        n, t, i, u_new, flip = n[order], t[order], i[order], u_new[order], j[order] % 2 == 1
+        coords, bits = coords[order], bits[order]
+        # The two replays' step-major copies, with 0-based coordinates,
+        # which the replay widens per step.
+        pair_coords = np.repeat(coords[:, None, : t[0]].T - 1, 2, axis=1)
+        pair_bits = np.repeat(bits[:, None, : t[0]].T, 2, axis=1)
         block_rows = np.arange(count)
         at = i - 1
-        flip = j[order] % 2 == 1
-        replayed_bits[at[flip], 1, block_rows[flip]] ^= 1
-        replayed[at[~flip], 1, block_rows[~flip]] = u_new[~flip] - 1
+        pair_bits[at[flip], 1, block_rows[flip]] ^= 1
+        pair_coords[at[~flip], 1, block_rows[~flip]] = u_new[~flip] - 1
 
-        diff, hamming = weight_stats._replay_pairs(n, t, x0, replayed, replayed_bits)
+        # The start: coordinate c is the bit of step n_max + c.
+        start = bits[:, n_max : n_max + int(n.max())]
+        diff, hamming = weight_stats._replay_pairs(n, t, start, pair_coords, pair_bits)
         changed = ~flip & (diff != 0)
-        yield (
-            int(diff[flip].max(initial=0)),
-            int(diff[~flip].max(initial=0)),
-            int(hamming.max()),
-            int(np.count_nonzero(changed & (replayed_bits[at, 0, block_rows] == 0))),
-            int(np.count_nonzero(changed & (ordered[block_rows, at] == u_new))),
-        )
+        max_flip = max(max_flip, int(diff[flip].max(initial=0)))
+        max_coord = max(max_coord, int(diff[~flip].max(initial=0)))
+        max_hamming = max(max_hamming, int(hamming.max()))
+        zero_bit += int(np.count_nonzero(changed & (bits[block_rows, at] == 0)))
+        same_coord += int(np.count_nonzero(changed & (coords[block_rows, at] == u_new)))
+    return max_flip, max_coord, max_hamming, zero_bit, same_coord
 
 
 def suite_bounded_diff(
@@ -359,22 +339,16 @@ def suite_bounded_diff(
     and the coordinates of steps 2 n_max + 1 and 2 n_max + 3 are two
     uniform times in 1..n, i the smaller and t the larger.  Odd trials
     flip the bit at time i; even trials set the coordinate at time i to
-    the coordinate of step 2 n_max + 2.  A block of trials is decoded and
-    replayed at once (``weight_stats.replay_divergence`` replays one pair).
+    the coordinate of step 2 n_max + 2.  A block of trials is decoded
+    into arrays of its own and replayed at once by
+    ``weight_stats._replay_pairs``, which takes each start as its bits
+    (``weight_stats.replay_divergence`` replays one pair).
     """
-    max_flip = max_coord = max_hamming = 0
-    zero_bit_violations = same_coord_violations = 0
     half = trials // 2
     swept = n_max >= 2
-    if swept and trials > 0:
-        for flip, coord, hamming, zero_bit, same_coord in _bounded_diff_blocks(
-            seed, trials, n_max
-        ):
-            max_flip = max(max_flip, flip)
-            max_coord = max(max_coord, coord)
-            max_hamming = max(max_hamming, hamming)
-            zero_bit_violations += zero_bit
-            same_coord_violations += same_coord
+    max_flip, max_coord, max_hamming, zero_bit_violations, same_coord_violations = (
+        _bounded_diff_stats(seed, trials, n_max) if swept else (0,) * 5
+    )
     return [
         _sweep_check(
             f"bit-flip weight differences <= 2 ({half} trials)",

@@ -99,23 +99,29 @@ def replay_divergence(
 def _replay_pairs(
     n: np.ndarray,
     t: np.ndarray,
-    x0: np.ndarray,
+    start: np.ndarray,
     coords: np.ndarray,
     bits: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
     """``replay_divergence`` for a block of pairs, advanced together.
 
-    Pair r replays q1(n[r]) for t[r] steps from x0[:, r]; rows are sorted
-    by t, longest first, so the pairs still running at a step are a
-    prefix.  x0 is (words, rows) uint64, word w holding coordinates
-    64w+1 .. 64w+64; coords (0-based) and bits are (max t, 2, rows)
-    unsigned integer arrays, index 0 and 1 of the middle axis driving the
-    two replays.  Returns
-    the pairs' weight differences and largest Hamming distances.
+    Pair r replays q1(n[r]) for t[r] steps from the start whose coordinate
+    c + 1 is start[r, c] for c < n[r], start being a (rows, width >= max n)
+    uint8 array of bits.  Rows are sorted by t, longest first, so the pairs
+    still running at a step are a prefix.  coords (0-based) and bits are
+    (max t, 2, rows) unsigned integer arrays, index 0 and 1 of the middle
+    axis driving the two replays.  Returns the pairs' weight differences
+    and largest Hamming distances.
     """
-    words, rows = x0.shape
-    # Word w holds position p at bit p - 64w; a shift by 64 or more, or
-    # by a wrapped negative count, gives 0 and so leaves the word alone.
+    rows, width = start.shape
+    words = (width + 63) // 64
+    start = start & (np.arange(width) < n[:, None])  # the columns c < n[r]
+    packed = np.zeros((rows, 8 * words), dtype=np.uint8)
+    packed[:, : (width + 7) // 8] = np.packbits(start, axis=1, bitorder="little")
+    x0 = packed.view("<u8").T
+    # uint64 word w holds coordinates 64w+1 .. 64w+64, position p at bit
+    # p - 64w; a shift by 64 or more, or by a wrapped negative count, gives
+    # 0 and so leaves the word alone.
     base = (64 * np.arange(words, dtype=np.uint64))[:, None, None]
     top = n.astype(np.uint64)[None, None, :] - np.uint64(1) - base
     states = np.repeat(x0[:, None, :], 2, axis=1)

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import peak_bytes
 from shiftwalk import BitVector, DrivingSequence, q1, replay_divergence, rng
 from shiftwalk import suites, weight_stats
 from shiftwalk.chains import _draw_driving_arrays
@@ -106,17 +107,17 @@ def batched_pairs(monkeypatch, seed: int, trials: int, n_max: int) -> list[tuple
     replay = weight_stats._replay_pairs
     pairs = []
 
-    def spy(n, t, x0, coords, bits):
-        diff, hamming = replay(n, t, x0, coords, bits)
+    def spy(n, t, start, coords, bits):
+        diff, hamming = replay(n, t, start, coords, bits)
         for r in range(len(n)):
             k = int(t[r])
-            start = sum(int(x0[w, r]) << (64 * w) for w in range(len(x0)))
+            x0 = sum(int(b) << c for c, b in enumerate(start[r, : n[r]]))
             a, b = (
                 (tuple(int(u) + 1 for u in coords[:k, h, r]),
                  tuple(int(v) for v in bits[:k, h, r]))
                 for h in (0, 1)
             )
-            pairs.append((int(n[r]), start, a, b, int(diff[r]), int(hamming[r])))
+            pairs.append((int(n[r]), x0, a, b, int(diff[r]), int(hamming[r])))
         return diff, hamming
 
     monkeypatch.setattr(weight_stats, "_replay_pairs", spy)
@@ -232,23 +233,34 @@ class TestRejectedDraws:
         assert set(forced.columns) == set(range(columns))
 
 
+def test_memory_does_not_grow_with_trials():
+    # 20 and 100 blocks of 1024 trials: each block's arrays are dropped
+    # before the next is decoded.
+    small, large = (
+        peak_bytes(suites.suite_bounded_diff, trials=trials, seed=1, n_max=64)[1]
+        for trials in (20 * 1024, 100 * 1024)
+    )
+    assert abs(large - small) <= 128 << 10, (small, large)
+    assert max(small, large) < 4 << 20, (small, large)
+
+
 def test_replay_pairs_matches_replay_divergence():
     """Two unrelated driving sequences per pair, so the replays drift far
-    apart, on states of one to four words."""
+    apart, on states of one to four words; the start's columns past each
+    pair's n hold random bits, which the replay must ignore."""
     gen = np.random.default_rng(8)
     rows, n_max = 60, 200
     n = gen.integers(1, n_max + 1, size=rows)
     t = np.sort(gen.integers(1, n + 1))[::-1]
     n = np.maximum(n, t)
-    starts = [BitVector.random(int(k), gen) for k in n]
-    words = (n_max + 63) // 64
-    x0 = np.array(
-        [[(x.word >> (64 * w)) & (2**64 - 1) for x in starts] for w in range(words)],
-        dtype=np.uint64,
-    )
+    start = gen.integers(0, 2, size=(rows, n_max), dtype=np.uint8)
+    starts = [
+        BitVector(int(k), sum(int(b) << c for c, b in enumerate(row[:k])))
+        for k, row in zip(n, start)
+    ]
     coords = (gen.random((t[0], 2, rows)) * n).astype(np.uint64)
     bits = gen.integers(0, 2, size=(t[0], 2, rows)).astype(np.uint64)
-    diff, hamming = weight_stats._replay_pairs(n, t, x0, coords, bits)
+    diff, hamming = weight_stats._replay_pairs(n, t, start, coords, bits)
     for r in range(rows):
         k = int(t[r])
         a, b = (

@@ -6,7 +6,6 @@ import math
 import os
 import subprocess
 import sys
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import peak_bytes
 import shiftwalk
 from shiftwalk import (
     BitVector,
@@ -467,13 +467,11 @@ class TestProfile:
 
     def test_csv_memory_does_not_grow_with_range(self):
         def peak(t_max):
-            tracemalloc.start()
-            try:
-                assert main(["profile", "--chain", "q1", "--n", "30",
-                             "--t", f"0..{t_max}", "--seed", "1", "--out", os.devnull]) == 0
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+            code, peak = peak_bytes(main, ["profile", "--chain", "q1", "--n", "30",
+                                           "--t", f"0..{t_max}", "--seed", "1",
+                                           "--out", os.devnull])
+            assert code == 0
+            return peak
 
         # Each row is written as it is built.
         small, large = peak(20_000), peak(200_000)
@@ -481,13 +479,11 @@ class TestProfile:
 
     def test_json_memory_does_not_grow_with_range(self):
         def peak(t_max):
-            tracemalloc.start()
-            try:
-                assert main(["profile", "--chain", "q1", "--n", "30", "--t", f"0..{t_max}",
-                             "--seed", "1", "--format", "json", "--out", os.devnull]) == 0
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+            code, peak = peak_bytes(main, ["profile", "--chain", "q1", "--n", "30",
+                                           "--t", f"0..{t_max}", "--seed", "1",
+                                           "--format", "json", "--out", os.devnull])
+            assert code == 0
+            return peak
 
         # Rows are written 1000 at a time; a report held whole grows by
         # about 1 KB a row.
@@ -671,13 +667,10 @@ class TestSample:
 
     def test_memory_does_not_grow_with_count(self):
         def peak(count):
-            tracemalloc.start()
-            try:
-                assert main(["sample", "--n", "64", "--count", str(count),
-                             "--seed", "1", "--out", os.devnull]) == 0
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+            code, peak = peak_bytes(main, ["sample", "--n", "64", "--count", str(count),
+                                           "--seed", "1", "--out", os.devnull])
+            assert code == 0
+            return peak
 
         small, large = peak(2000), peak(40_000)
         assert abs(large - small) < 2**20, (small, large)
@@ -810,6 +803,7 @@ class TestSimulateRows:
         ("--chain", "q1", "--n", "8", "--t", "-1"),
         ("--chain", "q1", "--n", "8", "--t", "3", "--x0", "0101"),
         ("--chain", "q1", "--n", "8", "--t", str(MAX_PROFILE_TIMES)),
+        ("--chain", "q1", "--n", str(10**30), "--t", "0"),
     ])
     def test_usage_errors_draw_nothing_and_write_no_file(
         self, capsys, monkeypatch, tmp_path, argv
@@ -827,13 +821,10 @@ class TestSimulateRows:
 
     def test_memory_does_not_grow_with_t(self):
         def peak(t):
-            tracemalloc.start()
-            try:
-                assert main(["simulate", "--chain", "q1", "--n", "8", "--t", str(t),
-                             "--seed", "1", "--out", os.devnull]) == 0
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+            code, peak = peak_bytes(main, ["simulate", "--chain", "q1", "--n", "8",
+                                           "--t", str(t), "--seed", "1", "--out", os.devnull])
+            assert code == 0
+            return peak
 
         # Only the driving is held: a few tuple slots and array bytes a step.
         small, large = peak(2000), peak(40_000)

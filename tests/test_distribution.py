@@ -1,4 +1,3 @@
-import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -7,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from conftest import peak_bytes
 from shiftwalk import (
     MAX_EXACT_N,
     BitVector,
@@ -186,12 +186,7 @@ class TestAgainstReference:
         # Two 2^n-word buffers, the index (2^16 words) and numpy's ufunc
         # buffer, which the flips of bits 2..12 take, with 16 KiB to spare:
         # a third buffer would not fit, nor at n = 18 a 2^n index.
-        tracemalloc.start()
-        try:
-            exact_tv_curve(q1(n), BitVector.zeros(n), 3)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        _, peak = peak_bytes(exact_tv_curve, q1(n), BitVector.zeros(n), 3)
         assert peak < 2 * 2**n * 8 + 2**16 * 8 + np.getbufsize() * 8 + 16 * 1024
 
     @pytest.mark.parametrize("chain", CHAINS, ids=lambda c: f"{c.kind}-n{c.n}")

@@ -1,10 +1,9 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import peak_bytes
 from shiftwalk import (
     BitVector,
     GF2Matrix,
@@ -72,12 +71,7 @@ class TestBitVector:
 
     def test_range_check_builds_no_power_of_two(self):
         # 1 << n alone would be 12.5 MB at n = 10^8.
-        tracemalloc.start()
-        try:
-            BitVector.zeros(10**8)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        _, peak = peak_bytes(BitVector.zeros, 10**8)
         assert peak < 64 << 10, peak
 
     def test_random_is_reproducible(self):
@@ -244,12 +238,7 @@ class TestCompanionPower:
     def test_suite_holds_no_matrix(self):
         # Each row is read and dropped: no n-row tuple of the spot check
         # (about 6 MiB at n = 10^4) is ever held.
-        tracemalloc.start()
-        try:
-            suite_matrix_order(n_max=64, spot_n=10_000)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        _, peak = peak_bytes(suite_matrix_order, n_max=64, spot_n=10_000)
         assert peak < 1 << 20, peak
 
     def test_suite_matches_square_and_multiply(self):
@@ -316,6 +305,18 @@ class TestGF2Matrix:
     def test_identity_action(self):
         v = BitVector.from_string("0110")
         assert GF2Matrix.identity(4) @ v == v
+
+    def test_rejects_rows_out_of_range(self):
+        n = 70
+        assert GF2Matrix(2, n, ((1 << n) - 1, 0)).rows[0] == (1 << n) - 1
+        for row in (1 << n, -1):
+            with pytest.raises(ValueError):
+                GF2Matrix(2, n, (0, row))
+
+    def test_range_check_builds_no_power_of_two(self):
+        # 1 << n_cols alone would be 12.5 MB at 10^8 columns.
+        _, peak = peak_bytes(GF2Matrix, 1, 10**8, (1,))
+        assert peak < 64 << 10, peak
 
     def test_rank(self):
         # rank is private to det_gf2: a repeated row leaves rank n-1

@@ -1,11 +1,11 @@
 """Batched stream draws against the per-stream generators they replace."""
-import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import peak_bytes
 from shiftwalk import BitVector, ChainKind, rng, stream
 from shiftwalk.chains import _draw_driving_arrays, _draw_driving_blocks
 from shiftwalk.exact_sampler import _sample_blocks, exact_sample
@@ -174,13 +174,11 @@ class TestStreamWordPaths:
         smaller, cap = {1: (10**5, 6 * 2**20), 64: (10**4, 2**20)}[k]
 
         def peak(count):
-            tracemalloc.start()
-            try:
+            def drain():
                 for _ in rng.stream_words(1, 0, count, k):
                     pass
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+
+            return peak_bytes(drain)[1]
 
         small, large = peak(smaller), peak(10 * smaller)
         assert abs(large - small) <= 4096, (small, large)

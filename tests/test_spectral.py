@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -8,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import gammaln
 
+from conftest import peak_bytes
 from shiftwalk import (
     BitVector,
     DistributionVector,
@@ -419,10 +419,5 @@ class TestWeightClassSweep:
     @pytest.mark.parametrize("suite", [suite_term_bounds, suite_fourier])
     def test_memory_stays_small(self, suite):
         # Flat arrays over all of n = 6..2000 would take about 16 MiB each.
-        tracemalloc.start()
-        try:
-            suite()
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        _, peak = peak_bytes(suite)
         assert peak < 2 * 2**20, peak

@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -7,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import peak_bytes
 from shiftwalk import (
     BitVector,
     DrivingSequence,
@@ -376,12 +376,10 @@ class TestEnsemble:
         t = (weight_stats._BLOCK_BYTES // small - (n + 1)) // 3
         peaks = []
         for samples in (small, large):
-            tracemalloc.start()
-            try:
-                counts = weight_counts(q1(n), BitVector.zeros(n), [t], samples, 3)
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
+            counts, peak = peak_bytes(
+                weight_counts, q1(n), BitVector.zeros(n), [t], samples, 3
+            )
+            peaks.append(peak)
             assert counts[t].sum() == samples
         assert abs(peaks[1] - peaks[0]) < 2**20
 
