@@ -234,8 +234,8 @@ class TestRejectedDraws:
 
 
 def test_memory_does_not_grow_with_trials():
-    # 20 and 100 blocks of 1024 trials: each block's arrays are dropped
-    # before the next is decoded.
+    # 20 and 100 blocks of 1024 trials: the arrays are a block's, so the
+    # peak is set by the block size, not by the number of trials.
     small, large = (
         peak_bytes(suites.suite_bounded_diff, trials=trials, seed=1, n_max=64)[1]
         for trials in (20 * 1024, 100 * 1024)

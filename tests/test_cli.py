@@ -467,11 +467,11 @@ class TestProfile:
 
     def test_csv_memory_does_not_grow_with_range(self):
         def peak(t_max):
-            code, peak = peak_bytes(main, ["profile", "--chain", "q1", "--n", "30",
-                                           "--t", f"0..{t_max}", "--seed", "1",
-                                           "--out", os.devnull])
+            code, traced = peak_bytes(main, ["profile", "--chain", "q1", "--n", "30",
+                                            "--t", f"0..{t_max}", "--seed", "1",
+                                            "--out", os.devnull])
             assert code == 0
-            return peak
+            return traced
 
         # Each row is written as it is built.
         small, large = peak(20_000), peak(200_000)
@@ -479,11 +479,11 @@ class TestProfile:
 
     def test_json_memory_does_not_grow_with_range(self):
         def peak(t_max):
-            code, peak = peak_bytes(main, ["profile", "--chain", "q1", "--n", "30",
-                                           "--t", f"0..{t_max}", "--seed", "1",
-                                           "--format", "json", "--out", os.devnull])
+            code, traced = peak_bytes(main, ["profile", "--chain", "q1", "--n", "30",
+                                            "--t", f"0..{t_max}", "--seed", "1",
+                                            "--format", "json", "--out", os.devnull])
             assert code == 0
-            return peak
+            return traced
 
         # Rows are written 1000 at a time; a report held whole grows by
         # about 1 KB a row.
@@ -667,10 +667,10 @@ class TestSample:
 
     def test_memory_does_not_grow_with_count(self):
         def peak(count):
-            code, peak = peak_bytes(main, ["sample", "--n", "64", "--count", str(count),
-                                           "--seed", "1", "--out", os.devnull])
+            code, traced = peak_bytes(main, ["sample", "--n", "64", "--count", str(count),
+                                            "--seed", "1", "--out", os.devnull])
             assert code == 0
-            return peak
+            return traced
 
         small, large = peak(2000), peak(40_000)
         assert abs(large - small) < 2**20, (small, large)
@@ -821,10 +821,10 @@ class TestSimulateRows:
 
     def test_memory_does_not_grow_with_t(self):
         def peak(t):
-            code, peak = peak_bytes(main, ["simulate", "--chain", "q1", "--n", "8",
-                                           "--t", str(t), "--seed", "1", "--out", os.devnull])
+            code, traced = peak_bytes(main, ["simulate", "--chain", "q1", "--n", "8",
+                                            "--t", str(t), "--seed", "1", "--out", os.devnull])
             assert code == 0
-            return peak
+            return traced
 
         # Only the driving is held: a few tuple slots and array bytes a step.
         small, large = peak(2000), peak(40_000)
