@@ -62,17 +62,38 @@ def _strict_json(report: dict) -> str:
             return [finite(v) for v in value]
         if isinstance(value, (float, np.floating)) and not math.isfinite(value):
             return None
+        if isinstance(value, BitVector):
+            return value.to_string()
         return value
 
     return json.dumps(finite(report), indent=2, default=float, allow_nan=False)
 
 
+# Coordinates of a state rendered at a time by ``_write_json``; a multiple of 8.
+_STATE_CHUNK = 1 << 16
+
+
+def _write_state(fh: TextIO, x: BitVector) -> None:
+    """Write ``x.to_string()`` to ``fh``, _STATE_CHUNK coordinates at a time."""
+    packed = np.frombuffer(x.word.to_bytes((x.n + 7) // 8, "little"), dtype=np.uint8)
+    for lo in range(0, x.n, _STATE_CHUNK):
+        bits = np.unpackbits(packed[lo // 8 : (lo + _STATE_CHUNK) // 8], bitorder="little")
+        fh.write((bits[: x.n - lo] + np.uint8(ord("0"))).tobytes().decode("ascii"))
+
+
 def _write_json(report: dict, key: str, items: Iterator[dict], out: str | None) -> None:
     """Write ``_strict_json({**report, key: [*items]})`` to ``out`` (to stdout,
     with a final newline, if None), rendering the items 1000 at a time, each
-    chunk indented one level deeper than on its own."""
+    chunk indented one level deeper than on its own, and each BitVector in
+    ``report`` by ``_write_state``."""
+    states = {k: v for k, v in report.items() if isinstance(v, BitVector)}
+    head = _strict_json({**report, **dict.fromkeys(states, ""), key: []})
     with _open_output(out) as fh:
-        head = _strict_json({**report, key: []})
+        for name, x in states.items():
+            before, head = head.split(f'"{name}": ""', 1)
+            fh.write(f'{before}"{name}": "')
+            _write_state(fh, x)
+            head = '"' + head
         fh.write(head[: -len("]\n}")])
         sep = "\n"
         while chunk := list(itertools.islice(items, 1000)):
@@ -81,6 +102,12 @@ def _write_json(report: dict, key: str, items: Iterator[dict], out: str | None) 
         fh.write(("\n  ]" if sep == ",\n" else "]") + "\n}")
         if out is None:
             fh.write("\n")
+
+
+def _check_printable(n: int) -> None:
+    """A state prints as n characters, and a str holds at most sys.maxsize."""
+    if n > sys.maxsize:
+        raise ValueError(f"--n {n} is past {sys.maxsize}, the longest state that can be printed")
 
 
 def _parse_state(value: str | None, n: int) -> BitVector:
@@ -183,6 +210,8 @@ def _profile(args: argparse.Namespace, seed: int) -> tuple[dict, Iterator[dict]]
     n = args.n
     ts = _parse_t_range(args.t)
     x0 = _parse_state(args.x0, n)
+    if args.format == "json":
+        _check_printable(n)
 
     curve = None
     if n <= distribution.MAX_EXACT_N:
@@ -226,7 +255,7 @@ def _profile(args: argparse.Namespace, seed: int) -> tuple[dict, Iterator[dict]]
         "command": "profile",
         "chain": chain.kind,
         "n": n,
-        "x0": x0.to_string() if args.format == "json" else None,  # CSV never prints it
+        "x0": x0 if args.format == "json" else None,  # CSV never prints it
         "seed": seed,
         "samples": args.samples,
         "alpha": args.alpha,
@@ -309,6 +338,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     if args.t >= MAX_PROFILE_TIMES:
         raise ValueError(f"--t {args.t} is past {MAX_PROFILE_TIMES - 1}, "
                          "the last time simulate reports")
+    _check_printable(args.n)
     seed = _resolve_seed(args.seed)
     chain = ChainKind(args.chain, args.n)
     x0 = _parse_state(args.x0, args.n)

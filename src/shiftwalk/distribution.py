@@ -9,15 +9,20 @@ below the 1e-12 tolerances used by callers.
 
 Each step is reproducible bit for bit: every entry is 0.5 p plus its n
 flip terms w p (w = 1/(2n)), added in the order of the flipped bit.  The
-products w p are formed once per step and each flip adds a shifted view of
-them.  A product is one rounded operation, so its value does not depend on
-how often it is formed.  The flips of the low bits pair entries inside one
-aligned slab of 2**15 entries, so they are applied slab by slab while the
-slab is in cache; the flips of the high bits then go over the whole
-vector.  The entries of a step do not depend on each other, so the order
-of the passes is free: every entry still sees 0.5 p, then + w p[x ^ 2**i]
-for i = 0..n-1, the same operations on the same values in the same order.
-The evolution holds two 2**n-word buffers, which a q1 step swaps.
+products w p are formed once per step, over the whole vector, and each
+flip adds the product of the entry's partner.  A product is one rounded
+operation, so its value does not depend on how often it is formed.  The
+entries of a step do not depend on each other, so the average runs slab
+by slab, 2**15 entries at a time, in one pass while the slab is in cache:
+the flips of the low bits pair entries inside the slab, and the flip of a
+high bit adds the products of a partner slab, a contiguous run.  Every
+entry still sees 0.5 p, then + w p[x ^ 2**i] for i = 0..n-1, the same
+operations on the same values in the same order.  A slab whose entries
+are all +0.0 stays +0.0 through its halving and low flips, and its
+products add +0.0, which leaves any entry but -0.0 as it is; so such a
+slab skips those steps, and a partner add from it is skipped where the
+receiving slab held no -0.0.  The evolution holds two 2**n-word buffers,
+which a q1 step swaps.
 """
 from __future__ import annotations
 
@@ -45,8 +50,8 @@ __all__ = [
 # beyond that the dense oracle stops being a desk-scale tool.
 MAX_EXACT_N = 24
 
-# The flips of the bits below this one, and the inverse shift, run slab by
-# slab, 2**15 entries (256 KiB per array) at a time, so that they run in cache.
+# The bit-flip average and the inverse shift run slab by slab, 2**15
+# entries (256 KiB per array) at a time, so that they run in cache.
 _SLAB_BITS = 15
 
 
@@ -102,6 +107,10 @@ def _split(a: np.ndarray, bit: int) -> np.ndarray:
 
 def _add_flip(acc: np.ndarray, tmp: np.ndarray, bit: int) -> None:
     """acc[x] += tmp[x ^ 2**bit] at every x, in place."""
+    if bit in (1, 2):
+        # Pairs of entries as complex numbers, whose bit - 1 this flips with
+        # runs twice as long; a complex add is the two float adds.
+        acc, tmp, bit = acc.view(np.complex128), tmp.view(np.complex128), bit - 1
     a, b = _split(acc, bit), _split(tmp, bit)[:, ::-1]
     if bit < 2:
         # The views' inner runs are 1 or 2 entries long: iterate with the
@@ -148,29 +157,33 @@ def _step(
     2**(m-1)]) on q2.  The bit-flip average is formed at every x first, then
     gathered into the other buffer by ``_unshift``, a permutation, so each
     entry sees the same float operations in the same order as the direct
-    sum.  q2 averages into ``other`` and gathers back; q1 averages in
-    ``probs``, in two phases (see the module docstring):
-
-    - slab phase: in each slab of 2**_SLAB_BITS entries, w p into
-      ``other``, then p *= 0.5 and flips i < _SLAB_BITS in place;
-    - high-bit phase: flips i = _SLAB_BITS..n-1 over the whole vector.
-
-    Flip i adds to each entry the product of its partner x ^ 2**i, and for
-    every entry the flips come in the order i = 0..n-1.
+    sum.  q2 averages into ``other`` and gathers back; q1 writes w p into
+    ``other``, then averages in ``probs`` one slab of 2**_SLAB_BITS entries
+    at a time: p *= 0.5, the flips i < _SLAB_BITS from the slab's own
+    products, then for i = _SLAB_BITS..n-1 the products of the partner
+    slab, the slab's index ^ 2**(i - _SLAB_BITS).  For every entry the
+    flips come in the order i = 0..n-1.  A slab of +0.0 words skips its
+    halving and low flips, and its products, all +0.0, are not added to
+    a slab that held no -0.0 (see the module docstring).
     """
     if chain.kind == "q1":
         n = chain.n
         low = min(n, _SLAB_BITS)
-        w = 1.0 / (2 * n)
-        for lo in range(0, probs.size, 1 << low):
-            slab = slice(lo, lo + (1 << low))
-            a, b = probs[slab], other[slab]
-            np.multiply(a, w, out=b)
-            np.multiply(a, 0.5, out=a)
-            for i in range(low):
-                _add_flip(a, b, i)
-        for i in range(low, n):
-            _add_flip(probs, other, i)
+        slabs, prods = probs.reshape(-1, 1 << low), other.reshape(-1, 1 << low)
+        # A slab's largest word is 0 if its entries are all +0.0, and has
+        # its top bit set if one of them is -0.0.
+        top = slabs.view(np.uint64).max(axis=1)
+        live, signed = (top != 0).tolist(), (top >> np.uint64(63)).tolist()
+        np.multiply(probs, 1.0 / (2 * n), out=other)
+        for j, (a, b) in enumerate(zip(slabs, prods)):
+            if live[j]:
+                np.multiply(a, 0.5, out=a)
+                for i in range(low):
+                    _add_flip(a, b, i)
+            for i in range(n - low):
+                k = j ^ (1 << i)
+                if live[k] or signed[j]:
+                    np.add(a, prods[k], out=a)
         _unshift(probs, other, idx)
         return other, probs
     b = chain.middle - 1

@@ -477,6 +477,30 @@ class TestProfile:
         small, large = peak(20_000), peak(200_000)
         assert large - small <= 64 * (200_000 - 20_000), (small, large)
 
+    @pytest.mark.parametrize("n", [1, 7, 8, 9, 16, 17, 64, 130])
+    @pytest.mark.parametrize("chunk", [8, 16, cli._STATE_CHUNK])
+    def test_json_start_is_written_in_chunks(self, monkeypatch, tmp_path, n, chunk):
+        # The same bytes as the start rendered whole, across chunk edges.
+        x0 = BitVector.random(n, rng.stream(n, chunk))
+        report = {"command": "profile", "n": n, "x0": x0, "seed": 1}
+        rows = [{"t": 0, "tv_exact": 0.5}]
+        monkeypatch.setattr(cli, "_STATE_CHUNK", chunk)
+        out_file = tmp_path / "profile.json"
+        cli._write_json(report, "rows", iter(rows), str(out_file))
+        assert out_file.read_text(encoding="utf-8") == cli._strict_json(
+            {**report, "x0": x0.to_string(), "rows": rows}
+        )
+
+    def test_json_start_memory_is_its_packed_bytes(self):
+        # The start's packed bytes and one chunk of its text; the whole
+        # text would be n bytes, and its JSON rendering n more.
+        n = 10**7
+        code, traced = peak_bytes(main, ["profile", "--chain", "q1", "--n", str(n),
+                                         "--t", "0", "--seed", "1", "--format", "json",
+                                         "--out", os.devnull])
+        assert code == 0
+        assert traced < n // 8 + 2**20, traced
+
     def test_json_memory_does_not_grow_with_range(self):
         def peak(t_max):
             code, traced = peak_bytes(main, ["profile", "--chain", "q1", "--n", "30",
@@ -724,6 +748,21 @@ class TestOversizedIntegers:
         code, _, err = run_cli(capsys, *argv, "--seed", "1")
         assert code == 2
         assert err.startswith("error:") and "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", [
+        ("simulate", "--chain", "q1"),
+        ("profile", "--chain", "q1", "--format", "json"),
+    ])
+    def test_state_too_long_to_print_names_n(self, capsys, monkeypatch, tmp_path, argv):
+        def unreachable(*args):
+            raise AssertionError("drew a stream before the usage checks")
+
+        monkeypatch.setattr(rng, "stream", unreachable)
+        out_file = tmp_path / "out.txt"
+        code, out, err = run_cli(capsys, *argv, "--n", str(10**30), "--t", "0",
+                                 "--seed", "1", "--out", str(out_file))
+        assert code == 2 and out == "" and not out_file.exists()
+        assert err.startswith(f"error: --n {10**30} ") and "Traceback" not in err
 
     def test_profile_at_a_huge_n_builds_no_power_of_two(self, capsys):
         # The start is checked by its bit length, not against 1 << n.

@@ -64,6 +64,23 @@ def reference_evolve(chain, probs, steps):
     return probs
 
 
+def rough_law(n, slab_bits, seed, dead, negative, subnormal):
+    """A law on 2**n states: each slab of 2**slab_bits entries is all +0.0
+    with probability ``dead``; elsewhere an entry is -0.0 with probability
+    ``negative``, a subnormal mass with probability ``subnormal``, and a
+    normal mass otherwise.  One entry holds a normal mass in any case."""
+    gen = stream(seed, n)
+    size = 1 << n
+    u = gen.random(size)
+    probs = gen.random(size)
+    tiny = u < negative + subnormal
+    probs[tiny] = gen.integers(1, 1 << 52, size, dtype=np.uint64).view(np.float64)[tiny]
+    probs[u < negative] = -0.0
+    probs.reshape(-1, 1 << slab_bits)[gen.random(size >> slab_bits) < dead] = 0.0
+    probs[gen.integers(size)] = 1.0
+    return probs / probs.sum()
+
+
 def reference_curve(chain, x0, t_max):
     """(t, TV to uniform) for t = 0..t_max, stepped by ``reference_step``."""
     n = chain.n
@@ -199,18 +216,18 @@ class TestAgainstReference:
         ]
         for d in starts:
             for steps in (1, 3):
-                assert np.array_equal(
-                    evolve_exact(chain, d, steps).probs,
-                    reference_evolve(chain, d.probs, steps),
+                assert (
+                    evolve_exact(chain, d, steps).probs.tobytes()
+                    == reference_evolve(chain, d.probs, steps).tobytes()
                 )
 
     @pytest.mark.parametrize("chain", [q1(20), q2(20)], ids=lambda c: f"{c.kind}-n{c.n}")
     def test_benchmark_size(self, chain):
         # n = 20, the size of the exact-n20 benchmark: 8 MiB arrays.
         d = DistributionVector(20, stream(77, 20).dirichlet(np.ones(1 << 20)))
-        assert np.array_equal(
-            evolve_exact(chain, d, 1).probs,
-            reference_step(chain, d.probs, reference_inverse_shift_index(20)),
+        assert (
+            evolve_exact(chain, d, 1).probs.tobytes()
+            == reference_step(chain, d.probs, reference_inverse_shift_index(20)).tobytes()
         )
 
     def test_curve_matches_reference(self):
@@ -228,7 +245,7 @@ class TestAgainstReference:
             probs = point_mass(n, x0).probs
             times = []
             for t, d in exact_laws(chain, x0, n + 1):
-                assert d.n == n and np.array_equal(d.probs, probs)
+                assert d.n == n and d.probs.tobytes() == probs.tobytes()
                 probs = reference_step(chain, probs, inv)
                 times.append(t)
             assert times == list(range(n + 2))
@@ -259,7 +276,7 @@ class TestAgainstReference:
         chain = q1(n) if kind == "q1" else q2(n)
         stepped = evolve_exact(chain, d, steps).probs
         assert abs(float(stepped.sum()) - 1.0) <= 1e-12
-        assert np.array_equal(stepped, reference_evolve(chain, d.probs, steps))
+        assert stepped.tobytes() == reference_evolve(chain, d.probs, steps).tobytes()
 
     @settings(max_examples=120, deadline=None)
     @given(
@@ -271,9 +288,9 @@ class TestAgainstReference:
         seed=st.integers(0, 2**32 - 1),
     )
     def test_property_small_slabs(self, n, slab_bits, kind, point, steps, seed):
-        # Slabs of 2 to 16 entries: the slab loop runs over many slabs and
-        # the high-bit phase over the whole vector, at sizes the reference
-        # steps fast.
+        # Slabs of 2 to 16 entries: the slab loop runs over many slabs, each
+        # adding its partner slabs' products, at sizes the reference steps
+        # fast.
         if kind == "q2":
             n += n % 2
         chain = q1(n) if kind == "q1" else q2(n)
@@ -284,11 +301,46 @@ class TestAgainstReference:
             d = DistributionVector(n, gen.dirichlet(np.ones(1 << n)))
         with mock.patch.object(distribution, "_SLAB_BITS", slab_bits):
             stepped = evolve_exact(chain, d, steps).probs
-        assert np.array_equal(stepped, reference_evolve(chain, d.probs, steps))
+        assert stepped.tobytes() == reference_evolve(chain, d.probs, steps).tobytes()
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        n=st.integers(1, 12),
+        slab_bits=st.integers(1, 4),
+        kind=st.sampled_from(["q1", "q2"]),
+        steps=st.integers(1, 4),
+        seed=st.integers(0, 2**32 - 1),
+        shares=st.tuples(*[st.sampled_from([0.0, 0.3, 0.7, 1.0])] * 3),
+    )
+    def test_property_zero_slabs_signed_zeros_subnormals(
+        self, n, slab_bits, kind, steps, seed, shares
+    ):
+        # Whole slabs of +0.0, which skip their average and add no partner
+        # products, beside -0.0 entries, which +0.0 turns into +0.0, and
+        # subnormal masses, compared by their bytes.
+        if kind == "q2":
+            n += n % 2
+        chain = q1(n) if kind == "q1" else q2(n)
+        d = DistributionVector(n, rough_law(n, min(n, slab_bits), seed, *shares))
+        with mock.patch.object(distribution, "_SLAB_BITS", slab_bits):
+            stepped = evolve_exact(chain, d, steps).probs
+        assert stepped.tobytes() == reference_evolve(chain, d.probs, steps).tobytes()
+
+    def test_zero_slabs_signed_zeros_subnormals_across_slabs(self):
+        # The same at n = 17: 4 slabs of 2**15 entries, with the complex
+        # flips of bits 1 and 2.
+        n = 17
+        for seed, shares in ((1, (0.5, 0.7, 0.3)), (2, (0.3, 1.0, 0.0)), (3, (0.7, 0.0, 0.3))):
+            d = DistributionVector(n, rough_law(n, distribution._SLAB_BITS, seed, *shares))
+            for steps in (1, 2):
+                assert (
+                    evolve_exact(q1(n), d, steps).probs.tobytes()
+                    == reference_evolve(q1(n), d.probs, steps).tobytes()
+                ), (seed, steps)
 
     @pytest.mark.parametrize("n", [17, 18])
     def test_curve_across_slabs(self, n):
-        # 2 and 4 slabs of 2**15 entries, then the high-bit phase.
+        # 2 and 4 slabs of 2**15 entries, each adding its partners' products.
         chain = q1(n)
         x0 = BitVector.random(n, stream(41, n))
         assert exact_tv_curve(chain, x0, n + 1) == reference_curve(chain, x0, n + 1)
