@@ -73,26 +73,28 @@ def _strict_json(report: dict) -> str:
 _STATE_CHUNK = 1 << 16
 
 
-def _write_state(fh: TextIO, x: BitVector) -> None:
-    """Write ``x.to_string()`` to ``fh``, _STATE_CHUNK coordinates at a time."""
-    packed = np.frombuffer(x.word.to_bytes((x.n + 7) // 8, "little"), dtype=np.uint8)
-    for lo in range(0, x.n, _STATE_CHUNK):
+def _write_bits(fh: TextIO, packed: np.ndarray, n: int) -> None:
+    """Write bits 0..n-1 of the little-endian bytes ``packed`` to ``fh`` as
+    0s and 1s, bit 0 first, _STATE_CHUNK bits at a time."""
+    for lo in range(0, n, _STATE_CHUNK):
         bits = np.unpackbits(packed[lo // 8 : (lo + _STATE_CHUNK) // 8], bitorder="little")
-        fh.write((bits[: x.n - lo] + np.uint8(ord("0"))).tobytes().decode("ascii"))
+        fh.write((bits[: n - lo] + np.uint8(ord("0"))).tobytes().decode("ascii"))
 
 
 def _write_json(report: dict, key: str, items: Iterator[dict], out: str | None) -> None:
     """Write ``_strict_json({**report, key: [*items]})`` to ``out`` (to stdout,
     with a final newline, if None), rendering the items 1000 at a time, each
     chunk indented one level deeper than on its own, and each BitVector in
-    ``report`` by ``_write_state``."""
-    states = {k: v for k, v in report.items() if isinstance(v, BitVector)}
+    ``report`` from its packed bytes by ``_write_bits``."""
+    # Packed before ``out`` is opened, so a state too large to hold fails first.
+    states = {k: (v.n, np.frombuffer(v.word.to_bytes((v.n + 7) // 8, "little"), np.uint8))
+              for k, v in report.items() if isinstance(v, BitVector)}
     head = _strict_json({**report, **dict.fromkeys(states, ""), key: []})
     with _open_output(out) as fh:
-        for name, x in states.items():
+        for name, (n, packed) in states.items():
             before, head = head.split(f'"{name}": ""', 1)
             fh.write(f'{before}"{name}": "')
-            _write_state(fh, x)
+            _write_bits(fh, packed, n)
             head = '"' + head
         fh.write(head[: -len("]\n}")])
         sep = "\n"

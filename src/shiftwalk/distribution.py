@@ -108,8 +108,9 @@ def _split(a: np.ndarray, bit: int) -> np.ndarray:
 def _add_flip(acc: np.ndarray, tmp: np.ndarray, bit: int) -> None:
     """acc[x] += tmp[x ^ 2**bit] at every x, in place."""
     if bit in (1, 2):
-        # Pairs of entries as complex numbers, whose bit - 1 this flips with
-        # runs twice as long; a complex add is the two float adds.
+        # Bit 1 or 2 is bit 0 or 1 of the view that pairs entries into
+        # complex numbers, whose runs are twice as long; a complex add is
+        # the two float adds.
         acc, tmp, bit = acc.view(np.complex128), tmp.view(np.complex128), bit - 1
     a, b = _split(acc, bit), _split(tmp, bit)[:, ::-1]
     if bit < 2:

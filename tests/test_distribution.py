@@ -278,57 +278,39 @@ class TestAgainstReference:
         assert abs(float(stepped.sum()) - 1.0) <= 1e-12
         assert stepped.tobytes() == reference_evolve(chain, d.probs, steps).tobytes()
 
-    @settings(max_examples=120, deadline=None)
+    @settings(max_examples=240, deadline=None)
     @given(
         n=st.integers(1, 12),
         slab_bits=st.integers(1, 4),
         kind=st.sampled_from(["q1", "q2"]),
-        point=st.booleans(),
+        start=st.sampled_from(["point", "dirichlet", "rough"]),
+        shares=st.tuples(*[st.sampled_from([0.0, 0.3, 0.7, 1.0])] * 3),
         steps=st.integers(1, 4),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_property_small_slabs(self, n, slab_bits, kind, point, steps, seed):
+    def test_property_small_slabs(self, n, slab_bits, kind, start, shares, steps, seed):
         # Slabs of 2 to 16 entries: the slab loop runs over many slabs, each
         # adding its partner slabs' products, at sizes the reference steps
-        # fast.
+        # fast.  A rough law has whole slabs of +0.0, which skip their
+        # average and add no partner products, beside -0.0 entries, which
+        # +0.0 turns into +0.0, and subnormal masses; the bytes must match.
         if kind == "q2":
             n += n % 2
         chain = q1(n) if kind == "q1" else q2(n)
         gen = stream(seed, n)
-        if point:
+        if start == "point":
             d = point_mass(n, BitVector.random(n, gen))
-        else:
+        elif start == "dirichlet":
             d = DistributionVector(n, gen.dirichlet(np.ones(1 << n)))
-        with mock.patch.object(distribution, "_SLAB_BITS", slab_bits):
-            stepped = evolve_exact(chain, d, steps).probs
-        assert stepped.tobytes() == reference_evolve(chain, d.probs, steps).tobytes()
-
-    @settings(max_examples=150, deadline=None)
-    @given(
-        n=st.integers(1, 12),
-        slab_bits=st.integers(1, 4),
-        kind=st.sampled_from(["q1", "q2"]),
-        steps=st.integers(1, 4),
-        seed=st.integers(0, 2**32 - 1),
-        shares=st.tuples(*[st.sampled_from([0.0, 0.3, 0.7, 1.0])] * 3),
-    )
-    def test_property_zero_slabs_signed_zeros_subnormals(
-        self, n, slab_bits, kind, steps, seed, shares
-    ):
-        # Whole slabs of +0.0, which skip their average and add no partner
-        # products, beside -0.0 entries, which +0.0 turns into +0.0, and
-        # subnormal masses, compared by their bytes.
-        if kind == "q2":
-            n += n % 2
-        chain = q1(n) if kind == "q1" else q2(n)
-        d = DistributionVector(n, rough_law(n, min(n, slab_bits), seed, *shares))
+        else:
+            d = DistributionVector(n, rough_law(n, min(n, slab_bits), seed, *shares))
         with mock.patch.object(distribution, "_SLAB_BITS", slab_bits):
             stepped = evolve_exact(chain, d, steps).probs
         assert stepped.tobytes() == reference_evolve(chain, d.probs, steps).tobytes()
 
     def test_zero_slabs_signed_zeros_subnormals_across_slabs(self):
-        # The same at n = 17: 4 slabs of 2**15 entries, with the complex
-        # flips of bits 1 and 2.
+        # Rough laws (see test_property_small_slabs) at n = 17: 4 slabs of
+        # 2**15 entries, with the complex flips of bits 1 and 2.
         n = 17
         for seed, shares in ((1, (0.5, 0.7, 0.3)), (2, (0.3, 1.0, 0.0)), (3, (0.7, 0.0, 0.3))):
             d = DistributionVector(n, rough_law(n, distribution._SLAB_BITS, seed, *shares))
