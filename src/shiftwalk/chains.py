@@ -157,6 +157,44 @@ def _draw_driving_arrays(chain: ChainKind, t: int, seed: int, stream_index: int)
     return coords, bits
 
 
+def _driving_values(chain: ChainKind, t: int) -> int:
+    """How many 32-bit values of its stream a trajectory of t steps reads,
+    when numpy rejects none of its coordinates: one a q1 coordinate (none
+    at n = 1, where the range has one element), then one byte a bit."""
+    return (t if chain.kind == "q1" and chain.n > 1 else 0) + (t + 3) // 4
+
+
+def _decode_driving(
+    chain: ChainKind, t: int, words: np.ndarray, seed: int, first: int
+) -> tuple[np.ndarray | None, np.ndarray]:
+    """The driving arrays (coords, bits) of t steps, decoded from the
+    first ``_driving_values(chain, t)`` columns of ``words``, row j of
+    which holds the values of stream (seed, first + j).
+
+    Row j equals ``_draw_driving_arrays(chain, t, seed, first + j)`` bit
+    for bit.  Both draws read one 32-bit value stream: the coordinates
+    first, then the bits, one byte each, low byte first, starting at the
+    next value.  A row whose coordinates numpy would reject and redraw is
+    drawn again through ``_draw_driving_arrays``.
+    """
+    n_coords = _driving_values(chain, t) - (t + 3) // 4
+    coords = None
+    redo = ()
+    if n_coords:
+        values, rejected = rng.bounded(words[:, :t], chain.n)
+        coords = values.view(np.int64)  # values < 2**32: the same numbers
+        coords += 1
+        redo = np.flatnonzero(rejected.any(axis=1))
+    elif chain.kind == "q1":
+        coords = np.ones((len(words), t), dtype=np.int64)
+    # The little-endian words' bytes, low byte first; a bit is the top bit
+    # of its byte.
+    bits = words[:, n_coords:].view(np.uint8)[:, :t] >> 7
+    for j in redo:
+        coords[j], bits[j] = _draw_driving_arrays(chain, t, seed, first + int(j))
+    return coords, bits
+
+
 def _draw_driving_blocks(
     chain: ChainKind, t: int, seed: int, start: int, count: int
 ) -> Iterator[tuple[int, np.ndarray | None, np.ndarray]]:
@@ -164,35 +202,12 @@ def _draw_driving_blocks(
 
     Yields ``(offset, coords, bits)``; row j equals
     ``_draw_driving_arrays(chain, t, seed, start + offset + j)`` bit for
-    bit.  Both draws read one 32-bit value stream: a q1 coordinate takes
-    one value (none at n = 1, where the range has one element), and the
-    bits take one byte each, low byte first, starting at the next value.
-    A row whose coordinates numpy would reject and redraw is drawn again
-    through ``_draw_driving_arrays``.
+    bit (see ``_decode_driving``).
     """
     if t < 0:
         raise ValueError(f"trajectory length must be >= 0, got {t}")
-    n_coords = t if chain.kind == "q1" and chain.n > 1 else 0
-    for offset, words in rng.stream_words(
-        seed, start, count, n_coords + (t + 3) // 4
-    ):
-        coords = None
-        redo = ()
-        if n_coords:
-            values, rejected = rng.bounded(words[:, :t], chain.n)
-            coords = values.view(np.int64)  # values < 2**32: the same numbers
-            coords += 1
-            redo = np.flatnonzero(rejected.any(axis=1))
-        elif chain.kind == "q1":
-            coords = np.ones((len(words), t), dtype=np.int64)
-        # The little-endian words' bytes, low byte first; a bit is the top
-        # bit of its byte.
-        bits = words[:, n_coords:].view(np.uint8)[:, :t] >> 7
-        for j in redo:
-            coords[j], bits[j] = _draw_driving_arrays(
-                chain, t, seed, start + offset + int(j)
-            )
-        yield offset, coords, bits
+    for offset, words in rng.stream_words(seed, start, count, _driving_values(chain, t)):
+        yield offset, *_decode_driving(chain, t, words, seed, start + offset)
 
 
 def random_driving(

@@ -310,6 +310,7 @@ def _sample_text(bits: np.ndarray, hex_out: bool) -> str:
 
 
 def _cmd_sample(args: argparse.Namespace) -> int:
+    _check_printable(args.n)
     if args.count < 0:
         raise ValueError(f"--count must be >= 0, got {args.count}")
     seed = _resolve_seed(args.seed)

@@ -80,10 +80,13 @@ class DistributionVector:
                 f"expected {1 << self.n} entries for n={self.n}, "
                 f"got shape {self.probs.shape}"
             )
-        if np.any(self.probs < 0):
-            raise ValueError("negative probability entry")
-        if abs(float(self.probs.sum()) - 1.0) > 1e-12:
-            raise ValueError(f"mass {self.probs.sum()!r} not 1 within 1e-12")
+        # Written so that NaN fails both tests: an infinite entry leaves a
+        # NaN or infinite mass.
+        if not np.all(self.probs >= 0):
+            raise ValueError("negative or NaN probability entry")
+        mass = float(self.probs.sum())
+        if not abs(mass - 1.0) <= 1e-12:
+            raise ValueError(f"mass {mass!r} not 1 within 1e-12")
 
 
 def point_mass(n: int, x: BitVector) -> DistributionVector:

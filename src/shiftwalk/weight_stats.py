@@ -10,11 +10,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, Sequence
 
 import numpy as np
 
-from .chains import ChainKind, DrivingSequence, _draw_driving_blocks, _replay
+from . import rng
+from .chains import (
+    ChainKind,
+    DrivingSequence,
+    _decode_driving,
+    _driving_values,
+    _replay,
+)
 from .gf2 import BitVector
 from .spectral import _log_binom
 
@@ -146,115 +153,142 @@ def _replay_pairs(
     return np.abs(weight[0] - weight[1]), hamming
 
 
-# A Monte Carlo block's working set, about (n+1) + 3 t_max bytes a
-# trajectory (uint8 cells and bits, uint16 q1 coordinates), stays under
-# _BLOCK_BYTES: about 2000 trajectories at n = 1024, t_max = n+1, where
-# blocks under 1500 let the per-step overhead dominate, while at n = 128
-# blocks over 4000 ran slower as their cells left the cache.  A block
-# still holds at least _MIN_BLOCK trajectories (or all of them), since past
-# 8 KiB a trajectory the cap alone would leave too few to pay for that
-# overhead (blocks of 92 at t_max = 30000 ran at half speed); memory then
-# grows with t_max, never with the number of samples.
+# A Monte Carlo block holds at most _MAX_BLOCK trajectories, and its working
+# set, about (n+1) + 3 T bytes a trajectory (uint8 cells and bits, uint16
+# q1 coordinates; T the steps of all its horizons), stays under
+# _BLOCK_BYTES.  A block still holds at least _MIN_BLOCK trajectories (or
+# all of them), since past 8 KiB a trajectory the byte cap alone would
+# leave too few to pay for the per-step overhead (blocks of 92 at
+# t_max = 30000 ran at half speed); memory then grows with t_max, never
+# with the number of samples.  _MAX_BLOCK keeps a block's cells in cache.
+# weight_counts by block width (ms, best of 5; 2 shared vCPUs, numpy 2.4):
+#
+#   width                         1024  2048  3072  4096  6144  8192  16384
+#   n = 128, t = 64, 20 000 runs    56    50    48    47    47    47     48
+#   n = 128, t = 128, 100 000      380   345   343   329   326   329    346
+#
+# At n = 1024 over t = 824..1025 (5000 runs) the byte cap binds first, at
+# 2046 a block; widths 1024 / 1667 / 2500 / 5000 took 116 / 111 / 105 /
+# 106 ms.
 _BLOCK_BYTES = 8 << 20
 _MIN_BLOCK = 1024
+_MAX_BLOCK = 4096
 
 
 def _weight_blocks(
     chain: ChainKind,
     x0: BitVector,
-    ts: "list[int] | tuple[int, ...]",
+    horizons: Sequence[Sequence[int]],
     samples: int,
     seed: int,
-) -> Iterator[tuple[int, np.ndarray]]:
+) -> Iterator[tuple[int, int, np.ndarray]]:
     """The Monte Carlo kernel: steps ``samples`` trajectories in blocks and
-    yields ``(t, weights)`` for each block and each time t in ``ts``,
-    weights being the block's int64 Hamming weights at t in trajectory
-    order.  Blocks come in trajectory order.
+    yields ``(j, t, weights)`` for each block, each horizon j and each time
+    t in ``horizons[j]``, weights being the block's int64 Hamming weights
+    at t in trajectory order.  Blocks come in trajectory order.
 
-    Trajectory i consumes stream (seed, i).  The samples are split into
-    near-equal blocks (see ``_BLOCK_BYTES``), stepped one after another in
-    buffers allocated once.  Each trajectory is held as the n+1 cells
-    (x, parity of x), on which the shift is a rotation by one cell (see
-    ``gf2._shift_power``).  The buffer never moves: after s steps
-    coordinate u sits in cell (u-1+s) mod (n+1) and the parity in cell
-    (n+s) mod (n+1), so a step only toggles those two cells when its bit
-    is set.  Cells, bits and coordinates are stored cell- or step-major,
-    (rows, trajectories), so a step reads contiguous rows.
+    Horizon j steps trajectory i for t_j = max(horizons[j]) steps, driven
+    by stream (seed, i) read as a driving of t_j steps
+    (``chains._decode_driving``): horizons of different lengths read one
+    stream as different drivings.  Each block of streams is drawn once, as
+    far as the longest horizon reads, and decoded for every horizon.
+
+    The samples are split into near-equal blocks (see ``_MAX_BLOCK``),
+    stepped one after another in buffers allocated once.  Each trajectory
+    is held as the n+1 cells (x, parity of x), on which the shift is a
+    rotation by one cell (see ``gf2._shift_power``).  The buffer never
+    moves: after s steps coordinate u sits in cell (u-1+s) mod (n+1) and
+    the parity in cell (n+s) mod (n+1), so a step only toggles those two
+    cells when its bit is set.  Cells, bits and coordinates are stored
+    cell- or step-major, (rows, trajectories), so a step reads contiguous
+    rows.
     """
     chain.check_start(x0)
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
-    ts = sorted(set(int(t) for t in ts))
-    if ts and ts[0] < 0:
+    horizons = [sorted(set(int(t) for t in ts)) for ts in horizons]
+    if any(ts and ts[0] < 0 for ts in horizons):
         raise ValueError("snapshot times must be >= 0")
-    if not ts:
+    lengths = {j: ts[-1] for j, ts in enumerate(horizons) if ts}
+    if not lengths:
         return
     n = chain.n
     m = n + 1
-    t_max = ts[-1]
-    blocks = -(-samples // max(_MIN_BLOCK, _BLOCK_BYTES // (m + 3 * t_max)))
+    per_block = min(_MAX_BLOCK, _BLOCK_BYTES // (m + 3 * sum(lengths.values())))
+    blocks = -(-samples // max(_MIN_BLOCK, per_block))
     width = -(-samples // blocks)
 
-    coords = None
-    if chain.kind == "q1":
-        coord_type = np.uint16 if n < 1 << 16 else np.int64
-        coords = np.empty((t_max, width), dtype=coord_type)
-        # Cell (u-1+s) mod (n+1) of coordinate u at step s+1 starts at
-        # row_starts[(s-1) mod (n+1) + u] of the flat cells.
-        row_starts = np.arange(2 * m, dtype=np.int64) % m * width
-    bits = np.empty((t_max, width), dtype=np.uint8)
+    # Each horizon's index, snapshot times, and coordinate (None for q2)
+    # and bit buffers.
+    coord_type = np.uint16 if n < 1 << 16 else np.int64
+    drivings = [
+        (
+            j,
+            set(horizons[j]),
+            np.empty((t, width), dtype=coord_type) if chain.kind == "q1" else None,
+            np.empty((t, width), dtype=np.uint8),
+        )
+        for j, t in lengths.items()
+    ]
+    values = max(_driving_values(chain, t) for t in lengths.values())
+    # Cell (u-1+s) mod (n+1) of coordinate u at step s+1 starts at
+    # row_starts[(s-1) mod (n+1) + u] of the flat cells.
+    row_starts = np.arange(2 * m, dtype=np.int64) % m * width
     cells = np.empty((m, width), dtype=np.uint8)
     flat = cells.reshape(-1)
     start_cells = np.array([*x0, x0.parity()], dtype=np.uint8)[:, None]
     start_ones = x0.weight() + x0.parity()
-    snapshots = set(ts)
 
     first = 0
     for block in range(blocks):
         b = samples // blocks + (block < samples % blocks)
-        for i, c, r in _draw_driving_blocks(chain, t_max, seed, first, b):
-            if coords is not None:
-                coords[:, i : i + len(r)] = c.astype(coords.dtype, copy=False).T
-            bits[:, i : i + len(r)] = r.T
-        cells[:, :b] = start_cells
-        # A set bit toggles two cells that held `both` ones, so the cells'
-        # ones change by 2 - 2 both.  `half` gathers -both at each step and
-        # the set bits up to each snapshot, where the weight is
-        # start_ones + 2 half - parity cell.
-        half = np.zeros(b, dtype=np.int64)
-        counted = 0  # the steps whose set bits half holds
+        for i, words in rng.stream_words(seed, first, b, values):
+            for _, _, coords, bits in drivings:
+                c, r = _decode_driving(chain, len(bits), words, seed, first + i)
+                if coords is not None:
+                    coords[:, i : i + len(r)] = c.astype(coords.dtype, copy=False).T
+                bits[:, i : i + len(r)] = r.T
         columns = np.arange(b)
         updated = np.empty(b, dtype=np.int64)
         both = np.empty(b, dtype=np.uint8)
         toggled = np.empty(b, dtype=np.uint8)
-        for s in range(t_max + 1):
-            parity = cells[(n + s) % m, :b]  # a view, toggled in place below
-            if s in snapshots:
-                half += bits[counted:s, :b].sum(axis=0, dtype=np.int64)
-                counted = s
-                weights = 2 * half
-                weights += start_ones
-                weights -= parity
-                yield s, weights
-            if s == t_max:
-                break
-            r = bits[s, :b]
-            if coords is None:
-                cell = cells[(chain.middle - 1 + s) % m, :b]
-                np.add(cell, parity, out=both)
-                cell ^= r
-            else:
-                # mode="clip" lets take write to `out` without a buffered
-                # copy; every index is in range.
-                row_starts[(s - 1) % m :].take(coords[s, :b], out=updated, mode="clip")
-                updated += columns
-                flat.take(updated, out=both, mode="clip")
-                np.bitwise_xor(both, r, out=toggled)
-                flat[updated] = toggled
-                both += parity
-            parity ^= r
-            both *= r
-            half -= both
+        for j, snapshots, coords, bits in drivings:
+            t_max = len(bits)
+            cells[:, :b] = start_cells
+            # A set bit toggles two cells that held `both` ones, so the
+            # cells' ones change by 2 - 2 both.  `half` gathers -both at
+            # each step and the set bits up to each snapshot, where the
+            # weight is start_ones + 2 half - parity cell.
+            half = np.zeros(b, dtype=np.int64)
+            counted = 0  # the steps whose set bits half holds
+            for s in range(t_max + 1):
+                parity = cells[(n + s) % m, :b]  # a view, toggled in place below
+                if s in snapshots:
+                    half += bits[counted:s, :b].sum(axis=0, dtype=np.int64)
+                    counted = s
+                    weights = 2 * half
+                    weights += start_ones
+                    weights -= parity
+                    yield j, s, weights
+                if s == t_max:
+                    break
+                r = bits[s, :b]
+                if coords is None:
+                    cell = cells[(chain.middle - 1 + s) % m, :b]
+                    np.add(cell, parity, out=both)
+                    cell ^= r
+                else:
+                    # mode="clip" lets take write to `out` without a
+                    # buffered copy; every index is in range.
+                    row_starts[(s - 1) % m :].take(coords[s, :b], out=updated, mode="clip")
+                    updated += columns
+                    flat.take(updated, out=both, mode="clip")
+                    np.bitwise_xor(both, r, out=toggled)
+                    flat[updated] = toggled
+                    both += parity
+                parity ^= r
+                both *= r
+                half -= both
         first += b
 
 
@@ -273,7 +307,7 @@ def sample_weights(
     ``weight_counts`` gives their histograms without holding them.
     """
     parts: dict[int, list[np.ndarray]] = {}
-    for t, weights in _weight_blocks(chain, x0, ts, samples, seed):
+    for _, t, weights in _weight_blocks(chain, x0, [ts], samples, seed):
         parts.setdefault(t, []).append(weights)
     return {t: np.concatenate(blocks) for t, blocks in parts.items()}
 
@@ -292,7 +326,7 @@ def weight_counts(
     does not grow with ``samples``.
     """
     counts: dict[int, np.ndarray] = {}
-    for t, weights in _weight_blocks(chain, x0, ts, samples, seed):
+    for _, t, weights in _weight_blocks(chain, x0, [ts], samples, seed):
         block_counts = np.bincount(weights, minlength=chain.n + 1)
         if t in counts:
             counts[t] += block_counts
@@ -363,27 +397,48 @@ def variance_bound_check(n: int, t: int, samples: int, seed: int) -> VarianceRep
     """Estimate Var(weight at time t) for the random-coordinate walk from 0
     and compare against 4t; passes when estimate <= 4t + 3 standard errors.
     One trajectory estimates nothing (both read 0), so it never passes."""
-    _check_time(n, t)
-    w = sample_weights(ChainKind("q1", n), BitVector.zeros(n), [t], samples, seed)[t]
-    w = w.astype(np.float64)
-    if samples > 1:
-        est = float(w.var(ddof=1))
-    else:
-        est = 0.0
-    centered = w - w.mean()
-    m4 = float((centered**4).mean())
-    se = math.sqrt(max(m4 - est**2, 0.0) / samples)
-    bound = 4.0 * t
-    return VarianceReport(
-        n=n,
-        t=t,
-        samples=samples,
-        seed=seed,
-        estimate=est,
-        std_error=se,
-        bound=bound,
-        passed=samples > 1 and bool(est <= bound + 3.0 * se),
-    )
+    return _variance_reports(n, (t,), samples, seed)[0]
+
+
+def _variance_reports(
+    n: int, ts: "tuple[int, ...]", samples: int, seed: int
+) -> list[VarianceReport]:
+    """``variance_bound_check(n, t, samples, seed)`` for each t in ``ts``,
+    from one draw of each block of streams (see ``_weight_blocks``)."""
+    for t in ts:
+        _check_time(n, t)
+    # Each horizon's weights as floats; _weight_blocks rejects samples < 1.
+    weights = [np.empty(max(samples, 0)) for _ in ts]
+    filled = [0] * len(ts)
+    horizons = [(t,) for t in ts]
+    for j, _, block in _weight_blocks(
+        ChainKind("q1", n), BitVector.zeros(n), horizons, samples, seed
+    ):
+        weights[j][filled[j] : filled[j] + len(block)] = block
+        filled[j] += len(block)
+    reports = []
+    for t, w in zip(ts, weights):
+        if samples > 1:
+            est = float(w.var(ddof=1))
+        else:
+            est = 0.0
+        centered = w - w.mean()
+        m4 = float((centered**4).mean())
+        se = math.sqrt(max(m4 - est**2, 0.0) / samples)
+        bound = 4.0 * t
+        reports.append(
+            VarianceReport(
+                n=n,
+                t=t,
+                samples=samples,
+                seed=seed,
+                estimate=est,
+                std_error=se,
+                bound=bound,
+                passed=samples > 1 and bool(est <= bound + 3.0 * se),
+            )
+        )
+    return reports
 
 
 def check_window(alpha: float, c: float | None) -> None:

@@ -27,7 +27,7 @@ from shiftwalk import (
     simulate,
     weight_stats,
 )
-from shiftwalk import cli, spectral, suites
+from shiftwalk import cli, exact_sampler, spectral, suites
 from shiftwalk.cli import MAX_PROFILE_TIMES, _parse_t_range, main
 from test_distribution import reference_curve
 
@@ -760,6 +760,17 @@ class TestOversizedIntegers:
         monkeypatch.setattr(rng, "stream", unreachable)
         out_file = tmp_path / "out.txt"
         code, out, err = run_cli(capsys, *argv, "--n", str(10**30), "--t", "0",
+                                 "--seed", "1", "--out", str(out_file))
+        assert code == 2 and out == "" and not out_file.exists()
+        assert err.startswith(f"error: --n {10**30} ") and "Traceback" not in err
+
+    def test_sample_too_long_to_print_names_n(self, capsys, monkeypatch, tmp_path):
+        def unreachable(*args):
+            raise AssertionError("built the offset before the usage checks")
+
+        monkeypatch.setattr(exact_sampler, "build_offset", unreachable)
+        out_file = tmp_path / "out.txt"
+        code, out, err = run_cli(capsys, "sample", "--n", str(10**30), "--count", "0",
                                  "--seed", "1", "--out", str(out_file))
         assert code == 2 and out == "" and not out_file.exists()
         assert err.startswith(f"error: --n {10**30} ") and "Traceback" not in err

@@ -118,6 +118,19 @@ class TestConstruction:
         with pytest.raises(ValueError):
             DistributionVector(1, np.array([0.7, 0.7]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("others", [(0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (1.0, np.inf, 0.0)])
+    def test_rejects_non_finite_entries(self, bad, others):
+        # NaN compares false both ways, so each test must fail on it.
+        with pytest.raises(ValueError):
+            DistributionVector(2, np.array([bad, *others]))
+
+    def test_non_finite_messages(self):
+        with pytest.raises(ValueError, match="NaN probability entry"):
+            DistributionVector(2, np.array([np.nan, 1.0, 0.0, 0.0]))
+        with pytest.raises(ValueError, match="mass inf not 1"):
+            DistributionVector(2, np.array([np.inf, 0.0, 0.0, 0.0]))
+
 
 class TestEvolve:
     def test_zero_steps_identity(self):

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import peak_bytes
 from shiftwalk import BitVector, ChainKind, rng, stream
-from shiftwalk.chains import _draw_driving_arrays, _draw_driving_blocks
+from shiftwalk.chains import _decode_driving, _draw_driving_arrays, _draw_driving_blocks
 from shiftwalk.exact_sampler import _sample_blocks, exact_sample
 
 SEEDS = (0, 1, 2**63 - 1, 2**64 - 1)
@@ -249,6 +249,17 @@ class TestDrivingBlocks:
         assert 0 < rejected.any(axis=1).sum() < count
         assert_same(batched(chain, t, 2, START, count),
                     reference(chain, t, 2, START, count))
+
+    @pytest.mark.parametrize("kind, n", [("q1", 7), ("q1", 1), ("q1", 2**31 + 1), ("q2", 64)])
+    def test_decode_reads_a_prefix_of_a_longer_draw(self, kind, n):
+        """The values drawn for a longer driving decode as a driving of t
+        steps, with its own redraws: at 2**31 + 1 numpy rejects about half
+        of the coordinate draws."""
+        chain, count = ChainKind(kind, n), 20
+        for t, longer in ((0, 5), (2, 9), (37, 80)):
+            (_, words), = rng.stream_words(2, START, count, words_per_stream(chain, longer))
+            assert_same(_decode_driving(chain, t, words, 2, START),
+                        reference(chain, t, 2, START, count))
 
     @pytest.mark.parametrize("rows", [1, 7, 32])
     @pytest.mark.parametrize("t", [0, 1, 57])

@@ -1,4 +1,5 @@
 import math
+from dataclasses import asdict
 from fractions import Fraction
 
 import numpy as np
@@ -29,7 +30,7 @@ from shiftwalk import (
     variance_bound_check,
     weight_moments,
 )
-from shiftwalk import chains, weight_stats
+from shiftwalk import chains, suites, weight_stats
 from shiftwalk.chains import _draw_driving_blocks
 from shiftwalk.distribution import exact_laws
 from shiftwalk.weight_stats import histogram_tv, weight_counts
@@ -353,13 +354,17 @@ class TestEnsemble:
         t_max = data.draw(st.integers(0, 3 * n + 2))
         ts = data.draw(st.lists(st.integers(0, t_max), max_size=6))
         ts = ts + [0, t_max] + ts[:2]
+        # Blocks of per_block trajectories by their bytes, and of at most
+        # max_block by their count.
         per_block = data.draw(st.sampled_from([1, 2, 7, samples + 1]))
+        max_block = data.draw(st.sampled_from([1, 2, 7, samples + 1]))
         reference = reference_sample_weights(chain, x0, ts, samples, seed)
         with pytest.MonkeyPatch.context() as patch:
             # A block's working set is about n + 1 + 3 t_max bytes a
             # trajectory.
             patch.setattr(weight_stats, "_BLOCK_BYTES", per_block * (n + 1 + 3 * t_max))
             patch.setattr(weight_stats, "_MIN_BLOCK", 1)
+            patch.setattr(weight_stats, "_MAX_BLOCK", max_block)
             weights = sample_weights(chain, x0, ts, samples, seed)
             counts = weight_counts(chain, x0, ts, samples, seed)
         assert sorted(weights) == sorted(counts) == sorted(reference)
@@ -384,6 +389,38 @@ class TestEnsemble:
         assert abs(peaks[1] - peaks[0]) < 2**20
 
 
+    @settings(max_examples=80, deadline=None)
+    @given(
+        data=st.data(),
+        n=st.integers(1, 40),
+        kind=st.sampled_from(["q1", "q2"]),
+        samples=st.integers(1, 20),
+        seed=st.integers(0, 2**64 - 1),
+    )
+    def test_property_horizons_share_one_draw(self, data, n, kind, samples, seed):
+        # Each horizon reads the streams as a driving of its own length,
+        # so it gives sample_weights' weights at its times.
+        if kind == "q2":
+            n += n % 2
+        chain = q1(n) if kind == "q1" else q2(n)
+        x0 = BitVector(n, data.draw(st.integers(0, (1 << n) - 1)))
+        times = st.lists(st.integers(0, 3 * n + 2), max_size=4)
+        horizons = data.draw(st.lists(times, min_size=1, max_size=4))
+        max_block = data.draw(st.sampled_from([1, 2, 7, samples + 1]))
+        got = [{} for _ in horizons]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(weight_stats, "_MIN_BLOCK", 1)
+            patch.setattr(weight_stats, "_MAX_BLOCK", max_block)
+            blocks = weight_stats._weight_blocks(chain, x0, horizons, samples, seed)
+            for j, t, weights in blocks:
+                got[j].setdefault(t, []).append(weights)
+        for ts, parts in zip(horizons, got):
+            want = sample_weights(chain, x0, ts, samples, seed)
+            assert sorted(parts) == sorted(want)
+            for t, w in want.items():
+                assert np.array_equal(np.concatenate(parts[t]), w)
+
+
 class TestVarianceBound:
     def test_zero_time(self):
         rep = variance_bound_check(16, 0, 100, seed=0)
@@ -395,11 +432,35 @@ class TestVarianceBound:
                 _, var = weight_moments(d)
                 assert var <= 4 * t + 1e-12
 
+    @pytest.mark.parametrize("samples", [0, -1])
+    def test_rejects_no_trajectories(self, samples):
+        with pytest.raises(ValueError, match="samples must be >= 1"):
+            variance_bound_check(16, 4, samples, seed=0)
+
     def test_one_trajectory_does_not_pass(self):
         # Its estimate and standard error are both 0, which says nothing.
         rep = variance_bound_check(128, 64, 1, seed=0)
         assert rep.estimate == 0.0 and rep.std_error == 0.0
         assert rep.passed is False
+
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1])
+    def test_suite_reports_each_horizon_as_its_check(self, seed):
+        # The suite draws the streams once for both horizons.
+        for samples in (0, 1, 2, 999, 20_000):
+            sampled = [c.observed for c in suites.suite_variance(samples=samples, seed=seed)[1:]]
+            assert [o["t"] for o in sampled] == [64, 128]
+            for observed in sampled:
+                if samples == 0:
+                    want = {"n": 128, "t": observed["t"], "samples": 0, "seed": seed}
+                else:
+                    want = asdict(variance_bound_check(128, observed["t"], samples, seed))
+                assert observed == want
+
+    def test_suite_memory(self):
+        # Blocks of 4000 trajectories; the float weights of both horizons,
+        # 2 x 160 kB, are held to the end.
+        _, peak = peak_bytes(suites.suite_variance, samples=20_000, seed=0)
+        assert peak < 4 * 2**20
 
     def test_sampled_variance_n128(self):
         rep = variance_bound_check(128, 128, 5000, seed=11)
