@@ -218,18 +218,11 @@ def _weight_blocks(
     blocks = -(-samples // max(_MIN_BLOCK, per_block))
     width = -(-samples // blocks)
 
-    # Each horizon's index, snapshot times, and coordinate (None for q2)
-    # and bit buffers.
     coord_type = np.uint16 if n < 1 << 16 else np.int64
-    drivings = [
-        (
-            j,
-            set(horizons[j]),
-            np.empty((t, width), dtype=coord_type) if chain.kind == "q1" else None,
-            np.empty((t, width), dtype=np.uint8),
-        )
-        for j, t in lengths.items()
-    ]
+    drivings = []  # (j, snapshot times, coordinates or None for q2, bits)
+    for j, t in lengths.items():
+        coords = np.empty((t, width), dtype=coord_type) if chain.kind == "q1" else None
+        drivings.append((j, set(horizons[j]), coords, np.empty((t, width), dtype=np.uint8)))
     values = max(_driving_values(chain, t) for t in lengths.values())
     # Cell (u-1+s) mod (n+1) of coordinate u at step s+1 starts at
     # row_starts[(s-1) mod (n+1) + u] of the flat cells.
