@@ -206,7 +206,8 @@ def _draw_driving_blocks(
     """
     if t < 0:
         raise ValueError(f"trajectory length must be >= 0, got {t}")
-    for offset, words in rng.stream_words(seed, start, count, _driving_values(chain, t)):
+    values = _driving_values(chain, t)
+    for offset, words in rng.stream_words(seed, start, count, values):
         yield offset, *_decode_driving(chain, t, words, seed, start + offset)
 
 

@@ -395,7 +395,9 @@ def suite_variance(
             observed={"max_var_minus_4t": worst},
         )
     ]
-    sampled = {t: {"n": 128, "t": t, "samples": samples, "seed": seed} for t in (64, 128)}
+    sampled = {
+        t: {"n": 128, "t": t, "samples": samples, "seed": seed} for t in (64, 128)
+    }
     if samples >= 1:
         # Both horizons read one draw of the streams (seed, 0..samples-1).
         for rep in weight_stats._variance_reports(128, tuple(sampled), samples, seed):

@@ -221,8 +221,11 @@ def _weight_blocks(
     coord_type = np.uint16 if n < 1 << 16 else np.int64
     drivings = []  # (j, snapshot times, coordinates or None for q2, bits)
     for j, t in lengths.items():
-        coords = np.empty((t, width), dtype=coord_type) if chain.kind == "q1" else None
-        drivings.append((j, set(horizons[j]), coords, np.empty((t, width), dtype=np.uint8)))
+        coords = None
+        if chain.kind == "q1":
+            coords = np.empty((t, width), dtype=coord_type)
+        bits = np.empty((t, width), dtype=np.uint8)
+        drivings.append((j, set(horizons[j]), coords, bits))
     values = max(_driving_values(chain, t) for t in lengths.values())
     # Cell (u-1+s) mod (n+1) of coordinate u at step s+1 starts at
     # row_starts[(s-1) mod (n+1) + u] of the flat cells.
@@ -273,7 +276,9 @@ def _weight_blocks(
                 else:
                     # mode="clip" lets take write to `out` without a
                     # buffered copy; every index is in range.
-                    row_starts[(s - 1) % m :].take(coords[s, :b], out=updated, mode="clip")
+                    row_starts[(s - 1) % m :].take(
+                        coords[s, :b], out=updated, mode="clip"
+                    )
                     updated += columns
                     flat.take(updated, out=both, mode="clip")
                     np.bitwise_xor(both, r, out=toggled)

@@ -388,7 +388,6 @@ class TestEnsemble:
             assert counts[t].sum() == samples
         assert abs(peaks[1] - peaks[0]) < 2**20
 
-
     @settings(max_examples=80, deadline=None)
     @given(
         data=st.data(),
