@@ -129,13 +129,14 @@ MAX_PROFILE_TIMES = 10**6
 
 
 def _parse_t_range(value: str) -> range:
-    if ".." in value:
-        lo_text, hi_text = value.split("..", 1)
-        lo, hi = int(lo_text), int(hi_text)
-        if hi < lo:
-            raise ValueError(f"empty time range {value!r}")
-    else:
-        lo = hi = int(value)
+    parts = value.split("..") if ".." in value else [value, value]
+    try:
+        lo, hi = map(int, parts)
+    except ValueError:
+        raise ValueError(f"--t expects a time T or a range A..B of integers, "
+                         f"got {value!r}") from None
+    if hi < lo:
+        raise ValueError(f"empty time range {value!r}")
     if lo < 0:
         raise ValueError(f"times must be >= 0, got {value!r}")
     if hi >= MAX_PROFILE_TIMES:

@@ -22,7 +22,15 @@ are all +0.0 stays +0.0 through its halving and low flips, and its
 products add +0.0, which leaves any entry but -0.0 as it is; so such a
 slab skips those steps, and a partner add from it is skipped where the
 receiving slab held no -0.0.  The evolution holds two 2**n-word buffers,
-which a q1 step swaps.
+which a q1 step swaps, and for each the views through which a slab's low
+flips read and write it, built once.  A low flip reads its partners
+through a reversed axis, which numpy copies through its ufunc buffers, so
+the flips run with buffers small enough to stay in L1, a setting scoped
+to the step.
+
+The distance to uniform is summed slab by slab too, in a slab-sized
+scratch, and the slabs' sums are added as a binary tree of halves: the
+order of numpy's pairwise sum over the whole vector, so the same bits.
 """
 from __future__ import annotations
 
@@ -53,6 +61,16 @@ MAX_EXACT_N = 24
 # The bit-flip average and the inverse shift run slab by slab, 2**15
 # entries (256 KiB per array) at a time, so that they run in cache.
 _SLAB_BITS = 15
+
+# numpy's ufunc buffer size, in elements, while a q1 step adds its flips
+# (numpy's default is 8192).  exact_tv_curve(q1(n)) over t = 0..n+1, one
+# fresh process a reading, pinned to one CPU of a shared 2-vCPU VM, median
+# seconds by buffer size (10 readings at n = 20, 6 at n = 22):
+#
+#     size     512    1024    2048    4096    8192
+#     n = 20   0.261  0.263   0.257   0.284   0.286
+#     n = 22   1.41   1.36    1.41    1.51    1.51
+_FLIP_BUFSIZE = 1024
 
 
 def _check_guard(n: int) -> None:
@@ -108,19 +126,25 @@ def _split(a: np.ndarray, bit: int) -> np.ndarray:
     return a.reshape(-1, 2, 1 << bit)
 
 
-def _add_flip(acc: np.ndarray, tmp: np.ndarray, bit: int) -> None:
-    """acc[x] += tmp[x ^ 2**bit] at every x, in place."""
-    if bit in (1, 2):
+def _flip_views(a: np.ndarray, low: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """For each bit i < ``low``, two views of ``a`` cut into slabs of
+    2**low entries, whose index j is slab j: as a flip's target, and as its
+    source, whose entry x is the slab's entry x ^ 2**i.  A step only
+    indexes them, so they are built once per buffer."""
+    views = []
+    for i in range(low):
         # Bit 1 or 2 is bit 0 or 1 of the view that pairs entries into
         # complex numbers, whose runs are twice as long; a complex add is
         # the two float adds.
-        acc, tmp, bit = acc.view(np.complex128), tmp.view(np.complex128), bit - 1
-    a, b = _split(acc, bit), _split(tmp, bit)[:, ::-1]
-    if bit < 2:
-        # The views' inner runs are 1 or 2 entries long: iterate with the
-        # long axis innermost instead.
-        a, b = a.T, b.T
-    np.add(a, b, out=a, order="C")
+        v, bit = (a.view(np.complex128), i - 1) if i in (1, 2) else (a, i)
+        target = v.reshape(a.size >> low, -1, 2, 1 << bit)
+        source = target[:, :, ::-1]
+        if bit < 2:
+            # The inner runs are 1 or 2 entries long: iterate with the
+            # long axis innermost instead.
+            target, source = target.transpose(0, 3, 2, 1), source.transpose(0, 3, 2, 1)
+        views.append((target, source))
+    return views
 
 
 def _unshift_index(n: int) -> np.ndarray:
@@ -150,11 +174,16 @@ def _unshift(src: np.ndarray, out: np.ndarray, idx: np.ndarray) -> None:
         np.take(seg, pieces[odd ^ 1], out=out[half + lo:half + lo + size], mode="clip")
 
 
+# A buffer of the evolution with its flip views (``_flip_views``).
+_Buffer = tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray]]]
+
+
 def _step(
-    chain: ChainKind, probs: np.ndarray, other: np.ndarray, idx: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """One step of the kernel on ``probs``, with ``other`` a buffer of the
-    same size; returns (law, scratch), the two buffers in their new roles.
+    chain: ChainKind, law: _Buffer, spare: _Buffer, idx: np.ndarray
+) -> tuple[_Buffer, _Buffer]:
+    """One step of the kernel on the law in buffer ``probs``, with ``other``
+    a buffer of the same size, each passed as ``law`` and ``spare`` with
+    its flip views; returns (law, spare), the two in their new roles.
 
     The new mass at y is 0.5 p[x] + sum_i w p[x ^ 2**i], with w = 1/(2n)
     and x the state that shifts onto y, on q1, and 0.5 (p[x] + p[x ^
@@ -170,6 +199,7 @@ def _step(
     halving and low flips, and its products, all +0.0, are not added to
     a slab that held no -0.0 (see the module docstring).
     """
+    (probs, targets), (other, sources) = law, spare
     if chain.kind == "q1":
         n = chain.n
         low = min(n, _SLAB_BITS)
@@ -178,23 +208,32 @@ def _step(
         # its top bit set if one of them is -0.0.
         top = slabs.view(np.uint64).max(axis=1)
         live, signed = (top != 0).tolist(), (top >> np.uint64(63)).tolist()
+        flips = [(t, s) for (t, _), (_, s) in zip(targets, sources)]
         np.multiply(probs, 1.0 / (2 * n), out=other)
-        for j, (a, b) in enumerate(zip(slabs, prods)):
-            if live[j]:
-                np.multiply(a, 0.5, out=a)
-                for i in range(low):
-                    _add_flip(a, b, i)
-            for i in range(n - low):
-                k = j ^ (1 << i)
-                if live[k] or signed[j]:
-                    np.add(a, prods[k], out=a)
+        # The flip adds read their source through a reversed axis, which
+        # numpy's iterator copies through its ufunc buffers; smaller ones
+        # stay in L1 (see _FLIP_BUFSIZE).  The setting is scoped to this
+        # block, which yields to no caller and runs no reduction, whose
+        # bits could depend on it.
+        with np.errstate():
+            np.setbufsize(_FLIP_BUFSIZE)
+            for j, a in enumerate(slabs):
+                if live[j]:
+                    np.multiply(a, 0.5, out=a)
+                    for t, s in flips:
+                        x = t[j]
+                        np.add(x, s[j], out=x, order="C")
+                for i in range(n - low):
+                    k = j ^ (1 << i)
+                    if live[k] or signed[j]:
+                        np.add(a, prods[k], out=a)
         _unshift(probs, other, idx)
-        return other, probs
+        return spare, law
     b = chain.middle - 1
     np.add(_split(probs, b), _split(probs, b)[:, ::-1], out=_split(other, b))
     np.multiply(other, 0.5, out=other)
     _unshift(other, probs, idx)
-    return probs, other
+    return law, spare
 
 
 def _evolution(
@@ -206,10 +245,12 @@ def _evolution(
     in one more buffer of its size; a q1 step swaps the two.  The scratch
     buffer is free for the caller's use until it advances the iterator.
     """
-    idx, other = _unshift_index(chain.n), np.empty_like(probs)
+    idx = _unshift_index(chain.n)
+    low = min(chain.n, _SLAB_BITS) if chain.kind == "q1" else 0
+    law, spare = ((a, _flip_views(a, low)) for a in (probs, np.empty_like(probs)))
     while True:
-        yield probs, other
-        probs, other = _step(chain, probs, other, idx)
+        yield law[0], spare[0]
+        law, spare = _step(chain, law, spare, idx)
 
 
 def evolve_exact(
@@ -227,16 +268,29 @@ def evolve_exact(
     return DistributionVector(chain.n, probs)
 
 
-def _tv(probs: np.ndarray, out: np.ndarray) -> float:
-    """TV distance of ``probs`` to uniform, using ``out`` as scratch."""
-    np.subtract(probs, 1.0 / probs.size, out=out)
-    np.abs(out, out=out)
-    return 0.5 * float(out.sum())
+def _tv(probs: np.ndarray, scratch: np.ndarray) -> float:
+    """TV distance of ``probs`` to uniform, with ``scratch`` as work space.
+
+    ``scratch`` holds one slab: all of ``probs``, or 2**k of its entries
+    with k >= 7.  Each slab's |p - 2**-n| is summed in it, in cache, and the
+    partial sums are added as a binary tree of halves.  numpy's pairwise
+    sum of a contiguous float64 array of 2**m entries is that tree down to
+    blocks of 128 entries, so the result equals 0.5 * |probs - 2**-n|.sum()
+    bit for bit.
+    """
+    parts = np.empty(probs.size // scratch.size)
+    for j, slab in enumerate(probs.reshape(-1, scratch.size)):
+        np.subtract(slab, 1.0 / probs.size, out=scratch)
+        np.abs(scratch, out=scratch)
+        parts[j] = scratch.sum()
+    while parts.size > 1:
+        parts = parts[0::2] + parts[1::2]
+    return 0.5 * float(parts[0])
 
 
 def tv_to_uniform(d: DistributionVector) -> float:
     """Total variation distance to the uniform distribution."""
-    return _tv(d.probs, np.empty(d.probs.shape))
+    return _tv(d.probs, np.empty(min(d.probs.size, 1 << _SLAB_BITS)))
 
 
 def _weights(n: int) -> np.ndarray:
@@ -280,4 +334,7 @@ def exact_tv_curve(
     if t_max < 0:
         raise ValueError(f"t_max must be >= 0, got {t_max}")
     states = _evolution(chain, point_mass(chain.n, x0).probs)
-    return [(t, _tv(probs, tmp)) for t, (probs, tmp) in zip(range(t_max + 1), states)]
+    return [
+        (t, _tv(probs, tmp[: 1 << _SLAB_BITS]))
+        for t, (probs, tmp) in zip(range(t_max + 1), states)
+    ]

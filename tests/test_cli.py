@@ -298,6 +298,14 @@ class TestProfile:
             assert code == 2
             assert err.startswith("error:")
 
+    @pytest.mark.parametrize("t", ["a..b", "1..2..3", "a", "..3", "3..", "1.5", "", "0x3"])
+    def test_malformed_range_names_the_flag(self, capsys, t):
+        code, out, err = run_cli(capsys, "profile", "--chain", "q1", "--n", "8",
+                                 f"--t={t}", "--seed", "1")
+        assert code == 2
+        assert out == ""
+        assert err == f"error: --t expects a time T or a range A..B of integers, got {t!r}\n"
+
     def test_overlong_range_is_usage_error(self, capsys):
         code, out, err = run_cli(capsys, "profile", "--chain", "q1", "--n", "4",
                                  "--t", "0..99999999999", "--seed", "1")

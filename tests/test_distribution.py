@@ -57,6 +57,22 @@ def reference_step(chain, probs, inv):
     return 0.5 * (probs[inv] + probs[inv ^ (1 << (m - 1))])
 
 
+def split_reference_step(chain, probs, inv):
+    """The bit-flip average on the whole vector, then the inverse shift as a
+    gather: on q1, 0.5 p, then + w p[x ^ 2**i] for i = 0..n-1, each flip
+    read through a reversed axis of the (higher bits, bit i, lower bits)
+    view."""
+    n = chain.n
+    if chain.kind == "q1":
+        acc, prods = 0.5 * probs, probs * (1.0 / (2 * n))
+        for i in range(n):
+            view = acc.reshape(-1, 2, 1 << i)
+            view += prods.reshape(-1, 2, 1 << i)[:, ::-1]
+        return acc[inv]
+    split = probs.reshape(-1, 2, 1 << (chain.middle - 1))
+    return (0.5 * (split + split[:, ::-1])).ravel()[inv]
+
+
 def reference_evolve(chain, probs, steps):
     inv = reference_inverse_shift_index(chain.n)
     for _ in range(steps):
@@ -333,6 +349,28 @@ class TestAgainstReference:
                     == reference_evolve(q1(n), d.probs, steps).tobytes()
                 ), (seed, steps)
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.one_of(st.integers(1, 15), st.integers(16, 18)),
+        kind=st.sampled_from(["q1", "q2"]),
+        shares=st.tuples(*[st.sampled_from([0.0, 0.3, 0.7, 1.0])] * 3),
+        steps=st.integers(1, 2),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_property_step_matches_split_reference(self, n, kind, shares, steps, seed):
+        # One slab up to n = 15, and 2, 4 or 8 slabs of 2**15 entries from
+        # n = 16, on rough laws (see test_property_small_slabs) with the
+        # module's own slab size; the bytes must match.
+        if kind == "q2":
+            n += n % 2
+        chain = q1(n) if kind == "q1" else q2(n)
+        probs = rough_law(n, min(n, distribution._SLAB_BITS), seed, *shares)
+        inv, expected = reference_inverse_shift_index(n), probs
+        for _ in range(steps):
+            expected = split_reference_step(chain, expected, inv)
+        stepped = evolve_exact(chain, DistributionVector(n, probs), steps).probs
+        assert stepped.tobytes() == expected.tobytes()
+
     @pytest.mark.parametrize("n", [17, 18])
     def test_curve_across_slabs(self, n):
         # 2 and 4 slabs of 2**15 entries, each adding its partners' products.
@@ -344,6 +382,31 @@ class TestAgainstReference:
 class TestTV:
     def test_uniform_is_zero(self):
         assert tv_to_uniform(uniform_law(5)) == 0.0
+
+    @pytest.mark.parametrize("n", range(22))
+    def test_slab_sums_equal_numpy_sum(self, n):
+        # The slab partials, added as a tree of halves, give numpy's
+        # pairwise sum to the bit: one slab up to n = 15, then 2 to 64
+        # slabs, on entries of every magnitude from subnormal to 2**20
+        # beside +0.0, -0.0 and 2**-n itself.
+        gen = stream(n, 5)
+        size = 1 << n
+        probs = gen.random(size) * 2.0 ** gen.integers(-60, 21, size)
+        kind = gen.integers(0, 5, size)
+        tiny = gen.integers(1, 1 << 52, size, dtype=np.uint64).view(np.float64)
+        probs[kind == 1] = tiny[kind == 1]
+        probs[kind == 2] = 0.0
+        probs[kind == 3] = -0.0
+        probs[kind == 4] = 2.0**-n
+        scratch = np.empty(min(size, 1 << distribution._SLAB_BITS))
+        expected = 0.5 * float(np.abs(probs - 2.0**-n).sum())
+        assert distribution._tv(probs, scratch) == expected
+
+    def test_scratch_is_one_slab(self):
+        d = DistributionVector(20, stream(3, 20).dirichlet(np.ones(1 << 20)))
+        tv, peak = peak_bytes(tv_to_uniform, d)
+        assert peak < 2**20
+        assert tv == 0.5 * float(np.abs(d.probs - 2.0**-20).sum())
 
     def test_two_point_mixture(self):
         probs = np.zeros(4)
@@ -404,3 +467,48 @@ class TestCurve:
                 x0 = BitVector.random(n, gen)
                 d = evolve_exact(chain, point_mass(n, x0), n)
                 assert tv_to_uniform(d) <= 1e-12
+
+
+class TestBufferSize:
+    """A q1 step sets numpy's ufunc buffer size for its flips alone: every
+    call hands the caller back the size it had, even a caller's own."""
+
+    CALLER = 3 * distribution._FLIP_BUFSIZE
+
+    @pytest.mark.parametrize("n", [9, 17])
+    def test_public_calls_restore_it(self, n):
+        x0, default = BitVector(n, 5), np.getbufsize()
+        for size in (default, self.CALLER):
+            with np.errstate():
+                np.setbufsize(size)
+                d = evolve_exact(q1(n), point_mass(n, x0), 3)
+                assert np.getbufsize() == size
+                exact_tv_curve(q1(n), x0, 3)
+                assert np.getbufsize() == size
+                tv_to_uniform(d)
+                assert np.getbufsize() == size
+        assert np.getbufsize() == default
+
+    @pytest.mark.parametrize("n", [9, 17])
+    def test_suspended_sweep_holds_the_callers(self, n):
+        with np.errstate():
+            np.setbufsize(self.CALLER)
+            laws = exact_laws(q1(n), BitVector(n, 5), n)
+            for t, _ in laws:
+                assert np.getbufsize() == self.CALLER
+                if t == 3:
+                    break
+            assert np.getbufsize() == self.CALLER
+            assert next(laws)[0] == 4 and np.getbufsize() == self.CALLER
+
+    def test_step_that_raises_restores_it(self):
+        # A read-only law fails at the first in-place halving, inside the
+        # step's block.
+        default = np.getbufsize()
+        probs = point_mass(9, BitVector(9, 5)).probs
+        probs.flags.writeable = False
+        states = distribution._evolution(q1(9), probs)
+        next(states)
+        with pytest.raises(ValueError, match="read-only"):
+            next(states)
+        assert np.getbufsize() == default
