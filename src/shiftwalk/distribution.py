@@ -181,9 +181,9 @@ _Buffer = tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray]]]
 def _step(
     chain: ChainKind, law: _Buffer, spare: _Buffer, idx: np.ndarray
 ) -> tuple[_Buffer, _Buffer]:
-    """One step of the kernel on the law in buffer ``probs``, with ``other``
-    a buffer of the same size, each passed as ``law`` and ``spare`` with
-    its flip views; returns (law, spare), the two in their new roles.
+    """One step of the kernel.  ``law`` is the buffer ``probs`` holding the
+    law and ``spare`` a buffer ``other`` of its size, each with its flip
+    views; returns (law, spare), the two in their new roles.
 
     The new mass at y is 0.5 p[x] + sum_i w p[x ^ 2**i], with w = 1/(2n)
     and x the state that shifts onto y, on q1, and 0.5 (p[x] + p[x ^
