@@ -8,6 +8,8 @@ stochastic operation is a thin wrapper over deterministic replay.
 """
 from __future__ import annotations
 
+import itertools
+import operator
 from dataclasses import dataclass
 from typing import Iterator, Sequence, Union
 
@@ -80,9 +82,12 @@ class DrivingSequence:
             raise ValueError(
                 f"{len(self.coords)} coordinates vs {len(self.bits)} bits"
             )
-        if any(u < 1 for u in self.coords):
+        # Per entry, ``u < 1`` run by map in C; min cannot stand in, as min
+        # over a NaN before a 0 returns the NaN.  A bit is counted when it
+        # equals 0 or 1, which is ``b in (0, 1)``.
+        if any(map(operator.lt, self.coords, itertools.repeat(1))):
             raise ValueError("update coordinates are 1-based and must be >= 1")
-        if any(b not in (0, 1) for b in self.bits):
+        if self.bits.count(0) + self.bits.count(1) != len(self.bits):
             raise ValueError("update bits must be 0 or 1")
 
     def __len__(self) -> int:

@@ -199,12 +199,13 @@ _PROFILE_COLUMNS = (
 )
 
 
-def _profile(args: argparse.Namespace, seed: int) -> tuple[dict, Iterator[dict]]:
+def _profile(args: argparse.Namespace) -> tuple[dict, Iterator[dict]]:
     """The report's fields and its rows, each row a dict of its non-empty
     columns.
 
-    Every argument is checked and every column computed before this
-    returns; the rows are then built one at a time as they are taken.
+    Every argument is checked, then the seed resolved, and every column
+    computed before this returns; the rows are then built one at a time as
+    they are taken.
     """
     if args.samples < 0:
         raise ValueError(f"--samples must be >= 0, got {args.samples}")
@@ -215,26 +216,29 @@ def _profile(args: argparse.Namespace, seed: int) -> tuple[dict, Iterator[dict]]
     x0 = _parse_state(args.x0, n)
     if args.format == "json":
         _check_printable(n)
-
-    curve = None
-    if n <= distribution.MAX_EXACT_N:
+    exact = n <= distribution.MAX_EXACT_N
+    if exact:
         # 2^n words a step: at most the work of the largest n over t = 0..n+1.
         cap = distribution.MAX_EXACT_N
         if (1 << n) * (ts[-1] + 1) > (1 << cap) * (cap + 2):
             raise ValueError(f"the exact column at n = {n} up to t = {ts[-1]} is past "
                              f"the work of n = {cap} up to t = {cap + 1}; shorten --t")
-        curve = distribution.exact_tv_curve(chain, x0, ts[-1])
-
-    upper = window = None
+    # The window overflows a float at a huge n, and the stationary law
+    # has a largest n: both fail before the seed is drawn.
+    window = None
     if chain.kind == "q1" and n >= 3:
-        # Rows report the bound from t = n+1 on; so its sweep over n runs
-        # only for n below --t's bound.
-        if ts[-1] >= n + 1:
-            upper = spectral.fourier_sum(n).tv_bound
         window = weight_stats.chebyshev_window(n, args.alpha, args.c)
-
     if args.samples:
         pmf = weight_stats.stationary_weight_pmf(n)
+    seed = _resolve_seed(args.seed)
+
+    curve = distribution.exact_tv_curve(chain, x0, ts[-1]) if exact else None
+    # Rows report the bound from t = n+1 on; so its sweep over n runs only
+    # for n below --t's bound.
+    upper = None
+    if chain.kind == "q1" and n >= 3 and ts[-1] >= n + 1:
+        upper = spectral.fourier_sum(n).tv_bound
+    if args.samples:
         counts = weight_stats.weight_counts(chain, x0, ts, args.samples, seed)
 
     def rows() -> Iterator[dict]:
@@ -270,8 +274,7 @@ def _profile(args: argparse.Namespace, seed: int) -> tuple[dict, Iterator[dict]]
 
 
 def _cmd_profile(args: argparse.Namespace) -> int:
-    seed = _resolve_seed(args.seed)
-    report, rows = _profile(args, seed)
+    report, rows = _profile(args)
     # The rows are written as they are built, so memory does not grow with
     # the time range.
     if args.format == "json":
@@ -314,9 +317,11 @@ def _cmd_sample(args: argparse.Namespace) -> int:
     _check_printable(args.n)
     if args.count < 0:
         raise ValueError(f"--count must be >= 0, got {args.count}")
-    seed = _resolve_seed(args.seed)
     x0 = _parse_state(args.x0, args.n)
-    blocks = _sample_blocks(x0, seed, 0, args.count)  # an odd n fails here
+    if args.n % 2:
+        raise ValueError(f"--n must be even, got {args.n}")
+    seed = _resolve_seed(args.seed)
+    blocks = _sample_blocks(x0, seed, 0, args.count)
     with _open_output(args.out) as fh:
         # One write per block of draws, so memory does not grow with --count.
         for bits in blocks:
@@ -328,26 +333,33 @@ def _cmd_sample(args: argparse.Namespace) -> int:
 
 # ----------------------------------------------------------------- solve
 
+# The bytes 0 and 1 to the ASCII digits: the solved bits, which are the
+# ints 0 and 1, as bytes.
+_BIT_DIGITS = bytes.maketrans(b"\0\1", b"01")
+
+
 def _cmd_solve(args: argparse.Namespace) -> int:
     start = BitVector.from_string(args.from_state)
     target = BitVector.from_string(args.to_state)
     driving = solve_driving(start, target)
-    print("".join(str(b) for b in driving.bits))
+    print(bytes(driving.bits).translate(_BIT_DIGITS).decode("ascii"))
     return 0
 
 
 # -------------------------------------------------------------- simulate
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
+    if args.t < 0:
+        raise ValueError(f"--t must be >= 0, got {args.t}")
     if args.t >= MAX_PROFILE_TIMES:
         raise ValueError(f"--t {args.t} is past {MAX_PROFILE_TIMES - 1}, "
                          "the last time simulate reports")
     _check_printable(args.n)
-    seed = _resolve_seed(args.seed)
     chain = ChainKind(args.chain, args.n)
     x0 = _parse_state(args.x0, args.n)
-    # Row 0 first: an n too large to print fails before any draw or write.
+    # Row 0 first: an n too large to print fails before the seed is drawn.
     row0 = f"0,{x0.to_string()},{x0.weight()}\n"
+    seed = _resolve_seed(args.seed)
     words = _replay(chain, x0, random_driving(chain, args.t, seed))
     next(words)  # x_0, whose row is formed
     with _open_output(args.out) as fh:

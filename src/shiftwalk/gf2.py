@@ -23,6 +23,10 @@ __all__ = [
 ]
 
 
+# Maps the ASCII digits 0 and 1 to the bytes 0 and 1.
+_DIGIT_VALUES = bytes.maketrans(b"01", b"\0\1")
+
+
 class SingularMatrixError(ValueError):
     """A linear solve met a matrix that is not invertible over GF(2)."""
 
@@ -52,7 +56,7 @@ class BitVector:
     @classmethod
     def from_string(cls, text: str) -> BitVector:
         """Parse a bitstring whose leftmost character is coordinate 1."""
-        if not text or any(ch not in "01" for ch in text):
+        if not text or text.strip("01"):
             raise ValueError(f"expected a nonempty string of 0s and 1s, got {text!r}")
         return cls(len(text), int(text[::-1], 2))
 
@@ -78,7 +82,7 @@ class BitVector:
 
     @property
     def bits(self) -> tuple[int, ...]:
-        return tuple(self)
+        return tuple(self.to_string().encode("ascii").translate(_DIGIT_VALUES))
 
     def weight(self) -> int:
         """Number of ones (Hamming weight)."""

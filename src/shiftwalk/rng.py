@@ -14,12 +14,13 @@ as easy as 1, 2, 3", SC 2011).  Stream (seed, index) has the key
 (seed, index) mod 2**64, and its j-th block of four 64-bit outputs is ten
 rounds over the counter (j, 0, 0, 0), j counting from 1.  A short stream
 is cheapest computed from that definition, in numpy over all the
-(stream, counter) pairs of a block at once; a long one by resetting a
-numpy Philox to the stream's key and drawing.  The stream's length alone
-picks the path.
+(stream, counter) pairs of a group of streams at once; a long one by
+resetting a numpy Philox to the stream's key and drawing.  The stream's
+length alone picks the path.
 """
 from __future__ import annotations
 
+import functools
 from typing import Iterator
 
 import numpy as np
@@ -34,16 +35,21 @@ _MASK64 = (1 << 64) - 1
 # downstream (raw words, 64-bit products, rejection flags, bytes) take
 # about 12 bytes per value, so a block stays under 1/2 MiB.
 _BLOCK_VALUES = 1 << 15
-# Philox4x64's round multipliers and key increments.
+# Philox4x64's round multipliers and key increments; _M and _W hold them
+# as (2, 1, 1) columns against the lane pair (x0, x2) and the key (k0, k1).
 _M0, _M1 = 0xD2E7470EE14C6C93, 0xCA5A826395121157
 _W0, _W1 = 0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B
 _LOW32, _32 = np.uint64(0xFFFFFFFF), np.uint64(32)
-# Streams of at most _ROUND_MAX_BLOCKS Philox blocks (k <= 80 values) take
+_M = np.array([_M0, _M1], dtype=np.uint64).reshape(2, 1, 1)
+_M_LO, _M_HI = _M & _LOW32, _M >> _32
+_W = np.array([_W0, _W1], dtype=np.uint64).reshape(2, 1, 1)
+# Streams of at most _ROUND_MAX_BLOCKS Philox blocks (k <= 112 values) take
 # the rounds in numpy; longer ones reset one Philox per stream.  The rounds
-# cost about 6x numpy's C loop per output and save the reset, about 2 us a
-# stream.  A measured crossover (2 shared vCPUs, numpy 2.4): over 10^4
-# streams the rounds were faster up to k = 80 and slower from k = 88.
-_ROUND_MAX_BLOCKS = 10
+# cost about 0.12 us a Philox block and save the reset, about 1.7 us a
+# stream.  A measured crossover (2 shared vCPUs, numpy 2.4, groups of
+# _BLOCK_VALUES // 4 Philox blocks): over 10^4 streams the rounds were
+# faster up to k = 112, level at k = 120 and slower from k = 128.
+_ROUND_MAX_BLOCKS = 14
 
 
 def stream(seed: int, index: int = 0) -> np.random.Generator:
@@ -52,55 +58,88 @@ def stream(seed: int, index: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _mulhilo(a: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """The high and low 64 bits of ``a * m``, for uint64 ``a`` and a 64-bit
-    constant ``m``, from the four 32-bit products of their halves.
+def _mulhilo(a: np.ndarray, hi: np.ndarray, s1: np.ndarray, s2: np.ndarray) -> None:
+    """Write the high 64 bits of ``a * _M`` to ``hi`` and replace ``a`` by
+    the low 64 bits, for a uint64 ``a`` of shape (2, ...): the four 32-bit
+    products of the halves, with ``s1`` and ``s2`` as scratch of a's shape.
 
     No sum passes 2**64: a product of two 32-bit halves is at most
     (2**32 - 1)**2, which leaves room for one more 32-bit term.
     """
-    m_lo, m_hi = np.uint64(m & 0xFFFFFFFF), np.uint64(m >> 32)
-    a_lo, a_hi = a & _LOW32, a >> _32
-    mid = a_lo * m_lo
-    mid >>= _32
-    mid += a_hi * m_lo
-    a_lo *= m_hi
-    a_lo += mid & _LOW32
-    mid >>= _32
-    a_lo >>= _32
-    a_hi *= m_hi
-    a_hi += mid
-    a_hi += a_lo
-    return a_hi, a * np.uint64(m)
+    np.bitwise_and(a, _LOW32, s1)
+    np.multiply(s1, _M_LO, s2)
+    s2 >>= _32
+    s1 *= _M_HI
+    np.right_shift(a, _32, hi)
+    hi *= _M_LO
+    s2 += hi  # the middle word: a_hi * m_lo plus the carry of a_lo * m_lo
+    np.bitwise_and(s2, _LOW32, hi)
+    s1 += hi
+    s1 >>= _32
+    s2 >>= _32
+    s2 += s1  # what the middle words carry into the high word
+    np.right_shift(a, _32, hi)
+    hi *= _M_HI
+    hi += s2
+    a *= _M
 
 
 def _philox_rounds(seed: int, first: int, out: np.ndarray) -> None:
-    """Fill the (rows, 4 * blocks) uint64 ``out``: row j with the first
-    ``4 * blocks`` outputs of stream ``first + j``.
+    """Fill the C-contiguous (rows, 4 * blocks) uint64 ``out``: row j with
+    the first ``4 * blocks`` outputs of stream ``first + j``.
 
-    The ten rounds run over every stream's counters 1..blocks at once.  A
-    round takes the lanes (x0, x1, x2, x3) under the key (k0, k1) to
+    A round takes the lanes (x0, x1, x2, x3) under the key (k0, k1) to
     (hi(M1 x2) ^ x1 ^ k0, lo(M1 x2), hi(M0 x0) ^ x3 ^ k1, lo(M0 x0)), and
-    the key then steps by (W0, W1).  The lanes start as broadcast rows, so
-    the first two rounds multiply only one full-size lane each.
+    the key then steps by (W0, W1).  The lanes are held as the pairs
+    (x0, x2) and (x1, x3), each a (2, blocks, rows) array, so that one
+    numpy call serves both multiplications: a round takes the pairs
+    (even, odd) to (odd ^ hi(even)[::-1] ^ key, lo(even)[::-1]).  The
+    first round, over the counters alone, is taken in Python ints, and two
+    of the round's scratch arrays are ``out`` until the lanes are copied in.
     """
     rows, blocks = out.shape[0], out.shape[1] // 4
+    shape, size = (2, blocks, rows), 2 * blocks * rows
+    seed &= _MASK64
+    key = np.empty((2, 1, rows), dtype=np.uint64)
+    key[0] = seed
+    np.add(np.arange(rows, dtype=np.uint64), np.uint64(first & _MASK64), key[1, 0])
+    # Round 1 takes (j, 0, 0, 0) to (k0, 0, hi(M0 j) ^ k1, lo(M0 j)).
+    products = [j * _M0 for j in range(1, blocks + 1)]
+    even, odd = np.empty(shape, dtype=np.uint64), np.empty(shape, dtype=np.uint64)
+    even[0] = seed
+    np.bitwise_xor(np.array([p >> 64 for p in products], dtype=np.uint64)[:, None],
+                   key[1], even[1])
+    odd[0] = 0
+    odd[1] = np.array([p & _MASK64 for p in products], dtype=np.uint64)[:, None]
+    key += _W
+    flat = out.reshape(-1)
+    hi, s1 = flat[:size].reshape(shape), flat[size:].reshape(shape)
+    s2 = np.empty(shape, dtype=np.uint64)
+    # The key broadcasts over the blocks, and for that numpy's iterator
+    # allocates its ufunc buffers, 64 KiB at the default size; 1024
+    # elements keep them at 8 KiB.  The setting is scoped to this block,
+    # which yields to no caller and runs no reduction.
+    with np.errstate():
+        np.setbufsize(1024)
+        for _ in range(9):
+            _mulhilo(even, hi, s1, s2)
+            odd ^= hi[::-1]
+            odd ^= key
+            key += _W
+            even, odd = odd, even[::-1]
     lanes = out.reshape(rows, blocks, 4)
-    counters = np.arange(1, blocks + 1, dtype=np.uint64)
-    zero = np.zeros(1, dtype=np.uint64)
-    # numpy warns when a uint64 scalar overflows, not when an array does.
-    k0 = seed & _MASK64
-    k1 = np.arange(rows, dtype=np.uint64)[:, None]
-    k1 += np.uint64(first & _MASK64)
-    x0, x1, x2, x3 = counters, zero, zero, zero
-    for _ in range(10):
-        hi0, lo0 = _mulhilo(x0, _M0)
-        hi1, lo1 = _mulhilo(x2, _M1)
-        x0, x1, x2, x3 = hi1 ^ x1 ^ np.uint64(k0), lo1, hi0 ^ x3 ^ k1, lo0
-        k0 = (k0 + _W0) & _MASK64
-        k1 += np.uint64(_W1)
-    for i, x in enumerate((x0, x1, x2, x3)):
-        lanes[:, :, i] = x
+    for i, x in enumerate((even[0], odd[0], even[1], odd[1])):
+        lanes[:, :, i] = x.T
+
+
+@functools.cache
+def _reset_philox() -> np.random.Philox:
+    """The one Philox that the reset path re-keys before every stream.
+    Building it hashes a SeedSequence, so it is built once a process, when
+    a stream first needs it.  Each stream is drawn whole between the reset
+    and the next yield, so interleaved ``stream_words`` calls can share it;
+    threads cannot."""
+    return np.random.Philox(0)
 
 
 def stream_words(
@@ -110,13 +149,15 @@ def stream_words(
     ``(seed, start) .. (seed, start + count - 1)``, in blocks.
 
     Yields ``(offset, block)`` pairs: row j of the (rows, k) uint32 block
-    holds the values of stream ``start + offset + j``.  A stream's k
-    values fill ceil(k / 8) Philox blocks, which come from one of two
-    paths with the same bits:
+    holds the values of stream ``start + offset + j``, with rows
+    ``_BLOCK_VALUES // k``.  A stream's k values fill ceil(k / 8) Philox
+    blocks, which come from one of two paths with the same bits:
 
-    * the rounds, run in numpy over every (stream, counter) pair of the
-      block in one pass, for streams of at most 10 Philox blocks
-      (k <= 80), where they measured faster;
+    * the rounds, run in numpy over every (stream, counter) pair of a
+      group of streams in one pass, for streams of at most 14 Philox
+      blocks (k <= 112), where they measured faster.  A group is as many
+      whole yielded blocks as fit in ``_BLOCK_VALUES // 4`` Philox blocks
+      (streams times blocks a stream), and at least one: two at k = 64;
     * for longer streams, one Philox reset per stream, rather than built,
       since building one seeds it from system entropy that the key then
       overwrites.
@@ -130,27 +171,33 @@ def stream_words(
     words = (k + 1) // 2
     blocks = (words + 3) // 4
     rows = max(1, _BLOCK_VALUES // max(k, 1))
-    bitgen = np.random.Philox(0)
-    key = [seed & _MASK64, 0]
-    state = {
-        "bit_generator": "Philox",
-        "state": {"counter": [0, 0, 0, 0], "key": key},
-        "buffer": [0, 0, 0, 0],
-        "buffer_pos": 4,
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
-    for offset in range(0, count, rows):
-        size = min(rows, count - offset)
+    rounds = blocks <= _ROUND_MAX_BLOCKS
+    group = rows
+    if rounds:
+        group *= max(1, _BLOCK_VALUES // 4 // max(1, rows * blocks))
+    else:
+        bitgen, key = _reset_philox(), [seed & _MASK64, 0]
+        state = {
+            "bit_generator": "Philox",
+            "state": {"counter": [0, 0, 0, 0], "key": key},
+            "buffer": [0, 0, 0, 0],
+            "buffer_pos": 4,
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+    for first in range(0, count, group):
+        size = min(group, count - first)
         raw = np.empty((size, 4 * blocks), dtype=np.uint64)
-        if blocks <= _ROUND_MAX_BLOCKS:
-            _philox_rounds(seed, start + offset, raw)
+        if rounds:
+            _philox_rounds(seed, start + first, raw)
         else:
             for j in range(size):
-                key[1] = (start + offset + j) & _MASK64
+                key[1] = (start + first + j) & _MASK64
                 bitgen.state = state
                 raw[j, :words] = bitgen.random_raw(words)
-        yield offset, raw[:, :words].astype("<u8", copy=False).view("<u4")[:, :k]
+        values = raw[:, :words].astype("<u8", copy=False).view("<u4")[:, :k]
+        for offset in range(0, size, rows):
+            yield first + offset, values[offset : offset + rows]
 
 
 def bounded(values: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:

@@ -111,6 +111,29 @@ class TestSimulate:
         with pytest.raises(ValueError):
             DrivingSequence((1,), (2,))
 
+    NAN = float("nan")
+
+    @pytest.mark.parametrize("coords, bits, valid", [
+        ((1, 3), (0, 1), True), ((2,), (True,), True), ((2,), (1.0,), True),
+        ((), (), True),
+        ((NAN, 2), (0, 1), True),  # NaN < 1 is false
+        ((0,), (1,), False), ((-1,), (1,), False), ((2, 0), (1, 1), False),
+        # A NaN before or after a 0: min over the first returns the NaN.
+        ((NAN, 0), (1, 1), False), ((0, NAN), (1, 1), False),
+        ((1,), (2,), False), ((1,), (-1,), False), ((1,), (NAN,), False),
+        ((1, 1), (0, 2), False),
+    ])
+    def test_driving_checks_are_the_per_entry_checks(self, coords, bits, valid):
+        """DrivingSequence accepts what ``u < 1`` and ``b not in (0, 1)``,
+        tested entry by entry, accept."""
+        assert valid == (not any(u < 1 for u in coords)
+                         and not any(b not in (0, 1) for b in bits))
+        if valid:
+            assert DrivingSequence(coords, bits).bits == bits
+        else:
+            with pytest.raises(ValueError):
+                DrivingSequence(coords, bits)
+
 
 class TestSimulateRandom:
     def test_deterministic_for_fixed_seed(self):

@@ -540,8 +540,8 @@ class TestProfile:
         built = []
         profile = cli._profile
 
-        def spy(args, seed):
-            report, rows = profile(args, seed)
+        def spy(args):
+            report, rows = profile(args)
             built.append((report, list(rows)))
             return report, iter(built[-1][1])
 
@@ -563,7 +563,7 @@ class TestProfile:
     def test_json_rows_are_strict(self, capsys, monkeypatch, rows):
         # No rows, and non-finite values, which become null.
         report = {"command": "profile", "versions": {"numpy": "1"}, "c": math.inf}
-        monkeypatch.setattr(cli, "_profile", lambda args, seed: (report, iter(rows)))
+        monkeypatch.setattr(cli, "_profile", lambda args: (report, iter(rows)))
         code, out, _ = run_cli(capsys, "profile", "--chain", "q1", "--n", "4",
                                "--t", "1", "--seed", "1", "--format", "json")
         assert code == 0
@@ -733,6 +733,22 @@ class TestSeedRange:
         out_file = tmp_path / "out.txt"
         code, _, _ = run_cli(capsys, *argv, "--out", str(out_file))
         assert code == 2 and not out_file.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ("sample", "--n", "3", "--count", "1"),
+        ("sample", "--n", "4", "--count", "-1"),
+        ("simulate", "--chain", "q2", "--n", "3", "--t", "2"),
+        ("simulate", "--chain", "q1", "--n", "4", "--t", "-1"),
+        ("profile", "--chain", "q1", "--n", "3", "--t", "0..x"),
+        ("profile", "--chain", "q1", "--n", str(2**14 + 1), "--t", "0", "--samples", "1"),
+        ("profile", "--chain", "q1", "--n", str(10**400), "--t", "0"),
+    ])
+    def test_usage_error_draws_no_seed(self, capsys, argv):
+        """Without --seed, a run that fails a usage check draws and prints
+        no seed: stderr holds only the error line."""
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1, err
 
     @pytest.mark.parametrize("seed", [0, 2**64 - 1])
     def test_seed_at_either_end_is_used(self, capsys, seed):

@@ -106,8 +106,13 @@ class TestStringForms:
             text = v.to_string()
             assert text == old_to_string(v) and len(text) == n
             assert BitVector.from_string(text) == old_from_string(text) == v
+            bits = v.bits
+            assert bits == tuple((word >> i) & 1 for i in range(n)) == tuple(v)
+            assert all(type(b) is int for b in bits)
 
-    @pytest.mark.parametrize("text", ["", "012", " 01", "01 ", "0_1", "+01", "-1", "1\n"])
+    # Full-width digits, which int(..., 2) reads, and a base prefix.
+    @pytest.mark.parametrize("text", ["", "012", " 01", "01 ", "0_1", "+01", "-1", "1\n",
+                                      "\uff10\uff11", "0b1"])
     def test_rejects_non_bitstrings(self, text):
         with pytest.raises(ValueError):
             BitVector.from_string(text)

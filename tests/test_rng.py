@@ -146,27 +146,72 @@ class TestStreamWordPaths:
                 index = (start + offset + j) % 2**64
                 assert np.array_equal(row, reference_words(seed, index, k))
 
-    @pytest.mark.parametrize("k, rounds", [(64, True), (80, True), (88, False)])
-    @pytest.mark.parametrize("count", [1, 272, 512])
-    def test_stream_length_alone_picks_the_path(self, monkeypatch, count, k, rounds):
-        """Up to 10 Philox blocks a stream (k <= 80) every block takes the
-        rounds, short ones included; from k = 88 none does."""
-        sizes = []
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**64 - 1),
+        start=st.integers(2**64 - 500, 2**64 - 1),
+        k=st.sampled_from([1, 7, 64, 80]),
+        rows=st.integers(1, 40),
+        groups=st.integers(1, 3),
+        short=st.floats(0, 1, exclude_max=True),
+    )
+    def test_grouped_rounds(self, seed, start, k, rows, groups, short):
+        """Several groups of rounds and a short last one, across the
+        index's wrap: every row is its stream's values, the blocks keep
+        their offsets, and the rounds cover each stream once."""
+        sizes, covered = [], []
         philox_rounds = rng._philox_rounds
 
         def spy(seed, first, out):
             sizes.append(len(out))
+            covered.extend(range(first, first + len(out)))
+            philox_rounds(seed, first, out)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(rng, "_BLOCK_VALUES", rows * k)
+            patch.setattr(rng, "_philox_rounds", spy)
+            # The first block runs the first group, and only it.
+            next(rng.stream_words(seed, start, 10**9, k))
+            (group,) = sizes
+            # A group is as many whole blocks as fit in _BLOCK_VALUES // 4
+            # Philox blocks: two at k = 64 and 80, one at k = 1 and 7.
+            assert group == (2 if k >= 64 else 1) * rows
+            count = groups * group + 1 + int(short * (group - 1))
+            sizes.clear()
+            covered.clear()
+            blocks = list(rng.stream_words(seed, start, count, k))
+        assert sizes == [group] * (count // group) + ([count % group] if count % group else [])
+        assert covered == list(range(start, start + count))
+        assert [o for o, _ in blocks] == list(range(0, count, rows))
+        for offset, words in blocks:
+            assert words.dtype == np.uint32 and words.shape[1] == k
+            for j, row in enumerate(words):
+                index = (start + offset + j) % 2**64
+                assert np.array_equal(row, reference_words(seed, index, k))
+
+    @pytest.mark.parametrize("k, rounds", [(64, True), (80, True), (112, True), (120, False)])
+    @pytest.mark.parametrize("count", [1, 272, 512, 2500])
+    def test_stream_length_alone_picks_the_path(self, monkeypatch, count, k, rounds):
+        """Up to 14 Philox blocks a stream (k <= 112) the rounds cover every
+        stream once, in order, short groups included; from k = 120 they
+        cover none."""
+        covered = []
+        philox_rounds = rng._philox_rounds
+
+        def spy(seed, first, out):
+            covered.extend(range(first, first + len(out)))
             philox_rounds(seed, first, out)
 
         monkeypatch.setattr(rng, "_philox_rounds", spy)
-        blocks = [len(words) for _, words in rng.stream_words(1, 0, count, k)]
+        blocks = [len(words) for _, words in rng.stream_words(1, 7, count, k)]
         assert sum(blocks) == count
-        assert sizes == (blocks if rounds else [])
+        assert covered == (list(range(7, 7 + count)) if rounds else [])
 
     # The tracemalloc peaks measured (numpy 2.4): at k = 1 a block is 32768
-    # streams, and one pass of rounds over them peaks at 5.0 MiB; at k = 64
-    # the rounds peak at 649 KiB and the resets at 258 KiB.  The resets,
-    # which k = 1 never takes, would spend about 30 s on these counts.
+    # streams, and one group of rounds over them peaks at 4.0 MiB; at k = 64
+    # a group is two blocks, 1024 streams, the rounds peak at 917 KiB and
+    # the resets at 259 KiB.  The resets, which k = 1 never takes, would
+    # spend about 30 s on these counts.
     @pytest.mark.parametrize("path, k", [("rounds", 1), ("rounds", 64), ("resets", 64)])
     def test_memory_does_not_grow_with_count(self, monkeypatch, path, k):
         force_path(monkeypatch, path)
