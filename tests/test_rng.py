@@ -189,6 +189,20 @@ class TestStreamWordPaths:
                 index = (start + offset + j) % 2**64
                 assert np.array_equal(row, reference_words(seed, index, k))
 
+    @pytest.mark.parametrize("caller", [None, 3072])
+    def test_rounds_leave_the_buffer_size(self, caller):
+        """The rounds' smaller ufunc buffer is scoped to them, also while a
+        draw is suspended between blocks."""
+        with np.errstate():
+            if caller is not None:
+                np.setbufsize(caller)
+            before = np.getbufsize()
+            words = rng.stream_words(1, 0, 3000, 64)
+            next(words)
+            assert np.getbufsize() == before
+            list(words)
+            assert np.getbufsize() == before
+
     @pytest.mark.parametrize("k, rounds", [(64, True), (80, True), (112, True), (120, False)])
     @pytest.mark.parametrize("count", [1, 272, 512, 2500])
     def test_stream_length_alone_picks_the_path(self, monkeypatch, count, k, rounds):
