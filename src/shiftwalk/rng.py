@@ -209,8 +209,14 @@ def bounded(values: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     numpy discards a rejected draw and draws again, so from a rejected
     draw on, the stream's later values feed different outputs.  Rejection
     needs ``(u * k) mod 2**32 < 2**32 mod k``, which is impossible when k
-    is a power of two.
+    is a power of two, 2**j: then ``(u * k) >> 32`` is ``u >> (32 - j)``,
+    which is all this computes, and ``rejected`` is all False.  Both
+    arrays are new and writable in either case.
     """
+    if (1 << 32) % k == 0:
+        m = values.astype(np.uint64)
+        m >>= np.uint64(33 - int(k).bit_length())
+        return m, np.zeros(values.shape, dtype=bool)
     m = values * np.uint64(k)  # uint32 values widen to uint64
     low = m.astype("<u8", copy=False).view("<u4")[..., ::2]  # m mod 2**32
     rejected = low < (1 << 32) % k

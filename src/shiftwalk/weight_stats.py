@@ -154,25 +154,61 @@ def _replay_pairs(
 
 
 # A Monte Carlo block holds at most _MAX_BLOCK trajectories, and its working
-# set, about (n+1) + 3 T bytes a trajectory (uint8 cells and bits, uint16
-# q1 coordinates; T the steps of all its horizons), stays under
-# _BLOCK_BYTES.  A block still holds at least _MIN_BLOCK trajectories (or
-# all of them), since past 8 KiB a trajectory the byte cap alone would
-# leave too few to pay for the per-step overhead (blocks of 92 at
-# t_max = 30000 ran at half speed); memory then grows with t_max, never
-# with the number of samples.  _MAX_BLOCK keeps a block's cells in cache.
-# weight_counts by block width (ms, best of 5; 2 shared vCPUs, numpy 2.4):
+# set, about H (n+1) + 3 T bytes a trajectory (the uint8 cells of each of
+# its H horizons; uint8 bits and uint16 q1 coordinates of T steps, those of
+# its horizons from their first snapshots on), stays under _BLOCK_BYTES.
+# A block still holds at least _MIN_BLOCK trajectories (or all of them),
+# since past 8 KiB a trajectory the byte cap alone would leave too few to
+# pay for the per-step overhead (blocks of 92 at t_max = 30000 ran at half
+# speed); memory then grows with t_max, never with the number of samples.
+# _MAX_BLOCK keeps a block's cells in cache.  weight_counts by block width
+# (ms, best of 5; 2 shared vCPUs, numpy 2.4; measured with the steps before
+# the first snapshot applied in bulk, which flattened the rows):
 #
 #   width                         1024  2048  3072  4096  6144  8192  16384
-#   n = 128, t = 64, 20 000 runs    56    50    48    47    47    47     48
-#   n = 128, t = 128, 100 000      380   345   343   329   326   329    346
+#   n = 128, t = 64, 20 000 runs    38    33    31    30    32    32     31
+#   n = 128, t = 128, 100 000      267   268   263   268   276   264    266
 #
-# At n = 1024 over t = 824..1025 (5000 runs) the byte cap binds first, at
-# 2046 a block; widths 1024 / 1667 / 2500 / 5000 took 116 / 111 / 105 /
-# 106 ms.
+# At n = 1024 over t = 843..1025 (5000 runs) _MAX_BLOCK binds first, at
+# 2500 a block; widths 1024 / 1667 / 2500 / 5000 took 73 / 71 / 74 / 73 ms.
 _BLOCK_BYTES = 8 << 20
 _MIN_BLOCK = 1024
 _MAX_BLOCK = 4096
+
+
+def _add_rows(cells: np.ndarray, columns: slice, bits: np.ndarray, row: int, steps: int) -> None:
+    """Add column s of ``bits`` to row (row + s) mod rows of ``cells``, in
+    ``columns``, for s < ``steps``: runs of rows that do not wrap, added as
+    slices."""
+    s = 0
+    while s < steps:
+        at = (row + s) % len(cells)
+        k = min(len(cells) - at, steps - s)
+        cells[at : at + k, columns] += bits[:, s : s + k].T
+        s += k
+
+
+def _add_steps(
+    chain: ChainKind,
+    cells: np.ndarray,
+    coords: np.ndarray | None,
+    bits: np.ndarray,
+    steps: int,
+    first: int,
+    row_starts: np.ndarray,
+) -> None:
+    """Add each set bit of the first ``steps`` steps of the driving rows
+    (coords, bits) to the two cells that its step toggles, in the columns
+    ``first`` on of the uint8 ``cells`` (see ``_weight_blocks``)."""
+    m = chain.n + 1
+    columns = slice(first, first + len(bits))
+    _add_rows(cells, columns, bits, m - 1, steps)  # the parity cells
+    if coords is None:
+        _add_rows(cells, columns, bits, chain.middle - 1, steps)
+    elif steps:
+        at = row_starts.take(coords[:, :steps] + np.arange(-1, steps - 1) % m)
+        at += np.arange(first, first + len(bits))[:, None]
+        np.add.at(cells.reshape(-1), at.reshape(-1), bits[:, :steps].reshape(-1))
 
 
 def _weight_blocks(
@@ -199,9 +235,14 @@ def _weight_blocks(
     rotation by one cell (see ``gf2._shift_power``).  The buffer never
     moves: after s steps coordinate u sits in cell (u-1+s) mod (n+1) and
     the parity in cell (n+s) mod (n+1), so a step only toggles those two
-    cells when its bit is set.  Cells, bits and coordinates are stored
-    cell- or step-major, (rows, trajectories), so a step reads contiguous
-    rows.
+    cells when its bit is set.  Toggles commute, so the steps before a
+    horizon's first snapshot are applied as each block of streams is
+    decoded: each set bit adds one to its two uint8 cells
+    (``_add_steps``), whose low bits are then the toggled cells, uint8
+    wrapping at 256, an even number.  Only the steps from the first
+    snapshot on are kept and stepped one at a time.  Each horizon has its
+    own cells.  Cells, bits and coordinates are stored cell- or
+    step-major, (rows, trajectories), so a step reads contiguous rows.
     """
     chain.check_start(x0)
     if samples < 1:
@@ -214,61 +255,73 @@ def _weight_blocks(
         return
     n = chain.n
     m = n + 1
-    per_block = min(_MAX_BLOCK, _BLOCK_BYTES // (m + 3 * sum(lengths.values())))
+    per_trajectory = sum(m + 3 * (t - horizons[j][0]) for j, t in lengths.items())
+    per_block = min(_MAX_BLOCK, _BLOCK_BYTES // per_trajectory)
     blocks = -(-samples // max(_MIN_BLOCK, per_block))
     width = -(-samples // blocks)
 
     coord_type = np.uint16 if n < 1 << 16 else np.int64
-    drivings = []  # (j, snapshot times, coordinates or None for q2, bits)
+    # Each horizon's cells and driving from its first snapshot on:
+    # (j, snapshot times, cells, coordinates or None for q2, bits).
+    drivings = []
     for j, t in lengths.items():
+        steps = t - horizons[j][0]
         coords = None
         if chain.kind == "q1":
-            coords = np.empty((t, width), dtype=coord_type)
-        bits = np.empty((t, width), dtype=np.uint8)
-        drivings.append((j, set(horizons[j]), coords, bits))
+            coords = np.empty((steps, width), dtype=coord_type)
+        bits = np.empty((steps, width), dtype=np.uint8)
+        cells = np.empty((m, width), dtype=np.uint8)
+        drivings.append((j, horizons[j], cells, coords, bits))
     values = max(_driving_values(chain, t) for t in lengths.values())
     # Cell (u-1+s) mod (n+1) of coordinate u at step s+1 starts at
     # row_starts[(s-1) mod (n+1) + u] of the flat cells.
     row_starts = np.arange(2 * m, dtype=np.int64) % m * width
-    cells = np.empty((m, width), dtype=np.uint8)
-    flat = cells.reshape(-1)
     start_cells = np.array([*x0, x0.parity()], dtype=np.uint8)[:, None]
     start_ones = x0.weight() + x0.parity()
 
     first = 0
     for block in range(blocks):
         b = samples // blocks + (block < samples % blocks)
+        for _, _, cells, _, _ in drivings:
+            cells[:, :b] = start_cells
         for i, words in rng.stream_words(seed, first, b, values):
-            for _, _, coords, bits in drivings:
-                c, r = _decode_driving(chain, len(bits), words, seed, first + i)
+            for _, times, cells, coords, bits in drivings:
+                skip = times[0]
+                c, r = _decode_driving(chain, skip + len(bits), words, seed, first + i)
+                _add_steps(chain, cells, c, r, skip, i, row_starts)
                 if coords is not None:
-                    coords[:, i : i + len(r)] = c.astype(coords.dtype, copy=False).T
-                bits[:, i : i + len(r)] = r.T
+                    coords[:, i : i + len(r)] = c[:, skip:].astype(coords.dtype, copy=False).T
+                bits[:, i : i + len(r)] = r[:, skip:].T
         columns = np.arange(b)
         updated = np.empty(b, dtype=np.int64)
         both = np.empty(b, dtype=np.uint8)
         toggled = np.empty(b, dtype=np.uint8)
-        for j, snapshots, coords, bits in drivings:
-            t_max = len(bits)
-            cells[:, :b] = start_cells
-            # A set bit toggles two cells that held `both` ones, so the
-            # cells' ones change by 2 - 2 both.  `half` gathers -both at
-            # each step and the set bits up to each snapshot, where the
-            # weight is start_ones + 2 half - parity cell.
-            half = np.zeros(b, dtype=np.int64)
-            counted = 0  # the steps whose set bits half holds
-            for s in range(t_max + 1):
+        for j, times, cells, coords, bits in drivings:
+            flat = cells.reshape(-1)
+            skip = times[0]
+            # The cells' low bits are the toggled cells.  A set bit toggles
+            # two cells that held `both` ones, so the cells' ones change by
+            # 2 - 2 both.  `half` is half the change up to step `skip`, then
+            # gathers -both at each step and the set bits up to each
+            # snapshot, where the weight is start_ones + 2 half - parity cell.
+            cells[:, :b] &= 1  # uint8 wraps at 256, an even number
+            half = cells[:, :b].sum(axis=0, dtype=np.int64)
+            half -= start_ones
+            half //= 2
+            counted = skip  # the steps whose set bits half holds
+            snapshots = set(times)
+            for s in range(skip, times[-1] + 1):
                 parity = cells[(n + s) % m, :b]  # a view, toggled in place below
                 if s in snapshots:
-                    half += bits[counted:s, :b].sum(axis=0, dtype=np.int64)
+                    half += bits[counted - skip : s - skip, :b].sum(axis=0, dtype=np.int64)
                     counted = s
                     weights = 2 * half
                     weights += start_ones
                     weights -= parity
                     yield j, s, weights
-                if s == t_max:
+                if s == times[-1]:
                     break
-                r = bits[s, :b]
+                r = bits[s - skip, :b]
                 if coords is None:
                     cell = cells[(chain.middle - 1 + s) % m, :b]
                     np.add(cell, parity, out=both)
@@ -277,7 +330,7 @@ def _weight_blocks(
                     # mode="clip" lets take write to `out` without a
                     # buffered copy; every index is in range.
                     row_starts[(s - 1) % m :].take(
-                        coords[s, :b], out=updated, mode="clip"
+                        coords[s - skip, :b], out=updated, mode="clip"
                     )
                     updated += columns
                     flat.take(updated, out=both, mode="clip")

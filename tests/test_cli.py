@@ -912,6 +912,38 @@ class TestVersionFlag:
         assert exc.value.code == 0
 
 
+class TestParser:
+    def test_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    @pytest.mark.parametrize("argv, code", [
+        (["--help"], 0),
+        (["profile", "--help"], 0),
+        (["verify", "no-such-suite"], 2),
+        (["profile", "--chain", "q1", "--n", "x", "--t", "1"], 2),
+        ([], 2),
+    ])
+    def test_repeated_calls_print_and_exit_alike(self, capsys, argv, code):
+        # Help text and usage errors are the same on every call of the
+        # shared parser.
+        outputs = []
+        for _ in range(2):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == code
+            outputs.append(capsys.readouterr())
+        assert outputs[0] == outputs[1]
+        assert outputs[0].out if code == 0 else outputs[0].err.startswith("usage: shiftwalk")
+
+    def test_no_options_carry_over(self):
+        parse = cli.build_parser().parse_args
+        base = ["profile", "--chain", "q1", "--n", "8", "--t", "3"]
+        given = parse([*base, "--samples", "5", "--seed", "4", "--x0", "10101010"])
+        assert (given.samples, given.seed, given.x0) == (5, 4, "10101010")
+        again = parse(base)
+        assert (again.samples, again.seed, again.x0) == (0, None, None)
+
+
 class TestImport:
     def test_cli_import_loads_numpy_random_and_no_scipy(self):
         code = (

@@ -337,10 +337,10 @@ class TestEnsemble:
             for t, w in weights.items():
                 assert w[i] == states[t].weight()
 
-    @settings(max_examples=120, deadline=None)
+    @settings(max_examples=160, deadline=None)
     @given(
         data=st.data(),
-        n=st.integers(1, 70),
+        n=st.one_of(st.integers(1, 70), st.sampled_from([1, 2, 4, 8, 16, 32, 64, 128])),
         kind=st.sampled_from(["q1", "q2"]),
         samples=st.integers(1, 30),
         seed=st.integers(0, 2**64 - 1),
@@ -351,18 +351,25 @@ class TestEnsemble:
         chain = q1(n) if kind == "q1" else q2(n)
         word = data.draw(st.one_of(st.just(0), st.integers(0, (1 << n) - 1)))
         x0 = BitVector(n, word)
-        t_max = data.draw(st.integers(0, 3 * n + 2))
-        ts = data.draw(st.lists(st.integers(0, t_max), max_size=6))
-        ts = ts + [0, t_max] + ts[:2]
+        # The steps before the first snapshot are applied in bulk: none of
+        # them, one round of the n+1 cells, or several, where the cells
+        # that a round's steps toggle wrap.
+        m = n + 1
+        skip = data.draw(st.one_of(
+            st.sampled_from([0, m - 1, m, m + 1, 2 * m, 3 * m + 2]), st.integers(0, 3 * m)
+        ))
+        t_max = data.draw(st.integers(skip, skip + 2 * n + 2))
+        ts = data.draw(st.lists(st.integers(skip, t_max), max_size=6))
+        ts = ts + [skip, t_max] + ts[:2]
         # Blocks of per_block trajectories by their bytes, and of at most
         # max_block by their count.
         per_block = data.draw(st.sampled_from([1, 2, 7, samples + 1]))
         max_block = data.draw(st.sampled_from([1, 2, 7, samples + 1]))
         reference = reference_sample_weights(chain, x0, ts, samples, seed)
         with pytest.MonkeyPatch.context() as patch:
-            # A block's working set is about n + 1 + 3 t_max bytes a
-            # trajectory.
-            patch.setattr(weight_stats, "_BLOCK_BYTES", per_block * (n + 1 + 3 * t_max))
+            # A block's working set is about n + 1 + 3 (t_max - skip) bytes
+            # a trajectory.
+            patch.setattr(weight_stats, "_BLOCK_BYTES", per_block * (m + 3 * (t_max - skip)))
             patch.setattr(weight_stats, "_MIN_BLOCK", 1)
             patch.setattr(weight_stats, "_MAX_BLOCK", max_block)
             weights = sample_weights(chain, x0, ts, samples, seed)
@@ -374,19 +381,29 @@ class TestEnsemble:
             assert np.array_equal(counts[t], np.bincount(w, minlength=n + 1))
 
     def test_count_memory_does_not_grow_with_samples(self):
-        # At t_max = t, `small` trajectories of q1(256) fill one block, so
-        # both sample counts step blocks of `small`; the all-at-once
-        # kernel's peak grew from 8.1 to 161 MiB between the two.
+        # With snapshots at 0 and t, `small` trajectories of q1(256) fill
+        # one block, so both sample counts step blocks of `small`; the
+        # all-at-once kernel's peak grew from 8.1 to 161 MiB between the two.
         n, small, large = 256, 2_000, 40_000
         t = (weight_stats._BLOCK_BYTES // small - (n + 1)) // 3
         peaks = []
         for samples in (small, large):
             counts, peak = peak_bytes(
-                weight_counts, q1(n), BitVector.zeros(n), [t], samples, 3
+                weight_counts, q1(n), BitVector.zeros(n), [0, t], samples, 3
             )
             peaks.append(peak)
             assert counts[t].sum() == samples
         assert abs(peaks[1] - peaks[0]) < 2**20
+
+    def test_profile_window_memory(self):
+        # mc-n1024's kernel: the 843 steps before the first snapshot are
+        # applied as their streams are decoded.  The kernel that stepped
+        # them one by one peaked at 8.7 MiB here, this one at 6.0 MiB.
+        counts, peak = peak_bytes(
+            weight_counts, q1(1024), BitVector.zeros(1024), range(843, 1026), 5000, 8
+        )
+        assert sorted(counts) == list(range(843, 1026))
+        assert peak < 7 * 2**20, peak
 
     @settings(max_examples=80, deadline=None)
     @given(
