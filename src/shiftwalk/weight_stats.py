@@ -208,6 +208,7 @@ def _add_steps(
     elif steps:
         at = row_starts.take(coords[:, :steps] + np.arange(-1, steps - 1) % m)
         at += np.arange(first, first + len(bits))[:, None]
+        # np.add.at takes its fast path on 1-D indices only.
         np.add.at(cells.reshape(-1), at.reshape(-1), bits[:, :steps].reshape(-1))
 
 

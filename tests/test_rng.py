@@ -262,32 +262,22 @@ class TestBounded:
         assert rejected.tolist() == [False, True, False]
 
     def test_powers_of_two_never_reject(self):
-        u = np.arange(0, 2**32, 2**20 - 1, dtype=np.uint64).astype(np.uint32)
-        for k in (2, 4, 1024, 2**32):
+        """At k = 2**j the step is a shift that never rejects.  Both arrays
+        are new, writable and of the draws' shape, as ForcedRejections in
+        test_bounded_diff writes into them; the draws are a strided slice,
+        as the decode passes them, and include both ends of the range."""
+        raw = np.arange(0, 2**32, 2**20 - 1, dtype=np.uint64).astype(np.uint32)
+        raw[3:5] = 2**32 - 1, 0  # u[0, 0] and u[0, 1]
+        u = raw[: 9 * 400].reshape(9, 400)[::2, 3:370]
+        for k in (1, 2, 4, 1024, 2**16, 2**31, 2**32):
             values, rejected = rng.bounded(u, k)
+            assert values.dtype == np.uint64 and rejected.dtype == np.bool_
+            assert values.shape == rejected.shape == u.shape
+            assert values.flags.writeable and rejected.flags.writeable
             assert not rejected.any()
-            assert np.array_equal(values, u.astype(np.uint64) * k >> 32)
-
-    @pytest.mark.parametrize("k", [1, 2, 2**16, 2**31, 2**32, 3, 2**31 + 1])
-    def test_arrays_are_new_and_writable(self, k):
-        """The power-of-two shift and the product give the same arrays:
-        uint64 values and bool flags of the draws' shape, both writable, as
-        ForcedRejections in test_bounded_diff writes into them.  The draws
-        are a strided slice, as the decode passes them, and include both
-        ends of the 32-bit range."""
-        raw = np.arange(0, 2**32, 2**22 + 1, dtype=np.uint64).astype(np.uint32)
-        raw[3:5] = 2**32 - 1, 0  # words[0, 0] and words[0, 1]
-        words = raw[: 9 * 100].reshape(9, 100)[::2, 3:70]
-        values, rejected = rng.bounded(words, k)
-        assert values.dtype == np.uint64 and rejected.dtype == np.bool_
-        assert values.shape == rejected.shape == words.shape
-        assert values.flags.writeable and rejected.flags.writeable
-        assert not np.shares_memory(values, words)
-        assert np.array_equal(values, words.astype(np.uint64) * np.uint64(k) >> np.uint64(32))
-        if (1 << 32) % k == 0:
-            assert not rejected.any()
-        values[0, 0], rejected[0, 0] = 0, True
-        assert words[0, 0] == 2**32 - 1
+            assert np.array_equal(values, u.astype(np.uint64) * np.uint64(k) >> np.uint64(32))
+            values[0, 0], rejected[0, 0] = 0, True
+            assert u[0, 0] == 2**32 - 1
 
 
 class TestDrivingBlocks:
