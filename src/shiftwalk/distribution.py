@@ -1,36 +1,12 @@
 """Exact evolution of the full state distribution.
 
-Brute-force oracle for small n: the distribution over all 2**n states is a
-dense float64 vector indexed by packed state words.  One step applies the
-exact kernel in pull form: each state gathers the mass of the states that
-shift onto it, with each possible pre-shift bit flip.  The kernel
-probabilities are dyadic (1/2 and 1/(2n)), so accumulation error stays far
-below the 1e-12 tolerances used by callers.
-
-Each step is reproducible bit for bit: every entry is 0.5 p plus its n
-flip terms w p (w = 1/(2n)), added in the order of the flipped bit.  The
-products w p are formed once per step, over the whole vector, and each
-flip adds the product of the entry's partner.  A product is one rounded
-operation, so its value does not depend on how often it is formed.  The
-entries of a step do not depend on each other, so the average runs slab
-by slab, 2**15 entries at a time, in one pass while the slab is in cache:
-the flips of the low bits pair entries inside the slab, and the flip of a
-high bit adds the products of a partner slab, a contiguous run.  Every
-entry still sees 0.5 p, then + w p[x ^ 2**i] for i = 0..n-1, the same
-operations on the same values in the same order.  A slab whose entries
-are all +0.0 stays +0.0 through its halving and low flips, and its
-products add +0.0, which leaves any entry but -0.0 as it is; so such a
-slab skips those steps, and a partner add from it is skipped where the
-receiving slab held no -0.0.  The evolution holds two 2**n-word buffers,
-which a q1 step swaps, and for each the views through which a slab's low
-flips read and write it, built once.  A low flip reads its partners
-through a reversed axis, which numpy copies through its ufunc buffers, so
-the flips run with buffers small enough to stay in L1, a setting scoped
-to the step.
-
-The distance to uniform is summed slab by slab too, in a slab-sized
-scratch, and the slabs' sums are added as a binary tree of halves: the
-order of numpy's pairwise sum over the whole vector, so the same bits.
+Brute-force oracle for small n: the law over all 2**n states is a dense
+float64 vector indexed by packed state words, evolved by the exact kernel
+in pull form (each state gathers the mass of the states that shift onto
+it).  The kernel probabilities are dyadic (1/2 and 1/(2n)), so
+accumulation error stays far below the 1e-12 tolerances used by callers.
+Every law and distance is reproducible bit for bit: each entry sees the
+float operations of the direct sum, in its order (``_step``, ``_tv``).
 """
 from __future__ import annotations
 
@@ -191,13 +167,15 @@ def _step(
     gathered into the other buffer by ``_unshift``, a permutation, so each
     entry sees the same float operations in the same order as the direct
     sum.  q2 averages into ``other`` and gathers back; q1 writes w p into
-    ``other``, then averages in ``probs`` one slab of 2**_SLAB_BITS entries
-    at a time: p *= 0.5, the flips i < _SLAB_BITS from the slab's own
-    products, then for i = _SLAB_BITS..n-1 the products of the partner
+    ``other`` (a product is one rounding, so forming it once gives each
+    flip's value), then averages in ``probs`` one slab of 2**_SLAB_BITS
+    entries at a time: p *= 0.5, the flips i < _SLAB_BITS from the slab's
+    own products, then for i = _SLAB_BITS..n-1 the products of the partner
     slab, the slab's index ^ 2**(i - _SLAB_BITS).  For every entry the
-    flips come in the order i = 0..n-1.  A slab of +0.0 words skips its
-    halving and low flips, and its products, all +0.0, are not added to
-    a slab that held no -0.0 (see the module docstring).
+    flips come in the order i = 0..n-1.  A slab of +0.0 words stays +0.0
+    through its halving and low flips, so it skips them; its products, all
+    +0.0, leave any entry but -0.0 as it is, so they are not added to a
+    slab that held no -0.0.
     """
     (probs, targets), (other, sources) = law, spare
     if chain.kind == "q1":
@@ -293,14 +271,9 @@ def tv_to_uniform(d: DistributionVector) -> float:
     return _tv(d.probs, np.empty(min(d.probs.size, 1 << _SLAB_BITS)))
 
 
-def _weights(n: int) -> np.ndarray:
-    idx = np.arange(1 << n, dtype=np.uint64)
-    return np.bitwise_count(idx).astype(np.float64)
-
-
 def weight_moments(d: DistributionVector) -> tuple[float, float]:
     """Exact (mean, variance) of the Hamming weight under ``d``."""
-    w = _weights(d.n)
+    w = np.bitwise_count(np.arange(1 << d.n, dtype=np.uint64)).astype(np.float64)
     mean = float(w @ d.probs)
     var = float(((w - mean) ** 2) @ d.probs)
     return mean, var

@@ -5,13 +5,9 @@ Over n = 2m steps the walk's final state is an affine function
 matrix [[I, C], [I, I]] with C the (m x m) superdiagonal shift block.  B
 has unit determinant for every m, so uniform bits give an exactly uniform
 state, and inverting B recovers the unique driving sequence that reaches
-any target.
-
-Sampling applies B to a whole block of streams at once: the block's update
-bits are a (rows, n) bit array, and B is two XORs of its halves.  Solving
-inverts B on a packed int in log2(m) shift-and-xor rounds.  Neither walks
-n steps or eliminates; ``chains.evolve_symbolic(q2(n), x0, n)`` gives the
-explicit map that both are checked against.
+any target.  Neither direction walks n steps or eliminates;
+``chains.evolve_symbolic(q2(n), x0, n)`` gives the explicit map that both
+are checked against.
 """
 from __future__ import annotations
 

@@ -82,6 +82,7 @@ class BitVector:
 
     @property
     def bits(self) -> tuple[int, ...]:
+        """The entries in coordinate order, from ``to_string``: no per-bit loop."""
         return tuple(self.to_string().encode("ascii").translate(_DIGIT_VALUES))
 
     def weight(self) -> int:
@@ -99,9 +100,6 @@ class BitVector:
     def to_string(self) -> str:
         """Coordinate 1 first: the binary digits of ``word``, reversed."""
         return format(self.word, f"0{self.n}b")[::-1]
-
-    def __str__(self) -> str:
-        return self.to_string()
 
 
 def _validate_square(m: GF2Matrix) -> None:
@@ -280,7 +278,8 @@ def det_gf2(m: GF2Matrix) -> int:
 
 
 def solve_linear(m: GF2Matrix, b: BitVector) -> BitVector:
-    """The unique v with ``m @ v == b`` for invertible square ``m``.
+    """The unique v with ``m @ v == b`` for invertible square ``m``, by
+    elimination: the reference for the sampler's closed-form solve.
 
     Raises SingularMatrixError when elimination meets a zero pivot
     column, i.e. whenever ``m`` is not invertible.

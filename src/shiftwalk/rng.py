@@ -8,15 +8,6 @@ independent and results do not depend on scheduling or batch size.
 ``stream_words`` draws the raw 32-bit values of many consecutive streams,
 and ``bounded`` applies numpy's bounded-integer step to them, so a batch
 of trajectories reads exactly what the per-stream generators would.
-
-numpy's Philox is Philox4x64-10 (Salmon et al., "Parallel random numbers:
-as easy as 1, 2, 3", SC 2011).  Stream (seed, index) has the key
-(seed, index) mod 2**64, and its j-th block of four 64-bit outputs is ten
-rounds over the counter (j, 0, 0, 0), j counting from 1.  A short stream
-is cheapest computed from that definition, in numpy over all the
-(stream, counter) pairs of a group of streams at once; a long one by
-resetting a numpy Philox to the stream's key and drawing.  The stream's
-length alone picks the path.
 """
 from __future__ import annotations
 
@@ -48,7 +39,9 @@ _W = np.array([_W0, _W1], dtype=np.uint64).reshape(2, 1, 1)
 # cost about 0.12 us a Philox block and save the reset, about 1.7 us a
 # stream.  A measured crossover (2 shared vCPUs, numpy 2.4, groups of
 # _BLOCK_VALUES // 4 Philox blocks): over 10^4 streams the rounds were
-# faster up to k = 112, level at k = 120 and slower from k = 128.
+# faster up to k = 112, level at k = 120 and slower from k = 128.  So
+# ``sample --n 64`` (k = 64) takes the rounds, and verify all's k = 160 and
+# 164 and ``profile --n 1024 --samples``' k = 1282 the reset.
 _ROUND_MAX_BLOCKS = 14
 
 
@@ -88,6 +81,10 @@ def _philox_rounds(seed: int, first: int, out: np.ndarray) -> None:
     """Fill the C-contiguous (rows, 4 * blocks) uint64 ``out``: row j with
     the first ``4 * blocks`` outputs of stream ``first + j``.
 
+    numpy's Philox is Philox4x64-10 (Salmon et al., "Parallel random
+    numbers: as easy as 1, 2, 3", SC 2011).  Stream (seed, index) has the
+    key (seed, index) mod 2**64, and its j-th block of four 64-bit outputs
+    is ten rounds over the counter (j, 0, 0, 0), j counting from 1.
     A round takes the lanes (x0, x1, x2, x3) under the key (k0, k1) to
     (hi(M1 x2) ^ x1 ^ k0, lo(M1 x2), hi(M0 x0) ^ x3 ^ k1, lo(M0 x0)), and
     the key then steps by (W0, W1).  The lanes are held as the pairs
@@ -153,14 +150,13 @@ def stream_words(
     ``_BLOCK_VALUES // k``.  A stream's k values fill ceil(k / 8) Philox
     blocks, which come from one of two paths with the same bits:
 
-    * the rounds, run in numpy over every (stream, counter) pair of a
-      group of streams in one pass, for streams of at most 14 Philox
-      blocks (k <= 112), where they measured faster.  A group is as many
-      whole yielded blocks as fit in ``_BLOCK_VALUES // 4`` Philox blocks
+    * the rounds (``_philox_rounds``), run in numpy over every (stream,
+      counter) pair of a group of streams in one pass, for streams of at
+      most ``_ROUND_MAX_BLOCKS`` Philox blocks.  A group is as many whole
+      yielded blocks as fit in ``_BLOCK_VALUES // 4`` Philox blocks
       (streams times blocks a stream), and at least one: two at k = 64;
-    * for longer streams, one Philox reset per stream, rather than built,
-      since building one seeds it from system entropy that the key then
-      overwrites.
+    * for longer streams, one Philox re-keyed per stream
+      (``_reset_philox``).
 
     numpy hands out each 64-bit output low half first, which a
     little-endian 32-bit view of the outputs gives on any host; the

@@ -107,21 +107,14 @@ def _log_binom(n: int, k: np.ndarray | int) -> np.ndarray:
             f"log C(n, k) needs integers 0 <= k <= n, got n={n}, k={k}"
         )
     table = _log_factorial_table(int(n_int.max()))
-    return _log_binom_from(table, table[n_int], k_int, rest)
-
-
-def _log_binom_from(
-    table: np.ndarray, log_n_factorial: np.ndarray, k: np.ndarray, rest: np.ndarray
-) -> np.ndarray:
-    """log n! - log k! - log (n-k)!, from the log-factorial table, for int64
-    arrays k and rest = n - k that are known to be in range."""
-    return log_n_factorial - table.take(k) - table.take(rest)
+    return table[n_int] - table.take(k_int) - table.take(rest)
 
 
 def _with_powers(
     log_binom: np.ndarray, n: np.ndarray | int, k: np.ndarray, lag: int
 ) -> np.ndarray:
-    """``weight_class_log_terms`` from its log C(n, k) and float64 k."""
+    """``weight_class_log_terms`` from its log C(n, k) and float64 k: the
+    one log-term formula, which the sweeps call directly."""
     return (
         log_binom
         + (2 * n - 2 * k + 2 * lag) * np.log1p(-k / n)
@@ -165,7 +158,7 @@ def _weight_class_sweep(
         starts = np.concatenate(([0], ends[i:j] - base))
         n = np.repeat(run, sizes)
         k = np.arange(starts[-1]) - np.repeat(starts[:-1] - 2, sizes)
-        log_binom = _log_binom_from(table, np.repeat(table[run], sizes), k, n - k)
+        log_binom = np.repeat(table[run], sizes) - table.take(k) - table.take(n - k)
         yield run, starts, _with_powers(log_binom, n, k.astype(np.float64), lag)
         i = j
 

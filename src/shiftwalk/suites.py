@@ -277,8 +277,9 @@ _BLOCK_STEPS = 1 << 18
 def _bounded_diff_stats(
     seed: int, trials: int, n_max: int
 ) -> tuple[int, int, int, int, int]:
-    """The trials of the bounded-diff suite, replayed together in blocks:
-    the largest bit-flip and coordinate-change weight differences, the
+    """The trials of the bounded-diff suite, each block decoded into arrays
+    of its own and replayed at once by ``weight_stats._replay_pairs``: the
+    largest bit-flip and coordinate-change weight differences, the
     largest Hamming distance, and the zero-bit and same-coordinate
     violations.  Coordinates are ``uint32`` (n <= n_max <= 2**32)."""
     steps = 2 * n_max + 3
@@ -339,10 +340,7 @@ def suite_bounded_diff(
     and the coordinates of steps 2 n_max + 1 and 2 n_max + 3 are two
     uniform times in 1..n, i the smaller and t the larger.  Odd trials
     flip the bit at time i; even trials set the coordinate at time i to
-    the coordinate of step 2 n_max + 2.  A block of trials is decoded
-    into arrays of its own and replayed at once by
-    ``weight_stats._replay_pairs``, which takes each start as its bits
-    (``weight_stats.replay_divergence`` replays one pair).
+    the coordinate of step 2 n_max + 2.
     """
     half = trials // 2
     swept = n_max >= 2
@@ -399,8 +397,7 @@ def suite_variance(
         t: {"n": 128, "t": t, "samples": samples, "seed": seed} for t in (64, 128)
     }
     if samples >= 1:
-        # Both horizons read one draw of the streams (seed, 0..samples-1).
-        for rep in weight_stats._variance_reports(128, tuple(sampled), samples, seed):
+        for rep in weight_stats.variance_bound_check(128, tuple(sampled), samples, seed):
             sampled[rep.t] = asdict(rep)
     for t, observed in sampled.items():
         # A variance estimate needs two trajectories.

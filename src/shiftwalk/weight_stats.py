@@ -379,11 +379,7 @@ def weight_counts(
     """
     counts: dict[int, np.ndarray] = {}
     for _, t, weights in _weight_blocks(chain, x0, [ts], samples, seed):
-        block_counts = np.bincount(weights, minlength=chain.n + 1)
-        if t in counts:
-            counts[t] += block_counts
-        else:
-            counts[t] = block_counts
+        counts[t] = counts.get(t, 0) + np.bincount(weights, minlength=chain.n + 1)
     return counts
 
 
@@ -445,18 +441,15 @@ class VarianceReport:
     passed: bool
 
 
-def variance_bound_check(n: int, t: int, samples: int, seed: int) -> VarianceReport:
-    """Estimate Var(weight at time t) for the random-coordinate walk from 0
-    and compare against 4t; passes when estimate <= 4t + 3 standard errors.
-    One trajectory estimates nothing (both read 0), so it never passes."""
-    return _variance_reports(n, (t,), samples, seed)[0]
-
-
-def _variance_reports(
+def variance_bound_check(
     n: int, ts: "tuple[int, ...]", samples: int, seed: int
 ) -> list[VarianceReport]:
-    """``variance_bound_check(n, t, samples, seed)`` for each t in ``ts``,
-    from one draw of each block of streams (see ``_weight_blocks``)."""
+    """Estimate Var(weight at time t) for the random-coordinate walk from 0
+    and compare against 4t, for each t in ``ts``: one report a time, in the
+    order of ``ts``, all from one draw of each block of streams (see
+    ``_weight_blocks``).  A report passes when its estimate <= 4t + 3
+    standard errors.  One trajectory estimates nothing (both read 0), so it
+    never passes."""
     for t in ts:
         _check_time(n, t)
     # Each horizon's weights as floats; _weight_blocks rejects samples < 1.

@@ -742,6 +742,10 @@ class TestSeedRange:
         ("profile", "--chain", "q1", "--n", "3", "--t", "0..x"),
         ("profile", "--chain", "q1", "--n", str(2**14 + 1), "--t", "0", "--samples", "1"),
         ("profile", "--chain", "q1", "--n", str(10**400), "--t", "0"),
+        ("profile", "--chain", "q1", "--n", "0", "--t", "0"),
+        ("profile", "--chain", "q1", "--n", "-1", "--t", "0"),
+        ("simulate", "--chain", "q1", "--n", "0", "--t", "2"),
+        ("simulate", "--chain", "q1", "--n", "-1", "--t", "2"),
     ])
     def test_usage_error_draws_no_seed(self, capsys, argv):
         """Without --seed, a run that fails a usage check draws and prints

@@ -1,5 +1,7 @@
 import ast
 import importlib
+import pkgutil
+import re
 from pathlib import Path
 
 import shiftwalk
@@ -68,3 +70,22 @@ def test_traced_benchmark_names_resolve():
         target = getattr(importlib.import_module(f"shiftwalk.{module}"), attribute, None)
         assert callable(target), (module, attribute)
     assert list(ast.literal_eval(tables["SUITES"])) == list(suites.SUITES)
+
+
+def test_readme_names_resolve():
+    # Every `shiftwalk.<module>` and `<module>.<name>` that README.md names
+    # outside its code blocks is an attribute of that module.
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    text = re.sub(r"```.*?```", "", readme.read_text(encoding="utf-8"), flags=re.S)
+    modules = {m.name for m in pkgutil.iter_modules(shiftwalk.__path__)}
+    refs = []
+    for span in re.findall(r"`([^`\n]+)`", text):
+        ref = re.fullmatch(r"(shiftwalk\.)?(\w+)((?:\.\w+)*)", span)
+        if ref and ref[2] in modules and (ref[1] or ref[3]):
+            refs.append((ref[2], ref[3].split(".")[1:]))
+    assert refs
+    for module, names in refs:
+        target = importlib.import_module(f"shiftwalk.{module}")
+        for name in names:
+            assert hasattr(target, name), f"README names {module}.{'.'.join(names)}"
+            target = getattr(target, name)

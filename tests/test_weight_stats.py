@@ -30,7 +30,7 @@ from shiftwalk import (
     variance_bound_check,
     weight_moments,
 )
-from shiftwalk import chains, suites, weight_stats
+from shiftwalk import chains, rng, suites, weight_stats
 from shiftwalk.chains import _draw_driving_blocks
 from shiftwalk.distribution import exact_laws
 from shiftwalk.weight_stats import histogram_tv, weight_counts
@@ -297,6 +297,15 @@ class TestEnsemble:
                 assert weights[t][i] == states[t].weight()
                 assert weights[5][i] == states[5].weight()
 
+    @pytest.mark.parametrize("sampler", [sample_weights, weight_counts])
+    def test_negative_time_is_rejected_before_any_draw(self, monkeypatch, sampler):
+        def unreachable(*args):
+            raise AssertionError("drew a stream before checking the times")
+
+        monkeypatch.setattr(rng, "stream_words", unreachable)
+        with pytest.raises(ValueError, match="snapshot times must be >= 0"):
+            sampler(q1(6), BitVector.zeros(6), [3, -1], 10, 0)
+
     def test_q2_ensemble_matches_replay(self):
         chain = q2(10)
         weights = sample_weights(chain, BitVector.zeros(10), [10], 25, 7)
@@ -439,7 +448,7 @@ class TestEnsemble:
 
 class TestVarianceBound:
     def test_zero_time(self):
-        rep = variance_bound_check(16, 0, 100, seed=0)
+        (rep,) = variance_bound_check(16, (0,), 100, seed=0)
         assert rep.passed and rep.estimate == 0.0 and rep.bound == 0.0
 
     def test_exact_variance_below_4t(self):
@@ -451,11 +460,11 @@ class TestVarianceBound:
     @pytest.mark.parametrize("samples", [0, -1])
     def test_rejects_no_trajectories(self, samples):
         with pytest.raises(ValueError, match="samples must be >= 1"):
-            variance_bound_check(16, 4, samples, seed=0)
+            variance_bound_check(16, (4,), samples, seed=0)
 
     def test_one_trajectory_does_not_pass(self):
         # Its estimate and standard error are both 0, which says nothing.
-        rep = variance_bound_check(128, 64, 1, seed=0)
+        (rep,) = variance_bound_check(128, (64,), 1, seed=0)
         assert rep.estimate == 0.0 and rep.std_error == 0.0
         assert rep.passed is False
 
@@ -469,7 +478,8 @@ class TestVarianceBound:
                 if samples == 0:
                     want = {"n": 128, "t": observed["t"], "samples": 0, "seed": seed}
                 else:
-                    want = asdict(variance_bound_check(128, observed["t"], samples, seed))
+                    (rep,) = variance_bound_check(128, (observed["t"],), samples, seed)
+                    want = asdict(rep)
                 assert observed == want
 
     def test_suite_memory(self):
@@ -479,7 +489,7 @@ class TestVarianceBound:
         assert peak < 4 * 2**20
 
     def test_sampled_variance_n128(self):
-        rep = variance_bound_check(128, 128, 5000, seed=11)
+        (rep,) = variance_bound_check(128, (128,), 5000, seed=11)
         assert rep.passed
         assert rep.estimate <= rep.bound + 3 * rep.std_error
         assert rep.n == 128 and rep.t == 128
