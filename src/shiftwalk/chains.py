@@ -123,20 +123,15 @@ def _validate_coords(chain: ChainKind, coords: Sequence[int]) -> None:
 def _replay(
     chain: ChainKind, x0: BitVector, driving: DrivingSequence
 ) -> Iterator[int]:
-    """The packed states x_0..x_t of the deterministic replay, one at a time.
-
-    ``x0`` and the driving are checked when this is called, before any step.
-    """
+    """The packed states x_0..x_t of the deterministic replay, one at a
+    time; ``x0`` and the driving are checked before x_0 is yielded."""
     chain.check_start(x0)
     _validate_coords(chain, driving.coords)
-
-    def states(n: int = chain.n, word: int = x0.word) -> Iterator[int]:
+    n, word = chain.n, x0.word
+    yield word
+    for u, r in zip(driving.coords, driving.bits):
+        word = _step_word(n, word, u, r)
         yield word
-        for u, r in zip(driving.coords, driving.bits):
-            word = _step_word(n, word, u, r)
-            yield word
-
-    return states()
 
 
 def simulate(
@@ -149,8 +144,8 @@ def simulate(
 def _draw_driving_arrays(chain: ChainKind, t: int, seed: int, stream_index: int):
     """Raw (coords, bits) arrays for one trajectory's stream.
 
-    Shared by random_driving and the vectorized ensembles so that both
-    consume the stream in the same order.  coords is None for q2.
+    The reference for ``_decode_driving``, which also draws its rejected
+    rows through it; random_driving reads it too.  coords is None for q2.
     """
     if t < 0:
         raise ValueError(f"trajectory length must be >= 0, got {t}")
@@ -198,22 +193,6 @@ def _decode_driving(
     for j in redo:
         coords[j], bits[j] = _draw_driving_arrays(chain, t, seed, first + int(j))
     return coords, bits
-
-
-def _draw_driving_blocks(
-    chain: ChainKind, t: int, seed: int, start: int, count: int
-) -> Iterator[tuple[int, np.ndarray | None, np.ndarray]]:
-    """The driving arrays of streams start..start+count-1, in blocks.
-
-    Yields ``(offset, coords, bits)``; row j equals
-    ``_draw_driving_arrays(chain, t, seed, start + offset + j)`` bit for
-    bit (see ``_decode_driving``).
-    """
-    if t < 0:
-        raise ValueError(f"trajectory length must be >= 0, got {t}")
-    values = _driving_values(chain, t)
-    for offset, words in rng.stream_words(seed, start, count, values):
-        yield offset, *_decode_driving(chain, t, words, seed, start + offset)
 
 
 def random_driving(

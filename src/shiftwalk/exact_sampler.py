@@ -103,8 +103,6 @@ def solve_driving(x0: BitVector, z: BitVector) -> DrivingSequence:
     """
     if x0.n != z.n:
         raise ValueError(f"length mismatch: {x0.n} vs {z.n}")
-    if x0.n % 2 != 0:
-        raise ValueError(f"expected even length, got {x0.n}")
     m = x0.n // 2
     r = _invert_transfer(m, (z ^ build_offset(x0)).word)
     return DrivingSequence(coords=(m,) * x0.n, bits=BitVector(x0.n, r).bits)

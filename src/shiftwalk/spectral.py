@@ -208,20 +208,35 @@ def _bound_ratios(
         yield ns, starts - np.arange(len(starts)), np.exp(interior), edge
 
 
+def _bound_extremes(
+    n_lo: int, n_hi: int
+) -> tuple[list[int], tuple[float, int, int], tuple[float, int]]:
+    """``_bound_ratios`` over n = n_lo..n_hi, reduced: the n whose terms
+    break a cap, the first largest interior ratio in (n, k) order as
+    (ratio, n, k), and the first largest edge ratio as (ratio, n).  An
+    empty range gives ([], (0.0, 0, 0), (0.0, 0))."""
+    failures = []
+    interior_max = (0.0, 0, 0)
+    edge_max = (0.0, 0)
+    for ns, starts, interior, edge in _bound_ratios(n_lo, n_hi):
+        peaks = np.maximum.reduceat(interior, starts[:-1])
+        failures.extend(ns[~((peaks <= 1.0) & (edge <= 1.0))].tolist())
+        i = int(np.argmax(interior))
+        if interior[i] > interior_max[0]:
+            j = int(np.searchsorted(starts, i, "right")) - 1
+            interior_max = (float(interior[i]), int(ns[j]), i - int(starts[j]) + 2)
+        j = int(np.argmax(edge))
+        if edge[j] > edge_max[0]:
+            edge_max = (float(edge[j]), int(ns[j]))
+    return failures, interior_max, edge_max
+
+
 def check_weight_class_bounds(n: int) -> WeightClassBoundReport:
     """Verify term(n,k) <= 1/n^2 for 2 <= k <= n-2 and term(n,n-1) <= 1/n."""
     if n <= 5:
         raise ValueError(f"bounds hold for n >= 6, got {n}")
-    ((_, _, ratios, edges),) = _bound_ratios(n, n)
-    i = int(np.argmax(ratios))
-    max_interior, edge = float(ratios[i]), float(edges[0])
-    return WeightClassBoundReport(
-        n=n,
-        max_interior_ratio=max_interior,
-        argmax_interior_k=i + 2,
-        edge_ratio=edge,
-        passed=bool(max_interior <= 1.0 and edge <= 1.0),
-    )
+    failures, (max_interior, _, k), (edge, _) = _bound_extremes(n, n)
+    return WeightClassBoundReport(n, max_interior, k, edge, passed=not failures)
 
 
 def fourier_coeff_closed_form(n: int, x: BitVector, k: int) -> float:

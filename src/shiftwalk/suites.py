@@ -13,7 +13,7 @@ from typing import Iterator
 import numpy as np
 
 from . import distribution, rng, spectral, weight_stats
-from .chains import _draw_driving_blocks, q1, q2
+from .chains import q1, q2
 from .distribution import DistributionVector
 from .gf2 import BitVector, _power_rows
 
@@ -89,19 +89,7 @@ def suite_matrix_order(
 
 def suite_term_bounds(n_max: int = 2000, **_: object) -> list[CheckResult]:
     """Weight-class terms stay below 1/n^2 (interior) and 1/n (k = n-1)."""
-    worst_interior = (0.0, 0, 0)  # ratio, n, k: the first maximum in (n, k) order
-    worst_edge = (0.0, 0)
-    failures = []
-    for ns, starts, interior, edge in spectral._bound_ratios(6, n_max):
-        peaks = np.maximum.reduceat(interior, starts[:-1])
-        failures.extend(ns[~((peaks <= 1.0) & (edge <= 1.0))].tolist())
-        i = int(np.argmax(interior))
-        if interior[i] > worst_interior[0]:
-            j = int(np.searchsorted(starts, i, "right")) - 1
-            worst_interior = (float(interior[i]), int(ns[j]), i - int(starts[j]) + 2)
-        j = int(np.argmax(edge))
-        if edge[j] > worst_edge[0]:
-            worst_edge = (float(edge[j]), int(ns[j]))
+    failures, (interior, at_n, at_k), (edge, edge_at_n) = spectral._bound_extremes(6, n_max)
     return [
         _sweep_check(
             f"term bounds hold for 6 <= n <= {n_max}",
@@ -109,11 +97,11 @@ def suite_term_bounds(n_max: int = 2000, **_: object) -> list[CheckResult]:
             passed=not failures,
             observed={
                 "failures": failures,
-                "max_interior_ratio": worst_interior[0],
-                "at_n": worst_interior[1],
-                "at_k": worst_interior[2],
-                "max_edge_ratio": worst_edge[0],
-                "edge_at_n": worst_edge[1],
+                "max_interior_ratio": interior,
+                "at_n": at_n,
+                "at_k": at_k,
+                "max_edge_ratio": edge,
+                "edge_at_n": edge_at_n,
             },
         )
     ]
@@ -267,85 +255,15 @@ def suite_moments(n_max: int = 10, **_: object) -> list[CheckResult]:
     return results
 
 
-# A bounded-diff block holds at most this many trials, and at most this
-# many trial-steps, so each of its (steps, trials) arrays stays within a
-# few MiB.
-_BLOCK_TRIALS = 1024
-_BLOCK_STEPS = 1 << 18
-
-
-def _bounded_diff_stats(
-    seed: int, trials: int, n_max: int
-) -> tuple[int, int, int, int, int]:
-    """The trials of the bounded-diff suite, each block decoded into arrays
-    of its own and replayed at once by ``weight_stats._replay_pairs``: the
-    largest bit-flip and coordinate-change weight differences, the
-    largest Hamming distance, and the zero-bit and same-coordinate
-    violations.  Coordinates are ``uint32`` (n <= n_max <= 2**32)."""
-    steps = 2 * n_max + 3
-    rows = max(1, min(_BLOCK_TRIALS, _BLOCK_STEPS // n_max))
-    max_flip = max_coord = max_hamming = zero_bit = same_coord = 0
-    for first in range(0, trials, rows):
-        count = min(rows, trials - first)
-        j = np.arange(first, first + count)
-        n = 2 + j * (n_max - 1) // trials
-        coords = np.empty((count, steps), dtype=np.uint32)
-        bits = np.empty((count, steps), dtype=np.uint8)
-        # n never decreases with j: decode each run of one n as one chain.
-        runs = np.flatnonzero(np.diff(n, prepend=-1, append=-1)).tolist()
-        for lo, hi in zip(runs[:-1], runs[1:]):
-            chain = q1(int(n[lo]))
-            for i, c, b in _draw_driving_blocks(chain, steps, seed, first + lo, hi - lo):
-                coords[lo + i : lo + i + len(b)] = c
-                bits[lo + i : lo + i + len(b)] = b
-        times = coords[:, [2 * n_max, 2 * n_max + 2]].astype(np.int64)
-        i, t = times.min(axis=1), times.max(axis=1)
-        u_new = coords[:, 2 * n_max + 1]
-
-        order = np.argsort(-t, kind="stable")
-        n, t, i, u_new, flip = n[order], t[order], i[order], u_new[order], j[order] % 2 == 1
-        coords, bits = coords[order], bits[order]
-        # The two replays' step-major copies, with 0-based coordinates,
-        # which the replay widens per step.
-        pair_coords = np.repeat(coords[:, None, : t[0]].T - 1, 2, axis=1)
-        pair_bits = np.repeat(bits[:, None, : t[0]].T, 2, axis=1)
-        block_rows = np.arange(count)
-        at = i - 1
-        pair_bits[at[flip], 1, block_rows[flip]] ^= 1
-        pair_coords[at[~flip], 1, block_rows[~flip]] = u_new[~flip] - 1
-
-        # The start: coordinate c is the bit of step n_max + c.
-        start = bits[:, n_max : n_max + int(n.max())]
-        diff, hamming = weight_stats._replay_pairs(n, t, start, pair_coords, pair_bits)
-        changed = ~flip & (diff != 0)
-        max_flip = max(max_flip, int(diff[flip].max(initial=0)))
-        max_coord = max(max_coord, int(diff[~flip].max(initial=0)))
-        max_hamming = max(max_hamming, int(hamming.max()))
-        zero_bit += int(np.count_nonzero(changed & (bits[block_rows, at] == 0)))
-        same_coord += int(np.count_nonzero(changed & (coords[block_rows, at] == u_new)))
-    return max_flip, max_coord, max_hamming, zero_bit, same_coord
-
-
 def suite_bounded_diff(
     trials: int = 100_000, seed: int = 0, n_max: int = 64, **_: object
 ) -> list[CheckResult]:
-    """Single-change replays never move the final weight by more than 2.
-
-    Trial j (0-based) is a q1 driving sequence on stream (seed, j), drawn
-    as every Monte Carlo trajectory is (``chains._draw_driving_blocks``).
-    Its dimension is n = 2 + j (n_max - 1) // trials, which spreads
-    2..n_max evenly, and it reads the driving of 2 n_max + 3 steps of
-    q1(n), so that the trials of a block share one layout: steps 1..t
-    drive the walk, the bits of steps n_max+1 .. n_max+n are the start,
-    and the coordinates of steps 2 n_max + 1 and 2 n_max + 3 are two
-    uniform times in 1..n, i the smaller and t the larger.  Odd trials
-    flip the bit at time i; even trials set the coordinate at time i to
-    the coordinate of step 2 n_max + 2.
-    """
+    """Single-change replays never move the final weight by more than 2,
+    over the trials of ``weight_stats._bounded_diff_stats``."""
     half = trials // 2
     swept = n_max >= 2
     max_flip, max_coord, max_hamming, zero_bit_violations, same_coord_violations = (
-        _bounded_diff_stats(seed, trials, n_max) if swept else (0,) * 5
+        weight_stats._bounded_diff_stats(seed, trials, n_max) if swept else (0,) * 5
     )
     return [
         _sweep_check(

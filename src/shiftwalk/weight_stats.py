@@ -153,6 +153,78 @@ def _replay_pairs(
     return np.abs(weight[0] - weight[1]), hamming
 
 
+# A bounded-diff block holds at most this many trials, and at most this
+# many trial-steps, so each of its (steps, trials) arrays stays within a
+# few MiB.
+_BLOCK_TRIALS = 1024
+_BLOCK_STEPS = 1 << 18
+
+
+def _bounded_diff_stats(
+    seed: int, trials: int, n_max: int
+) -> tuple[int, int, int, int, int]:
+    """The trials of the bounded-diff suite, each block decoded into arrays
+    of its own and replayed at once by ``_replay_pairs``: the largest
+    bit-flip and coordinate-change weight differences, the largest Hamming
+    distance, and the zero-bit and same-coordinate violations.
+
+    Trial j (0-based) is a q1 driving sequence on stream (seed, j), decoded
+    as every Monte Carlo trajectory is (``chains._decode_driving``).  Its
+    dimension is n = 2 + j (n_max - 1) // trials, which spreads 2..n_max
+    evenly, and it reads the driving of 2 n_max + 3 steps of q1(n), so that
+    the trials of a block share one layout: steps 1..t drive the walk, the
+    bits of steps n_max+1 .. n_max+n are the start, and the coordinates of
+    steps 2 n_max + 1 and 2 n_max + 3 are two uniform times in 1..n, i the
+    smaller and t the larger.  Odd trials flip the bit at time i; even
+    trials set the coordinate at time i to the coordinate of step
+    2 n_max + 2.  Coordinates are ``uint32`` (n <= n_max <= 2**32).
+    """
+    steps = 2 * n_max + 3
+    rows = max(1, min(_BLOCK_TRIALS, _BLOCK_STEPS // n_max))
+    max_flip = max_coord = max_hamming = zero_bit = same_coord = 0
+    for first in range(0, trials, rows):
+        count = min(rows, trials - first)
+        j = np.arange(first, first + count)
+        n = 2 + j * (n_max - 1) // trials
+        coords = np.empty((count, steps), dtype=np.uint32)
+        bits = np.empty((count, steps), dtype=np.uint8)
+        # n never decreases with j: decode each run of one n as one chain.
+        runs = np.flatnonzero(np.diff(n, prepend=-1, append=-1)).tolist()
+        for lo, hi in zip(runs[:-1], runs[1:]):
+            chain = ChainKind("q1", int(n[lo]))
+            values = _driving_values(chain, steps)
+            for i, words in rng.stream_words(seed, first + lo, hi - lo, values):
+                c, b = _decode_driving(chain, steps, words, seed, first + lo + i)
+                coords[lo + i : lo + i + len(b)] = c
+                bits[lo + i : lo + i + len(b)] = b
+        times = coords[:, [2 * n_max, 2 * n_max + 2]].astype(np.int64)
+        i, t = times.min(axis=1), times.max(axis=1)
+        u_new = coords[:, 2 * n_max + 1]
+
+        order = np.argsort(-t, kind="stable")
+        n, t, i, u_new, flip = n[order], t[order], i[order], u_new[order], j[order] % 2 == 1
+        coords, bits = coords[order], bits[order]
+        # The two replays' step-major copies, with 0-based coordinates,
+        # which the replay widens per step.
+        pair_coords = np.repeat(coords[:, None, : t[0]].T - 1, 2, axis=1)
+        pair_bits = np.repeat(bits[:, None, : t[0]].T, 2, axis=1)
+        block_rows = np.arange(count)
+        at = i - 1
+        pair_bits[at[flip], 1, block_rows[flip]] ^= 1
+        pair_coords[at[~flip], 1, block_rows[~flip]] = u_new[~flip] - 1
+
+        # The start: coordinate c is the bit of step n_max + c.
+        start = bits[:, n_max : n_max + int(n.max())]
+        diff, hamming = _replay_pairs(n, t, start, pair_coords, pair_bits)
+        changed = ~flip & (diff != 0)
+        max_flip = max(max_flip, int(diff[flip].max(initial=0)))
+        max_coord = max(max_coord, int(diff[~flip].max(initial=0)))
+        max_hamming = max(max_hamming, int(hamming.max()))
+        zero_bit += int(np.count_nonzero(changed & (bits[block_rows, at] == 0)))
+        same_coord += int(np.count_nonzero(changed & (coords[block_rows, at] == u_new)))
+    return max_flip, max_coord, max_hamming, zero_bit, same_coord
+
+
 # A Monte Carlo block holds at most _MAX_BLOCK trajectories, and its working
 # set, about H (n+1) + 3 T bytes a trajectory (the uint8 cells of each of
 # its H horizons; uint8 bits and uint16 q1 coordinates of T steps, those of

@@ -164,7 +164,7 @@ class TestAgainstReference:
     @pytest.mark.parametrize("n_max", [2, 7, 65, 130])
     @pytest.mark.parametrize("seed", [0, 2**64 - 1])
     def test_every_pair(self, monkeypatch, seed, n_max):
-        monkeypatch.setattr(suites, "_BLOCK_TRIALS", 64)
+        monkeypatch.setattr(weight_stats, "_BLOCK_TRIALS", 64)
         assert batched_pairs(monkeypatch, seed, 200, n_max) == reference_pairs(
             seed, 200, n_max)
 
@@ -180,7 +180,7 @@ class TestAgainstReference:
     @pytest.mark.parametrize("rows", [1, 2, 7])
     def test_block_size_does_not_matter(self, monkeypatch, rows):
         """Blocks of ``rows`` trials, each decoded three streams at a time."""
-        monkeypatch.setattr(suites, "_BLOCK_TRIALS", rows)
+        monkeypatch.setattr(weight_stats, "_BLOCK_TRIALS", rows)
         for n_max in (7, 65):
             steps = 2 * n_max + 3
             monkeypatch.setattr(rng, "_BLOCK_VALUES", 3 * (steps + (steps + 3) // 4))
@@ -188,7 +188,7 @@ class TestAgainstReference:
                 5, 41, n_max)
 
     def test_steps_bound_the_block(self, monkeypatch):
-        monkeypatch.setattr(suites, "_BLOCK_STEPS", 300)  # 2 trials of n <= 130
+        monkeypatch.setattr(weight_stats, "_BLOCK_STEPS", 300)  # 2 trials of n <= 130
         assert batched(6, 25, 130) == reference(6, 25, 130)
 
     @settings(max_examples=15, deadline=None)
@@ -211,7 +211,7 @@ class TestRejectedDraws:
     def test_matches_reference(self, monkeypatch, seed, n_max):
         forced = ForcedRejections(4)
         forced.install(monkeypatch)
-        monkeypatch.setattr(suites, "_BLOCK_TRIALS", 64)
+        monkeypatch.setattr(weight_stats, "_BLOCK_TRIALS", 64)
         assert batched(seed, 150, n_max) == reference(seed, 150, n_max)
         assert len(forced.columns) >= 150 // 4
 
@@ -219,7 +219,7 @@ class TestRejectedDraws:
     def test_every_pair(self, monkeypatch, n_max):
         want = reference_pairs(3, 150, n_max)
         ForcedRejections(3).install(monkeypatch)
-        monkeypatch.setattr(suites, "_BLOCK_TRIALS", 64)
+        monkeypatch.setattr(weight_stats, "_BLOCK_TRIALS", 64)
         assert batched_pairs(monkeypatch, 3, 150, n_max) == want
 
     @pytest.mark.parametrize("n_max", [7, 64])

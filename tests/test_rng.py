@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import peak_bytes
 from shiftwalk import BitVector, ChainKind, rng, stream
-from shiftwalk.chains import _decode_driving, _draw_driving_arrays, _draw_driving_blocks
+from shiftwalk.chains import _decode_driving, _draw_driving_arrays
 from shiftwalk.exact_sampler import _sample_blocks, exact_sample
 
 SEEDS = (0, 1, 2**63 - 1, 2**64 - 1)
@@ -31,10 +31,13 @@ def reference(chain, t, seed, start, count):
 
 
 def batched(chain, t, seed, start, count):
-    """The blocks of _draw_driving_blocks stacked, checking their offsets."""
+    """The blocks of rng.stream_words, each decoded by _decode_driving,
+    stacked, checking their offsets."""
     coords, bits = [], []
-    for offset, c, b in _draw_driving_blocks(chain, t, seed, start, count):
+    values = words_per_stream(chain, t)
+    for offset, words in rng.stream_words(seed, start, count, values):
         assert offset == sum(len(x) for x in bits)
+        c, b = _decode_driving(chain, t, words, seed, start + offset)
         coords.append(c)
         bits.append(b)
     if chain.kind == "q2":
@@ -303,8 +306,8 @@ class TestDrivingBlocks:
         chain, t = ChainKind(kind, n), 37
         want = reference(chain, t, 11, START, 30)
         monkeypatch.setattr(rng, "_BLOCK_VALUES", rows * words_per_stream(chain, t))
-        blocks = list(_draw_driving_blocks(chain, t, 11, START, 30))
-        assert [len(b) for _, _, b in blocks] == [rows] * (30 // rows) + (
+        blocks = rng.stream_words(11, START, 30, words_per_stream(chain, t))
+        assert [len(w) for _, w in blocks] == [rows] * (30 // rows) + (
             [30 % rows] if 30 % rows else []
         )
         assert_same(batched(chain, t, 11, START, 30), want)
@@ -353,7 +356,7 @@ class TestDrivingBlocks:
 
     def test_rejects_negative_length(self):
         with pytest.raises(ValueError):
-            next(_draw_driving_blocks(ChainKind("q1", 4), -1, 0, 0, 1))
+            _draw_driving_arrays(ChainKind("q1", 4), -1, 0, 0)
 
     @settings(max_examples=150, deadline=None)
     @given(

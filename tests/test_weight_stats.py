@@ -31,7 +31,7 @@ from shiftwalk import (
     weight_moments,
 )
 from shiftwalk import chains, rng, suites, weight_stats
-from shiftwalk.chains import _draw_driving_blocks
+from shiftwalk.chains import _draw_driving_arrays
 from shiftwalk.distribution import exact_laws
 from shiftwalk.weight_stats import histogram_tv, weight_counts
 
@@ -51,9 +51,10 @@ def replace_coord(driving: DrivingSequence, i: int, u: int) -> DrivingSequence:
 
 
 def reference_sample_weights(chain, x0, ts, samples, seed):
-    """``sample_weights`` with every trajectory drawn and stepped at once,
-    (samples, n+1) cells and (samples, t_max) driving arrays: the kernel
-    the block-wise one replaced."""
+    """``sample_weights`` with every trajectory drawn from its own numpy
+    generator (``_draw_driving_arrays``), not the batched decode, and all
+    stepped at once, (samples, n+1) cells and (samples, t_max) driving
+    arrays: the kernel the block-wise one replaced."""
     ts = sorted(set(int(t) for t in ts))
     n = chain.n
     t_max = ts[-1] if ts else 0
@@ -61,10 +62,10 @@ def reference_sample_weights(chain, x0, ts, samples, seed):
     if chain.kind == "q1":
         coords_all = np.empty((samples, t_max), dtype=np.int64)
     bits_all = np.empty((samples, t_max), dtype=np.uint8)
-    for i, coords, bits in _draw_driving_blocks(chain, t_max, seed, 0, samples):
+    for i in range(samples):
+        coords, bits_all[i] = _draw_driving_arrays(chain, t_max, seed, i)
         if coords_all is not None:
-            coords_all[i : i + len(bits)] = coords
-        bits_all[i : i + len(bits)] = bits
+            coords_all[i] = coords
     m = n + 1
     cells = np.empty((samples, m), dtype=np.uint8)
     cells[:, :n] = np.array(list(x0), dtype=np.uint8)
